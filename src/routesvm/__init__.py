@@ -21,7 +21,6 @@ from .dataset_io import (
     read_fcd_xml,
     read_trace_csv,
     sample_examples,
-    split_disjoint,
     write_trace_csv,
 )
 from .eval_pipeline import EvaluationReport, accuracy_sweep, boundary_report, evaluate

@@ -24,10 +24,9 @@ from .dataset_io import (
     write_trace_csv,
 )
 from .eval_pipeline import (
-    BoundaryLine,
     EmptyTestError,
-    VerticalBoundary,
     boundary_report,
+    format_boundary,
     format_report,
     report_to_csv,
     sweep_with_model,
@@ -39,7 +38,6 @@ from .svm import (
     KernelSpec,
     ModelFormatError,
     SingleClassError,
-    SvmModel,
     TrainConfig,
     UnsupportedKernelError,
     load_model,
@@ -195,17 +193,6 @@ def parse_test_sizes(raw: str) -> list[int]:
         raise _UsageError(f"bad --test-sizes value {raw!r}: {exc}") from exc
 
 
-def _boundary_lines(model: SvmModel) -> list[str]:
-    if model.kernel.family != "linear":
-        return []
-    boundary = boundary_report(model)
-    if isinstance(boundary, BoundaryLine):
-        return [f"boundary: y = {boundary.slope:.6g}x + {boundary.intercept:.6g}"]
-    if isinstance(boundary, VerticalBoundary):
-        return [f"boundary: vertical at x = {boundary.x:.6g}"]
-    return []
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -222,7 +209,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _train_model(args: argparse.Namespace):
     trace = read_trace_csv(args.trace)
     kernel = _kernel_from_args(args)
-    cfg = TrainConfig(C=args.C, tol=args.tol, max_passes=args.max_passes, rng_seed=args.seed)
+    cfg = TrainConfig(C=args.C, tol=args.tol, max_passes=args.max_passes)
     try:
         cfg.validate()
     except ValueError as exc:
@@ -238,8 +225,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
     summary = model.summary
     print(f"support vectors: {summary.n_support}")
     print(f"converged: {summary.converged} (passes: {summary.passes})")
-    for line in _boundary_lines(model):
-        print(line)
+    boundary = format_boundary(boundary_report(model))
+    if boundary is not None:
+        print(boundary)
     print(f"wrote model to {args.output}")
     return 0
 
@@ -316,7 +304,7 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
     write_trace_csv(trace, out_dir / "trace.csv")
 
     train_ds = sample_examples(trace, args.train_size, seed)
-    cfg = TrainConfig(rng_seed=seed)
+    cfg = TrainConfig()
     model = train_position_model(list(train_ds.examples), KernelSpec.linear(), cfg)
     save_model(model, out_dir / "model.txt")
 

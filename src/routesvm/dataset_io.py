@@ -13,6 +13,9 @@ Label sidecar  CSV with header ``vehicle_id,route_label`` mapping each
                vehicle to its route outcome (0 or 1).
 Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 
+Every x, y and speed value must be finite; readers reject nan and inf with
+:class:`TraceFormatError`.
+
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
 route 1 -> -1.  No other module converts labels.
 """
@@ -20,6 +23,7 @@ route 1 -> -1.  No other module converts labels.
 from __future__ import annotations
 
 import logging
+import math
 import random
 import xml.etree.ElementTree as ElementTree
 from dataclasses import dataclass
@@ -42,7 +46,6 @@ __all__ = [
     "write_examples_csv",
     "read_examples_csv",
     "sample_examples",
-    "split_disjoint",
     "derive_seed",
 ]
 
@@ -82,6 +85,11 @@ def label_to_class(route_label: int) -> int:
 
 def _f17(v: float) -> str:
     return format(float(v), ".17g")
+
+
+def _require_finite(where: str, *values: float) -> None:
+    if not all(math.isfinite(v) for v in values):
+        raise TraceFormatError(f"{where}: non-finite value")
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +134,7 @@ def read_trace_csv(source: str | Path) -> Trace:
             route_label = int(fields[5])
         except ValueError as exc:
             raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from exc
+        _require_finite(f"line {line_no}", x, y, speed)
         if route_label not in (0, 1):
             raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
         points.append(
@@ -193,6 +202,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
                 x, y, speed = (float(values[a]) for a in ("x", "y", "speed"))
             except ValueError as exc:
                 raise TraceFormatError(f"vehicle {vehicle_id!r}: {exc}") from exc
+            _require_finite(f"vehicle {vehicle_id!r}", x, y, speed)
             points.append(
                 TrajectoryPoint(
                     vehicle_id=vehicle_id,
@@ -268,6 +278,7 @@ def read_examples_csv(source: str | Path) -> Dataset:
             label = int(fields[2])
         except ValueError as exc:
             raise TraceFormatError(f"line {line_no}: non-numeric field") from exc
+        _require_finite(f"line {line_no}", x, y)
         if label not in (1, -1):
             raise TraceFormatError(f"line {line_no}: label must be +1 or -1")
         examples.append(LabeledExample(features=(x, y), label=label))
@@ -347,40 +358,6 @@ def sample_examples(
         provenance=provenance,
         seed=seed,
         vehicle_ids=tuple(chosen),
-    )
-
-
-def split_disjoint(
-    trace: Trace,
-    n_train: int,
-    n_test: int,
-    seed: int,
-    allow_overlap: bool = False,
-) -> tuple[Dataset, Dataset]:
-    """Train/test datasets drawn from disjoint vehicle sets.
-
-    With ``allow_overlap`` the test set is drawn independently from the full
-    vehicle pool instead (sensitivity checks only).
-    """
-    if allow_overlap:
-        train_ds = sample_examples(trace, n_train, seed)
-        test_ds = sample_examples(trace, n_test, derive_seed(seed, 1))
-        return train_ds, test_ds
-    by_vehicle = _points_by_vehicle(trace)
-    ids = sorted(by_vehicle)
-    if len(ids) < n_train + n_test:
-        raise InsufficientVehiclesError(
-            f"need {n_train + n_test} distinct vehicles, trace provides {len(ids)}"
-        )
-    rng = random.Random(seed)
-    chosen = _choose(ids, n_train + n_test, rng)
-    train_ids, test_ids = chosen[:n_train], chosen[n_train:]
-    train_examples = _one_example_per_vehicle(by_vehicle, train_ids, rng)
-    test_examples = _one_example_per_vehicle(by_vehicle, test_ids, rng)
-    provenance = "generated" if trace.config is not None else "imported"
-    return (
-        Dataset(train_examples, provenance, seed, tuple(train_ids)),
-        Dataset(test_examples, provenance, seed, tuple(test_ids)),
     )
 
 

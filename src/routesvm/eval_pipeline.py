@@ -39,6 +39,7 @@ __all__ = [
     "sweep_with_model",
     "accuracy_sweep",
     "report_to_csv",
+    "format_boundary",
     "format_report",
 ]
 
@@ -144,12 +145,12 @@ def train_position_model(
     """Train a route classifier on raw position examples.
 
     Position features span thousands of meters in x but only a couple of
-    meters in y, which stalls pairwise dual ascent long before tolerance on
-    the raw features.  For the linear kernel this trains on standardized
-    features (mean/variance from the training data only) and re-expresses
-    the resulting plane exactly in raw meters, so the reported boundary
-    stays comparable with the road geometry.  Other kernels train directly
-    on the raw features.
+    meters in y, which conditions the linear dual so badly that training on
+    the raw features runs to the pass cap.  For the linear kernel this
+    trains on standardized features (mean/variance from the training data
+    only) and re-expresses the resulting plane exactly in raw meters, so the
+    reported boundary stays comparable with the road geometry.  Other
+    kernels train directly on the raw features.
     """
     if kernel.family != "linear":
         return train(data, kernel, cfg)
@@ -234,6 +235,15 @@ def report_to_csv(report: EvaluationReport, destination: str | Path) -> None:
     Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def format_boundary(boundary: BoundaryLine | VerticalBoundary | None) -> str | None:
+    """The one-line boundary summary; None when there is no linear boundary."""
+    if isinstance(boundary, BoundaryLine):
+        return f"boundary: y = {boundary.slope:.6g}x + {boundary.intercept:.6g}"
+    if isinstance(boundary, VerticalBoundary):
+        return f"boundary: vertical at x = {boundary.x:.6g}"
+    return None
+
+
 def format_report(report: EvaluationReport) -> str:
     """Human-readable accuracy table (per-size rows plus the mean)."""
     header_right = f"{report.train_size} training examples"
@@ -246,12 +256,9 @@ def format_report(report: EvaluationReport) -> str:
         rows.append(("mean", "undefined (no rows)"))
     left_width = max(len(left) for left, _ in rows)
     lines = [f"{left.ljust(left_width)}  {right}" for left, right in rows]
-    if isinstance(report.boundary, BoundaryLine):
-        lines.append(
-            f"boundary: y = {report.boundary.slope:.6g}x + {report.boundary.intercept:.6g}"
-        )
-    elif isinstance(report.boundary, VerticalBoundary):
-        lines.append(f"boundary: vertical at x = {report.boundary.x:.6g}")
+    boundary = format_boundary(report.boundary)
+    if boundary is not None:
+        lines.append(boundary)
     if not report.convergence_flag:
         lines.append("warning: training did not fully converge")
     return "\n".join(lines)

@@ -1,9 +1,11 @@
 """From-scratch kernel support vector machine.
 
 Binary soft-margin SVM trained by pairwise coordinate ascent on the dual
-(SMO-style): repeatedly pick a multiplier violating the KKT conditions, pick
-a partner, solve the two-variable subproblem in closed form, clip to the box,
-and stop when a full sweep finds nothing to change.  The decision function is
+(SMO-style): each step picks the maximal-violating pair by second-order
+working-set selection (WSS2, as in LIBSVM), solves the two-variable
+subproblem in closed form and clips it to the box.  Training stops when the
+violation gap m(alpha) - M(alpha) is at most the tolerance, a certificate
+that the multipliers are optimal to within it.  The decision function is
 
     f(x) = sum_i alpha_i * y_i * K(s_i, x) + b
 
@@ -14,8 +16,7 @@ linear, polynomial, rbf, sigmoid.
 from __future__ import annotations
 
 import math
-import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -52,6 +53,9 @@ __all__ = [
 KERNEL_FAMILIES = ("linear", "polynomial", "rbf", "sigmoid")
 
 NORM_FLOOR = 1e-12
+
+# Curvature used in place of a non-positive a_ij (indefinite kernels).
+TAU = 1e-12
 
 
 class DimensionMismatchError(ValueError):
@@ -207,7 +211,13 @@ def kernel_eval(spec: KernelSpec, a, b) -> float:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Soft-margin training knobs: box constraint, KKT tolerance, pass cap."""
+    """Soft-margin training knobs.
+
+    ``C`` is the box constraint and ``tol`` the stopping gap m(alpha) - M(alpha).
+    A pass is n pair steps for n training examples; ``max_passes`` caps
+    training at ``max_passes * n`` steps.  ``rng_seed`` has no effect (the
+    solver draws no random numbers); it is accepted for existing callers.
+    """
 
     C: float = 1.0
     tol: float = 1e-3
@@ -354,7 +364,16 @@ class Standardizer:
 
 
 class _Smo:
-    """Working state for one optimization run over a fixed Gram matrix."""
+    """One optimization run over a fixed Gram matrix.
+
+    Minimizes the dual in LIBSVM form, 1/2 alpha'Q alpha - sum(alpha) with
+    Q_ij = y_i y_j K_ij, keeping the gradient G = Q alpha - 1 current.
+    F_t = -y_t G_t is the bias that puts example t exactly on its margin.
+    I_up holds the t whose y_t * alpha_t can grow, I_low those whose
+    y_t * alpha_t can shrink.  alpha is optimal iff m = max F over I_up is at
+    most M = min F over I_low; the gap m - M certifies how close it is
+    (Keerthi et al. 2001).
+    """
 
     def __init__(self, k: np.ndarray, y: np.ndarray, cfg: TrainConfig):
         self.k = k
@@ -362,177 +381,84 @@ class _Smo:
         self.c = cfg.C
         self.tol = cfg.tol
         self.n = len(y)
+        self.diag = np.diag(k).copy()
         self.alpha = np.zeros(self.n)
+        self.grad = -np.ones(self.n)
         self.b = 0.0
-        # errors[i] = f(x_i) - y_i, maintained incrementally
-        self.errors = -y.astype(float).copy()
-        self.rng = random.Random(cfg.rng_seed)
 
-    def dual_objective(self) -> float:
-        coef = self.alpha * self.y
-        quad = ((self.k * coef).sum(axis=1) * coef).sum()  # BLAS-free reduction
-        return float(self.alpha.sum() - 0.5 * quad)
+    def movable(self, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of I_up and I_low; alpha within ``floor`` of a bound counts as on it."""
+        above, below = self.alpha > floor, self.alpha < self.c - floor
+        pos = self.y > 0
+        return np.where(pos, below, above), np.where(pos, above, below)
 
-    def violates_kkt(self, i: int) -> bool:
-        r = self.errors[i] * self.y[i]
-        return (r < -self.tol and self.alpha[i] < self.c) or (
-            r > self.tol and self.alpha[i] > 0.0
-        )
-
-    def try_step(self, i: int, j: int) -> bool:
-        """Solve the two-variable subproblem for (i, j); True if alpha moved."""
-        if i == j:
-            return False
-        a_i, a_j = self.alpha[i], self.alpha[j]
-        y_i, y_j = self.y[i], self.y[j]
-        e_i, e_j = self.errors[i], self.errors[j]
-        s = y_i * y_j
-        if s < 0:
-            low, high = max(0.0, a_j - a_i), min(self.c, self.c + a_j - a_i)
-        else:
-            low, high = max(0.0, a_i + a_j - self.c), min(self.c, a_i + a_j)
-        if low >= high:
-            return False
-        k_ii, k_jj, k_ij = self.k[i, i], self.k[j, j], self.k[i, j]
-        eta = k_ii + k_jj - 2.0 * k_ij
-        if eta > 0.0:
-            a_j_new = a_j + y_j * (e_i - e_j) / eta
-            a_j_new = min(high, max(low, a_j_new))
-        else:
-            # Flat or concave segment: the restricted dual is maximized at an
-            # endpoint, so evaluate both and take the better one.
-            f_i = y_i * (e_i + self.b) - a_i * k_ii - s * a_j * k_ij
-            f_j = y_j * (e_j + self.b) - s * a_i * k_ij - a_j * k_jj
-            low_i = a_i + s * (a_j - low)
-            high_i = a_i + s * (a_j - high)
-            obj_low = (
-                low_i * f_i
-                + low * f_j
-                + 0.5 * low_i**2 * k_ii
-                + 0.5 * low**2 * k_jj
-                + s * low * low_i * k_ij
-            )
-            obj_high = (
-                high_i * f_i
-                + high * f_j
-                + 0.5 * high_i**2 * k_ii
-                + 0.5 * high**2 * k_jj
-                + s * high * high_i * k_ij
-            )
-            gap = 1e-12 * (abs(obj_low) + abs(obj_high) + 1.0)
-            if obj_low < obj_high - gap:
-                a_j_new = low
-            elif obj_high < obj_low - gap:
-                a_j_new = high
-            else:
-                return False
-        if abs(a_j_new - a_j) < 1e-12 * (a_j_new + a_j + 1e-12):
-            return False
-        a_i_new = a_i + s * (a_j - a_j_new)
-        a_i_new = min(self.c, max(0.0, a_i_new))
-
-        d_i, d_j = a_i_new - a_i, a_j_new - a_j
-        b1 = self.b - e_i - y_i * d_i * k_ii - y_j * d_j * k_ij
-        b2 = self.b - e_j - y_i * d_i * k_ij - y_j * d_j * k_jj
-        if 0.0 < a_i_new < self.c:
-            b_new = b1
-        elif 0.0 < a_j_new < self.c:
-            b_new = b2
-        else:
-            b_new = 0.5 * (b1 + b2)
-
-        self.errors += (
-            y_i * d_i * self.k[i] + y_j * d_j * self.k[j] + (b_new - self.b)
-        )
-        self.alpha[i], self.alpha[j] = a_i_new, a_j_new
-        self.b = b_new
-        return True
-
-    def examine(self, i: int) -> bool:
-        """Partner search for a KKT-violating index i."""
-        if not self.violates_kkt(i):
-            return False
-        # First choice: the partner maximizing the step size |E_i - E_j|.
-        j = int(np.argmax(np.abs(self.errors[i] - self.errors)))
-        if self.try_step(i, j):
-            return True
-        # Fall back to scanning the unbounded multipliers, then everything,
-        # each from a seeded random start.
-        unbound = np.flatnonzero((self.alpha > 0.0) & (self.alpha < self.c))
-        if len(unbound):
-            start = self.rng.randrange(len(unbound))
-            for idx in range(len(unbound)):
-                if self.try_step(i, int(unbound[(start + idx) % len(unbound)])):
-                    return True
-        start = self.rng.randrange(self.n)
-        for idx in range(self.n):
-            if self.try_step(i, (start + idx) % self.n):
-                return True
-        return False
+    def objective(self) -> float:
+        """sum(alpha) - 1/2 alpha'Q alpha, read off G in O(n)."""
+        return float(0.5 * np.sum(self.alpha * (1.0 - self.grad)))
 
     def run(self, max_passes: int) -> TrainSummary:
-        """Full sweeps over all multipliers until a sweep changes nothing and
-        the KKT case split holds under the re-anchored bias.
+        """Pair steps until m - M <= tol or max_passes * n steps.
 
-        The incrementally maintained bias can drift from the averaged-bias
-        estimate the final model uses; on a zero-change sweep the bias is
-        re-anchored and, if violations remain, sweeping continues.  A second
-        zero-change sweep under the same anchored bias means no pair step can
-        make progress, so the loop stops (converged=False).
+        Each step takes i = argmax F over I_up and, among the t in I_low with
+        b_t = F_i - F_t > 0, the j minimizing -b_t^2 / a_t, where
+        a_t = K_ii + K_tt - 2 K_it, or TAU when that is not positive (WSS2,
+        Fan, Chen & Lin 2005).  A pass is n steps; the objective is recorded
+        after each pass, the last one possibly partial.
         """
-        objectives = []
-        passes = 0
-        rebiased = False
-        converged = False
-        while passes < max_passes:
-            passes += 1
-            changed = 0
-            for i in range(self.n):
-                if self.examine(i):
-                    changed += 1
-            objectives.append(self.dual_objective())
-            if changed > 0:
-                rebiased = False
-                continue
-            self.finalize_bias()
-            if self.final_violations() == 0:
-                converged = True
+        objectives, steps = [], 0
+        while True:
+            f = -self.y * self.grad
+            up, low = self.movable()
+            f_up = np.where(up, f, -np.inf)
+            i = int(np.argmax(f_up))
+            gap = float(f_up[i] - np.min(np.where(low, f, np.inf)))
+            if gap <= self.tol or steps == max_passes * self.n:
                 break
-            if rebiased:
-                break
-            rebiased = True
-        if passes >= max_passes and not converged:
-            self.finalize_bias()
-            converged = self.final_violations() == 0
+            b = f[i] - f
+            a = self.diag[i] + self.diag - 2.0 * self.k[i]
+            a = np.where(a > 0.0, a, TAU)
+            j = int(np.argmin(np.where(low & (b > 0.0), -(b * b) / a, np.inf)))
+            self.step(i, j, b[j] / a[j])
+            steps += 1
+            if steps % self.n == 0:
+                objectives.append(self.objective())
+        if steps % self.n:
+            objectives.append(self.objective())
+        self.finalize_bias()
         return TrainSummary(
-            passes=passes, converged=converged, dual_objectives=tuple(objectives)
+            passes=-(-steps // self.n),
+            converged=gap <= self.tol and self.final_violations() == 0,
+            dual_objectives=tuple(objectives),
         )
 
+    def step(self, i: int, j: int, lam: float) -> None:
+        """alpha_i += y_i * lam and alpha_j -= y_j * lam, which keeps
+        sum(alpha * y), with lam clipped to the box."""
+        y_i, y_j = self.y[i], self.y[j]
+        old_i, old_j = self.alpha[i], self.alpha[j]
+        room_i = self.c - old_i if y_i > 0 else old_i
+        room_j = old_j if y_j > 0 else self.c - old_j
+        lam = min(lam, room_i, room_j)
+        self.alpha[i] = min(self.c, max(0.0, old_i + y_i * lam))
+        self.alpha[j] = min(self.c, max(0.0, old_j - y_j * lam))
+        d_i, d_j = self.alpha[i] - old_i, self.alpha[j] - old_j
+        self.grad += self.y * (y_i * d_i * self.k[i] + y_j * d_j * self.k[j])
+
     def finalize_bias(self) -> None:
-        """Recompute b as the average of y_i - (f(x_i) - b) over the
-        unbounded support vectors.
+        """Set b to the average of F_t over the unbounded support vectors.
 
         With every multiplier at a bound there is no margin-riding vector to
-        average, but optimality only constrains b to an interval; its
-        endpoints come from the bound multipliers' targets and the midpoint
-        keeps every example's KKT deviation within half the optimality gap.
+        average, but optimality only constrains b to [max F over I_up,
+        min F over I_low]; the midpoint keeps every example's KKT deviation
+        within half the optimality gap.
         """
-        floor = NORM_FLOOR * max(1.0, self.c)
-        partial = (self.k * (self.alpha * self.y)).sum(axis=1)  # f without bias
-        targets = self.y - partial
-        unbound = (self.alpha > floor) & (self.alpha < self.c - floor)
+        f = -self.y * self.grad
+        up, low = self.movable(NORM_FLOOR * max(1.0, self.c))
+        unbound = up & low
         if unbound.any():
-            self.b = float(np.mean(targets[unbound]))
-        else:
-            can_grow = ((self.y > 0) & (self.alpha < self.c - floor)) | (
-                (self.y < 0) & (self.alpha > floor)
-            )
-            can_shrink = ((self.y > 0) & (self.alpha > floor)) | (
-                (self.y < 0) & (self.alpha < self.c - floor)
-            )
-            if can_grow.any() and can_shrink.any():
-                self.b = 0.5 * float(targets[can_grow].max() + targets[can_shrink].min())
-        self.errors = partial + self.b - self.y
+            self.b = float(np.mean(f[unbound]))
+        elif up.any() and low.any():
+            self.b = 0.5 * float(f[up].max() + f[low].min())
 
     def final_violations(self) -> int:
         """KKT case-split violations at the current iterate.
@@ -541,7 +467,7 @@ class _Smo:
         alpha=C needs margin <= 1+tol.
         """
         floor = NORM_FLOOR * max(1.0, self.c)
-        margin = self.y * (self.errors + self.y)  # y_i * f(x_i)
+        margin = self.grad + 1.0 + self.y * self.b  # y_i * f(x_i)
         at_zero = self.alpha <= floor
         at_c = self.alpha >= self.c - floor
         interior = ~at_zero & ~at_c
@@ -561,10 +487,13 @@ def train(
     """Fit the soft-margin dual on ``data`` and return the trained model.
 
     Maximizes  sum(alpha) - 1/2 sum_ij alpha_i alpha_j y_i y_j K(x_i, x_j)
-    subject to 0 <= alpha <= C and sum(alpha * y) = 0.  Training stops when a
-    full sweep changes no multiplier or after ``cfg.max_passes`` sweeps;
-    non-convergence is reported through the model summary, not raised.
-    Examples with zero dual coefficient are dropped from the model.
+    subject to 0 <= alpha <= C and sum(alpha * y) = 0.  Training stops when
+    the violation gap m(alpha) - M(alpha) is at most ``cfg.tol`` or after
+    ``cfg.max_passes`` passes of n pair steps each.  ``summary.converged`` is
+    True only when the gap certificate held and the final KKT case split
+    finds no violation; non-convergence is reported there, not raised.
+    ``cfg.rng_seed`` has no effect.  Examples with zero dual coefficient are
+    dropped from the model.
     """
     cfg.validate()
     if not data:
@@ -584,22 +513,13 @@ def train(
 
     smo = _Smo(gram, ys, cfg)
     summary = smo.run(cfg.max_passes)
-    smo.finalize_bias()
-
-    floor = NORM_FLOOR * max(1.0, cfg.C)
-    keep = np.flatnonzero(smo.alpha > floor)
-    summary = TrainSummary(
-        passes=summary.passes,
-        converged=smo.final_violations() == 0,
-        dual_objectives=summary.dual_objectives,
-        n_support=len(keep),
-    )
+    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
     return SvmModel(
         kernel=kernel,
         support_examples=tuple(data[int(i)] for i in keep),
         alphas=tuple(float(smo.alpha[int(i)]) for i in keep),
         bias=float(smo.b),
-        summary=summary,
+        summary=replace(summary, n_support=len(keep)),
     )
 
 

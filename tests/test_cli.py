@@ -94,6 +94,17 @@ class TestTrain:
                      "-o", str(tmp_path / "m.txt")])
         assert code == 3
 
+    def test_non_finite_trace_exits_3(self, trace_path, tmp_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[2] = "nan"
+        lines[1] = ",".join(fields)
+        trace_path.write_text("\n".join(lines) + "\n")
+        code = main(["train", str(trace_path), "--train-size", "30", "--seed", "5",
+                     "-o", str(tmp_path / "m.txt")])
+        assert code == 3
+        assert "line 2: non-finite" in capsys.readouterr().err
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.txt")])
         assert code == 1

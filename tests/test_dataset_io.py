@@ -7,12 +7,12 @@ from routesvm.dataset_io import (
     Dataset,
     InsufficientVehiclesError,
     TraceFormatError,
+    derive_seed,
     read_examples_csv,
     read_fcd_xml,
     read_label_csv,
     read_trace_csv,
     sample_examples,
-    split_disjoint,
     write_examples_csv,
     write_label_csv,
     write_trace_csv,
@@ -81,6 +81,14 @@ class TestTraceCsv:
             "oops,v1,1.0,2.0,3.0,0\n"
         )
         with pytest.raises(TraceFormatError, match="line 3"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("row", ["0,v0,nan,2.0,3.0,0", "0,v0,1.0,inf,3.0,0",
+                                     "0,v0,1.0,2.0,-inf,0"])
+    def test_non_finite_value_names_line(self, tmp_path, row):
+        path = tmp_path / "nonfinite.csv"
+        path.write_text(f"step,vehicle_id,x,y,speed,route_label\n0,v1,1.0,2.0,3.0,0\n{row}\n")
+        with pytest.raises(TraceFormatError, match="line 3: non-finite"):
             read_trace_csv(path)
 
     def test_rows_resorted_to_canonical_order(self, tmp_path):
@@ -152,6 +160,16 @@ class TestFcdXml:
         with pytest.raises(TraceFormatError, match="time"):
             read_fcd_xml(path, {})
 
+    def test_non_finite_value_names_vehicle(self, tmp_path):
+        path = tmp_path / "nan.xml"
+        path.write_text(
+            '<fcd-export><timestep time="0">'
+            '<vehicle id="v" x="1" y="NaN" speed="3"/>'
+            "</timestep></fcd-export>\n"
+        )
+        with pytest.raises(TraceFormatError, match="'v': non-finite"):
+            read_fcd_xml(path, {"v": 0})
+
     def test_syntax_error_reports_byte_offset(self, tmp_path):
         path = tmp_path / "bad.xml"
         path.write_text("<fcd-export>\n  <timestep\n")
@@ -200,6 +218,12 @@ class TestExamplesCsv:
         with pytest.raises(TraceFormatError):
             read_examples_csv(path)
 
+    def test_non_finite_value_names_line(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("x,y,label\n1.0,2.0,1\ninf,2.0,-1\n")
+        with pytest.raises(TraceFormatError, match="line 3: non-finite"):
+            read_examples_csv(path)
+
 
 class TestSampling:
     def test_exhaustive_selection_uses_every_vehicle(self, small_trace):
@@ -243,33 +267,41 @@ class TestSampling:
 
 
 class TestSplitDisjoint:
+    """Train/test splits drawn with ``sample_examples(exclude_vehicles=...)``."""
+
+    @staticmethod
+    def split(trace, n_train, n_test, seed):
+        train_ds = sample_examples(trace, n_train, seed)
+        test_ds = sample_examples(
+            trace, n_test, derive_seed(seed, 1), exclude_vehicles=train_ds.vehicle_ids
+        )
+        return train_ds, test_ds
+
     def test_full_partition(self, small_trace):
         n = len(small_trace.vehicle_ids())
-        train_ds, test_ds = split_disjoint(small_trace, n - 10, 10, seed=1)
+        train_ds, test_ds = self.split(small_trace, n - 10, 10, seed=1)
         combined = sorted(train_ds.vehicle_ids + test_ds.vehicle_ids)
         assert combined == small_trace.vehicle_ids()
 
     def test_disjoint_vehicle_sets(self, small_trace):
-        train_ds, test_ds = split_disjoint(small_trace, 30, 20, seed=2)
+        train_ds, test_ds = self.split(small_trace, 30, 20, seed=2)
         assert not set(train_ds.vehicle_ids) & set(test_ds.vehicle_ids)
 
     def test_sizes_exact_on_default_trace(self, default_trace):
-        train_ds, test_ds = split_disjoint(default_trace, 400, 100, seed=7)
+        train_ds, test_ds = self.split(default_trace, 400, 100, seed=7)
         assert len(train_ds.examples) == 400
         assert len(test_ds.examples) == 100
 
     def test_insufficient_vehicles(self, small_trace):
         with pytest.raises(InsufficientVehiclesError):
-            split_disjoint(small_trace, 50, 20, seed=0)
+            self.split(small_trace, 50, 20, seed=0)
 
-    def test_allow_overlap_draws_from_full_pool(self, small_trace):
-        train_ds, test_ds = split_disjoint(small_trace, 40, 40, seed=3, allow_overlap=True)
-        assert len(train_ds.examples) == 40
-        assert len(test_ds.examples) == 40
+    def test_determinism(self, small_trace):
+        assert self.split(small_trace, 30, 20, seed=4) == self.split(small_trace, 30, 20, seed=4)
 
     def test_generated_trace_provenance(self, small_trace):
-        train_ds, _ = split_disjoint(small_trace, 10, 5, seed=1)
-        assert train_ds.provenance == "generated"
+        train_ds, test_ds = self.split(small_trace, 10, 5, seed=1)
+        assert train_ds.provenance == test_ds.provenance == "generated"
 
     def test_imported_trace_provenance(self, tmp_path, small_trace):
         path = tmp_path / "t.csv"

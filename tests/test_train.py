@@ -3,19 +3,23 @@ import random
 import numpy as np
 import pytest
 
+from routesvm.dataset_io import sample_examples
 from routesvm.svm import (
     DimensionMismatchError,
     KernelSpec,
     LabeledExample,
     SingleClassError,
+    Standardizer,
     TrainConfig,
     classify,
     decision_value,
+    decision_values,
     extract_hyperplane,
     geometric_margin,
     model_to_text,
     train,
 )
+from routesvm.traffic_sim import ScenarioConfig, generate_trace
 
 from helpers import hard_margin_oracle, random_overlapping_examples, random_separable_examples
 
@@ -75,16 +79,40 @@ class TestTrainBasics:
         second = train(data, KernelSpec.linear(), cfg)
         assert model_to_text(first) == model_to_text(second)
 
+    def test_rng_seed_has_no_effect(self):
+        data = random_overlapping_examples(random.Random(32), 40)
+        first = train(data, KernelSpec.linear(), TrainConfig(rng_seed=1))
+        second = train(data, KernelSpec.linear(), TrainConfig(rng_seed=2))
+        assert model_to_text(first) == model_to_text(second)
+
+
+@pytest.fixture(scope="module")
+def large_trace():
+    return generate_trace(ScenarioConfig(num_vehicles=2000, rng_seed=7))
+
 
 class TestTrainedModelInvariants:
-    @pytest.mark.parametrize("c_value", [0.1, 1.0, 10.0])
-    def test_dual_feasibility_and_kkt(self, c_value):
-        cfg = TrainConfig(C=c_value, tol=1e-3, max_passes=5000, rng_seed=1)
+    # The sigmoid Gram matrix of these sets is indefinite, so some pairs have
+    # non-positive curvature and take the TAU step.
+    @pytest.mark.parametrize(
+        "c_value, kernel",
+        [
+            (0.1, KernelSpec.linear()),
+            (1.0, KernelSpec.linear()),
+            (10.0, KernelSpec.linear()),
+            (1.0, KernelSpec.sigmoid(gamma=0.5, coef0=-1.0)),
+        ],
+        ids=["0.1", "1.0", "10.0", "sigmoid"],
+    )
+    def test_dual_feasibility_and_kkt(self, c_value, kernel):
+        cfg = TrainConfig(C=c_value, tol=1e-3, max_passes=5000)
         for trial in range(5):
             rng = random.Random(100 + trial)
             data = random_overlapping_examples(rng, 50)
-            model = train(data, KernelSpec.linear(), cfg)
+            model = train(data, kernel, cfg)
             assert model.summary.converged
+            objectives = model.summary.dual_objectives
+            assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
 
             alphas = dict()
             for alpha, e in zip(model.alphas, model.support_examples):
@@ -110,6 +138,28 @@ class TestTrainedModelInvariants:
             model = train(data, KernelSpec.linear(), TrainConfig(C=1.0, rng_seed=trial))
             objectives = model.summary.dual_objectives
             assert all(b >= a - 1e-9 for a, b in zip(objectives, objectives[1:]))
+
+    @pytest.mark.parametrize("n", [400, 2000])
+    def test_standardized_trace_examples_converge(self, large_trace, n):
+        examples = sample_examples(large_trace, n, seed=7).examples
+        raw = np.array([e.features for e in examples])
+        xs = Standardizer().fit(raw).transform(raw)
+        data = [LabeledExample(tuple(row), e.label) for row, e in zip(xs, examples)]
+        cfg = TrainConfig()
+        model = train(data, KernelSpec.linear(), cfg)
+        assert model.summary.converged
+
+        alpha_of = {id(e): a for e, a in zip(model.support_examples, model.alphas)}
+        alphas = np.array([alpha_of.get(id(e), 0.0) for e in data])
+        labels = np.array([e.label for e in data])
+        margin = labels * decision_values(model, xs)
+        at_zero, at_c = alphas <= 1e-12, alphas >= cfg.C - 1e-12
+        violations = (
+            (at_zero & (margin < 1.0 - cfg.tol))
+            | (~at_zero & ~at_c & (np.abs(margin - 1.0) > cfg.tol))
+            | (at_c & (margin > 1.0 + cfg.tol))
+        )
+        assert not violations.any()
 
     def test_support_vectors_only_nonzero_alphas(self):
         rng = random.Random(77)
