@@ -76,14 +76,19 @@ _SCALAR_FIELDS = {
 }
 
 
-def _parse_pair(raw: str, field: str) -> tuple[float, float]:
+_TUPLE_FIELDS = {"lane_y": 3, "ramp_end": 2, "speed_range": 2}
+
+
+def _parse_floats(raw: str, field: str, where: str = "") -> tuple[float, ...]:
+    """A comma-separated tuple field; ``where`` prefixes the error message."""
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != 2:
-        raise ConfigError(field, f"expected two comma-separated numbers, got {raw!r}")
+    count = _TUPLE_FIELDS[field]
+    if len(parts) != count:
+        raise ConfigError(field, f"{where}expected {count} comma-separated numbers, got {raw!r}")
     try:
-        return float(parts[0]), float(parts[1])
+        return tuple(float(p) for p in parts)
     except ValueError:
-        raise ConfigError(field, f"non-numeric value {raw!r}") from None
+        raise ConfigError(field, f"{where}non-numeric value {raw!r}") from None
 
 
 def load_scenario_file(path: str | Path) -> dict:
@@ -101,16 +106,8 @@ def load_scenario_file(path: str | Path) -> dict:
                 values[key] = _SCALAR_FIELDS[key](raw)
             except ValueError:
                 raise ConfigError(key, f"line {line_no}: non-numeric value {raw!r}") from None
-        elif key == "lane_y":
-            parts = [p.strip() for p in raw.split(",")]
-            if len(parts) != 3:
-                raise ConfigError("lane_y", f"line {line_no}: expected three ordinates")
-            try:
-                values[key] = tuple(float(p) for p in parts)
-            except ValueError:
-                raise ConfigError("lane_y", f"line {line_no}: non-numeric value") from None
-        elif key in ("ramp_end", "speed_range"):
-            values[key] = _parse_pair(raw, key)
+        elif key in _TUPLE_FIELDS:
+            values[key] = _parse_floats(raw, key, f"line {line_no}: ")
         else:
             raise ConfigError(key, f"line {line_no}: unknown field")
     return values
@@ -132,18 +129,9 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
-    if args.speed_range is not None:
-        values["speed_range"] = _parse_pair(args.speed_range, "speed_range")
-    if args.ramp_end is not None:
-        values["ramp_end"] = _parse_pair(args.ramp_end, "ramp_end")
-    if args.lane_y is not None:
-        parts = [p.strip() for p in args.lane_y.split(",")]
-        if len(parts) != 3:
-            raise ConfigError("lane_y", "expected three comma-separated ordinates")
-        try:
-            values["lane_y"] = tuple(float(p) for p in parts)
-        except ValueError:
-            raise ConfigError("lane_y", "non-numeric ordinate") from None
+    for key in _TUPLE_FIELDS:
+        if getattr(args, key) is not None:
+            values[key] = _parse_floats(getattr(args, key), key)
     return ScenarioConfig(**values)
 
 
@@ -351,7 +339,8 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tol", type=float, default=1e-3, help="KKT tolerance")
     parser.add_argument("--max-passes", type=int, default=200)
     parser.add_argument("--gamma", type=float, default=None,
-                        help="kernel scale (default: 1/(d*var) at training time)")
+                        help="kernel scale (default: 1/(d*var) of the standardized "
+                        "training features)")
     parser.add_argument("--coef0", type=float, default=None)
     parser.add_argument("--degree", type=int, default=None)
     parser.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)

@@ -13,8 +13,8 @@ Label sidecar  CSV with header ``vehicle_id,route_label`` mapping each
                vehicle to its route outcome (0 or 1).
 Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 
-Every x, y and speed value must be finite; readers reject nan and inf with
-:class:`TraceFormatError`.
+Every x, y and speed value must be finite, a (step, vehicle_id) pair occurs
+once and a vehicle keeps one route label; readers raise :class:`TraceFormatError`.
 
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
 route 1 -> -1.  No other module converts labels.
@@ -92,6 +92,22 @@ def _require_finite(where: str, *values: float) -> None:
         raise TraceFormatError(f"{where}: non-finite value")
 
 
+def _canonical_trace(points: list[TrajectoryPoint]) -> Trace:
+    """Sort points into (step, vehicle_id) order, rejecting a repeated
+    (step, vehicle_id) and a vehicle whose route label changes."""
+    points.sort(key=lambda p: (p.step, p.vehicle_id))
+    routes: dict[str, int] = {}
+    prev_step = prev_vid = None
+    for p in points:
+        step, vid, route = p.step, p.vehicle_id, p.route_label
+        if step == prev_step and vid == prev_vid:
+            raise TraceFormatError(f"vehicle {vid!r}: duplicate row at step {step}")
+        if routes.setdefault(vid, route) != route:
+            raise TraceFormatError(f"vehicle {vid!r}: route_label changes between rows")
+        prev_step, prev_vid = step, vid
+    return Trace(points=tuple(points))
+
+
 # ---------------------------------------------------------------------------
 # Trace CSV
 # ---------------------------------------------------------------------------
@@ -109,7 +125,8 @@ def write_trace_csv(trace: Trace, destination: str | Path) -> None:
 
 def read_trace_csv(source: str | Path) -> Trace:
     """Inverse of :func:`write_trace_csv`; rows are re-sorted into canonical
-    (step, vehicle_id) order.  The returned trace carries no scenario config.
+    (step, vehicle_id) order and validated as the module docstring says.  The
+    returned trace carries no scenario config.
     """
     text = Path(source).read_text(encoding="utf-8")
     lines = text.splitlines()
@@ -147,8 +164,7 @@ def read_trace_csv(source: str | Path) -> Trace:
                 route_label=route_label,
             )
         )
-    points.sort(key=lambda p: (p.step, p.vehicle_id))
-    return Trace(points=tuple(points))
+    return _canonical_trace(points)
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +182,8 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
 
     ``time`` attribute values are mapped to integer steps by order of
     appearance.  Vehicles absent from ``labels`` are skipped; a single
-    warning with the skip count is logged.
+    warning with the skip count is logged.  A vehicle listed twice in one
+    timestep raises :class:`TraceFormatError`.
     """
     text = Path(source).read_text(encoding="utf-8")
     try:
@@ -215,8 +232,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
             )
     if skipped:
         log.warning("skipped %d vehicle observations with no route label", skipped)
-    points.sort(key=lambda p: (p.step, p.vehicle_id))
-    return Trace(points=tuple(points))
+    return _canonical_trace(points)
 
 
 def read_label_csv(source: str | Path) -> LabelTable:

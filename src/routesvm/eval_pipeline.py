@@ -8,7 +8,7 @@ not accumulated floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "EvaluationReport",
     "evaluate",
     "boundary_report",
-    "linear_model_from_weights",
     "train_position_model",
     "sweep_with_model",
     "accuracy_sweep",
@@ -109,62 +108,29 @@ def boundary_report(model: SvmModel) -> BoundaryLine | VerticalBoundary | None:
     raise ValueError("boundary is degenerate: weight vector is numerically zero")
 
 
-def linear_model_from_weights(w, bias: float, summary=None) -> SvmModel:
-    """A linear SvmModel whose decision function is exactly w.x + bias.
-
-    Built from one unit-basis support per nonzero weight component plus a
-    zero-feature support that balances the dual equality constraint.
-    """
-    w = np.asarray(w, dtype=float)
-    dim = w.shape[0]
-    supports = []
-    alphas = []
-    for k, wk in enumerate(w):
-        if wk != 0.0:
-            basis = tuple(1.0 if j == k else 0.0 for j in range(dim))
-            supports.append(LabeledExample(basis, 1 if wk > 0 else -1))
-            alphas.append(abs(float(wk)))
-    total = float(w.sum())
-    if total != 0.0:
-        supports.append(LabeledExample((0.0,) * dim, -1 if total > 0 else 1))
-        alphas.append(abs(total))
-    return SvmModel(
-        kernel=KernelSpec.linear(),
-        support_examples=tuple(supports),
-        alphas=tuple(alphas),
-        bias=float(bias),
-        summary=summary,
-    )
-
-
 def train_position_model(
     data: list[LabeledExample] | tuple[LabeledExample, ...],
     kernel: KernelSpec,
     cfg: TrainConfig = TrainConfig(),
 ) -> SvmModel:
-    """Train a route classifier on raw position examples.
+    """Train a route classifier on raw position examples, for any kernel.
 
     Position features span thousands of meters in x but only a couple of
-    meters in y, which conditions the linear dual so badly that training on
-    the raw features runs to the pass cap.  For the linear kernel this
-    trains on standardized features (mean/variance from the training data
-    only) and re-expresses the resulting plane exactly in raw meters, so the
-    reported boundary stays comparable with the road geometry.  Other
-    kernels train directly on the raw features.
+    meters in y, so x would swamp every kernel.  The features are
+    standardized with the training data's mean and standard deviation, the
+    SVM is trained on the standardized examples, and the returned model
+    carries the standardizer, so it takes raw positions and
+    ``extract_hyperplane`` gives a linear boundary in raw meters.
     """
-    if kernel.family != "linear":
-        return train(data, kernel, cfg)
+    if not data:
+        raise ValueError("training data is empty")
     xs = np.array([e.features for e in data], dtype=float)
     scaler = Standardizer().fit(xs)
     scaled = [
         LabeledExample(tuple(row), e.label)
-        for row, e in zip(scaler.transform(xs), data)
+        for row, e in zip(scaler.transform(xs).tolist(), data)
     ]
-    inner = train(scaled, kernel, cfg)
-    w_scaled, b_scaled = extract_hyperplane(inner)
-    w_raw = w_scaled / scaler.scale
-    b_raw = float(b_scaled - np.sum(w_scaled * scaler.mean / scaler.scale))
-    return linear_model_from_weights(w_raw, b_raw, summary=inner.summary)
+    return replace(train(scaled, kernel, cfg), scaler=scaler)
 
 
 def sweep_with_model(
@@ -185,7 +151,7 @@ def sweep_with_model(
         correct, _ = evaluate(model, test_ds)
         rows.append(SweepRow(test_size=size, correct=correct))
     mean = sum(r.accuracy for r in rows) / len(rows) if rows else None
-    boundary = boundary_report(model) if model.kernel.family == "linear" else None
+    boundary = boundary_report(model)
     converged = model.summary.converged if model.summary is not None else True
     return EvaluationReport(
         rows=tuple(rows),

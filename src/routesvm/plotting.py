@@ -8,9 +8,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .dataset_io import Dataset
 from .eval_pipeline import BoundaryLine, VerticalBoundary, boundary_report
-from .svm import SvmModel, UnsupportedKernelError, classify
+from .svm import SvmModel, UnsupportedKernelError, classify, decision_values
 
 __all__ = ["PlotSpec", "render_svg"]
 
@@ -126,7 +128,7 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
         raise UnsupportedKernelError(
             "region shading needs a linear kernel; rerun without shading"
         )
-    boundary = boundary_report(model) if model.kernel.family == "linear" else None
+    boundary = boundary_report(model)
     x_auto, y_auto = _auto_ranges(dataset, boundary)
     canvas = _Canvas(spec, spec.x_range or x_auto, spec.y_range or y_auto)
 
@@ -174,7 +176,9 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
         )
 
     r = spec.point_radius
-    for example in dataset.examples:
+    features = np.array([e.features for e in dataset.examples], dtype=float).reshape(-1, 2)
+    predicted = np.where(decision_values(model, features) >= 0.0, 1, -1)
+    for example, predicted_label in zip(dataset.examples, predicted):
         x, y = example.features
         px, py = canvas.px(x), canvas.py(y)
         if example.label == 1:
@@ -185,7 +189,7 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
                 f'<rect class="pt-neg" x="{px - r:.2f}" y="{py - r:.2f}" '
                 f'width="{side:.2f}" height="{side:.2f}"/>'
             )
-        if classify(model, example.features) != example.label:
+        if predicted_label != example.label:
             parts.append(
                 f'<circle class="miss" cx="{px:.2f}" cy="{py:.2f}" r="{2.2 * r:.2f}"/>'
             )

@@ -244,24 +244,48 @@ class TrainSummary:
 
 
 @dataclass(frozen=True)
+class Standardizer:
+    """Per-feature standardization (x - mean) / scale, fitted on training data.
+
+    A model that carries one applies it to every input before the kernel.
+    """
+
+    mean: tuple[float, ...] | None = None
+    scale: tuple[float, ...] | None = None
+
+    def fit(self, xs: np.ndarray) -> "Standardizer":
+        """A new standardizer fitted to ``xs``; a constant feature gets scale 1."""
+        xs = np.asarray(xs, dtype=float)
+        std = xs.std(axis=0)
+        return Standardizer(
+            mean=tuple(xs.mean(axis=0).tolist()),
+            scale=tuple(np.where(std > 0, std, 1.0).tolist()),
+        )
+
+    def transform(self, xs: np.ndarray) -> np.ndarray:
+        if self.mean is None:
+            raise ValueError("standardizer is not fitted")
+        return (np.asarray(xs, dtype=float) - np.array(self.mean)) / np.array(self.scale)
+
+
+@dataclass(frozen=True)
 class SvmModel:
-    """Trained classifier: support examples, dual coefficients, bias, kernel."""
+    """Trained classifier: support examples, dual coefficients, bias, kernel.
+
+    A ``scaler`` standardizes every input before the kernel; the supports are
+    then stored in standardized coordinates."""
 
     kernel: KernelSpec
     support_examples: tuple[LabeledExample, ...]
     alphas: tuple[float, ...]
     bias: float
     summary: TrainSummary | None = field(default=None, compare=False)
+    scaler: Standardizer | None = None
 
     @cached_property
     def _support_matrix(self) -> np.ndarray:
-        if not self.support_examples:
-            dim = 0
-        else:
-            dim = len(self.support_examples[0].features)
-        return np.array(
-            [e.features for e in self.support_examples], dtype=float
-        ).reshape(len(self.support_examples), dim)
+        """Support features as rows; read only when there are supports."""
+        return np.array([e.features for e in self.support_examples], dtype=float)
 
     @cached_property
     def _coefs(self) -> np.ndarray:
@@ -271,11 +295,8 @@ class SvmModel:
 
     def scaled(self, c: float) -> "SvmModel":
         """Copy with all dual coefficients and the bias multiplied by c."""
-        return SvmModel(
-            kernel=self.kernel,
-            support_examples=self.support_examples,
-            alphas=tuple(c * a for a in self.alphas),
-            bias=c * self.bias,
+        return replace(
+            self, alphas=tuple(c * a for a in self.alphas), bias=c * self.bias, summary=None
         )
 
 
@@ -286,6 +307,8 @@ def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
         xs = xs[None, :]
     if not model.support_examples:
         return np.full(xs.shape[0], model.bias)
+    if model.scaler is not None:
+        xs = model.scaler.transform(xs)
     k = kernel_matrix(model.kernel, model._support_matrix, xs)
     return model._coefs @ k + model.bias
 
@@ -306,7 +329,8 @@ def functional_margin(model: SvmModel, e: LabeledExample) -> float:
 
 
 def weight_norm(model: SvmModel) -> float:
-    """||w|| in the kernel feature space: sqrt(c' K c) with c = alpha*y."""
+    """||w|| in the model's own (with a scaler, standardized) kernel feature
+    space: sqrt(c' K c) with c = alpha*y."""
     if not model.support_examples:
         return 0.0
     k = kernel_matrix(model.kernel, model._support_matrix, model._support_matrix)
@@ -315,7 +339,8 @@ def weight_norm(model: SvmModel) -> float:
 
 
 def geometric_margin(model: SvmModel, e: LabeledExample) -> float:
-    """Functional margin divided by ||w||: signed distance to the boundary."""
+    """Functional margin / ||w||: signed distance to the boundary in the
+    model's own (with a scaler, standardized) feature space."""
     norm = weight_norm(model)
     if norm <= NORM_FLOOR:
         raise ZeroNormError("weight vector norm is below the numeric floor")
@@ -323,7 +348,8 @@ def geometric_margin(model: SvmModel, e: LabeledExample) -> float:
 
 
 def extract_hyperplane(model: SvmModel) -> tuple[np.ndarray, float]:
-    """Explicit (w, b) of a linear-kernel model: w = sum_i alpha_i y_i x_i."""
+    """Explicit (w, b) of a linear-kernel model, in raw input coordinates:
+    w = sum_i alpha_i y_i s_i, then w / scale and b - sum(w * mean / scale)."""
     if model.kernel.family != "linear":
         raise UnsupportedKernelError(
             f"hyperplane extraction needs a linear kernel, got {model.kernel.family}"
@@ -331,31 +357,10 @@ def extract_hyperplane(model: SvmModel) -> tuple[np.ndarray, float]:
     if not model.support_examples:
         raise ValueError("model has no support examples")
     w = model._coefs @ model._support_matrix
-    return w, model.bias
-
-
-@dataclass
-class Standardizer:
-    """Optional per-feature standardization fitted on training data only.
-
-    Not applied anywhere by default; callers who opt in must transform both
-    training and test features themselves.
-    """
-
-    mean: np.ndarray | None = None
-    scale: np.ndarray | None = None
-
-    def fit(self, xs: np.ndarray) -> "Standardizer":
-        xs = np.asarray(xs, dtype=float)
-        self.mean = xs.mean(axis=0)
-        std = xs.std(axis=0)
-        self.scale = np.where(std > 0, std, 1.0)
-        return self
-
-    def transform(self, xs: np.ndarray) -> np.ndarray:
-        if self.mean is None:
-            raise ValueError("standardizer is not fitted")
-        return (np.asarray(xs, dtype=float) - self.mean) / self.scale
+    if model.scaler is None:
+        return w, model.bias
+    mean, scale = np.array(model.scaler.mean), np.array(model.scaler.scale)
+    return w / scale, float(model.bias - np.sum(w * mean / scale))
 
 
 # ---------------------------------------------------------------------------
@@ -528,14 +533,16 @@ def train(
 # ---------------------------------------------------------------------------
 
 _MAGIC = "routesvm-model"
-_VERSION = "v1"
+_VERSION = "v2"
+_READABLE_VERSIONS = ("v1", "v2")  # v1: the same format without a scaler
 
 
 def model_to_text(model: SvmModel) -> str:
     """Versioned plain-text form; floats at 17 significant digits.
 
     Header line: magic, version, kernel family and parameters, bias, support
-    count.  Then one line per support vector: alpha, label, features.
+    count, and for a model with a scaler ``mean=a,b scale=c,d``.  Then one
+    line per support vector: alpha, label, features.
     """
     spec = model.kernel
     parts = [_MAGIC, _VERSION, f"family={spec.family}"]
@@ -547,6 +554,9 @@ def model_to_text(model: SvmModel) -> str:
         parts.append(f"coef0={_f17(spec.coef0)}")
     parts.append(f"bias={_f17(model.bias)}")
     parts.append(f"supports={len(model.support_examples)}")
+    if model.scaler is not None:
+        parts.append("mean=" + ",".join(_f17(v) for v in model.scaler.mean))
+        parts.append("scale=" + ",".join(_f17(v) for v in model.scaler.scale))
     lines = [" ".join(parts)]
     for alpha, example in zip(model.alphas, model.support_examples):
         fields = [_f17(alpha), str(example.label)]
@@ -556,14 +566,15 @@ def model_to_text(model: SvmModel) -> str:
 
 
 def model_from_text(text: str) -> SvmModel:
-    """Inverse of :func:`model_to_text`; raises ModelFormatError on bad input."""
+    """Inverse of :func:`model_to_text`, also reading v1 (no scaler);
+    raises ModelFormatError on bad input."""
     lines = text.splitlines()
     if not lines:
         raise ModelFormatError("empty model text")
     header = lines[0].split()
     if len(header) < 4 or header[0] != _MAGIC:
         raise ModelFormatError("missing model header magic")
-    if header[1] != _VERSION:
+    if header[1] not in _READABLE_VERSIONS:
         raise ModelFormatError(f"unsupported model version {header[1]!r}")
     fields: dict[str, str] = {}
     for token in header[2:]:
@@ -578,6 +589,12 @@ def model_from_text(text: str) -> SvmModel:
         degree = int(fields.pop("degree")) if "degree" in fields else None
         gamma = float(fields.pop("gamma")) if "gamma" in fields else None
         coef0 = float(fields.pop("coef0")) if "coef0" in fields else None
+        scaler = None
+        if header[1] != "v1" and ("mean" in fields or "scale" in fields):
+            scaler = Standardizer(
+                mean=tuple(float(v) for v in fields.pop("mean").split(",")),
+                scale=tuple(float(v) for v in fields.pop("scale").split(",")),
+            )
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad model header: {exc}") from exc
     if fields:
@@ -604,11 +621,18 @@ def model_from_text(text: str) -> SvmModel:
             examples.append(LabeledExample(features=features, label=label))
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc
+    if scaler is not None and not (
+        {len(scaler.scale)} | {len(e.features) for e in examples} == {len(scaler.mean)}
+        and all(map(math.isfinite, scaler.mean + scaler.scale))
+        and min(scaler.scale) > 0
+    ):
+        raise ModelFormatError("scaler needs a finite mean and positive scale per feature")
     return SvmModel(
         kernel=spec,
         support_examples=tuple(examples),
         alphas=tuple(alphas),
         bias=bias,
+        scaler=scaler,
     )
 
 

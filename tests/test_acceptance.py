@@ -16,7 +16,7 @@ from routesvm.dataset_io import (
     read_trace_csv,
     write_trace_csv,
 )
-from routesvm.eval_pipeline import BoundaryLine, boundary_report
+from routesvm.eval_pipeline import BoundaryLine, accuracy_sweep, boundary_report
 from routesvm.svm import (
     KernelSpec,
     LabeledExample,
@@ -371,4 +371,31 @@ def test_criterion_8_command_determinism(tmp_path):
         "all command outputs byte-identical across reruns"
         if ok
         else f"mismatched outputs: {mismatches}",
+    )
+
+
+def test_criterion_9_every_kernel_family_usable(default_trace):
+    """Each kernel family, at its default parameters, reaches a mean accuracy
+    >= 0.90 with a converged solve on the default experiment (seed-7 trace,
+    400 training examples, test sizes 10:100:10)."""
+    results = []
+    for kernel in (
+        KernelSpec.linear(),
+        KernelSpec.rbf(),
+        KernelSpec.polynomial(),
+        KernelSpec.sigmoid(),
+    ):
+        sweep = accuracy_sweep(
+            default_trace, 400, list(range(10, 101, 10)), kernel, TrainConfig(), seed=7
+        )
+        results.append((kernel.family, sweep.mean_accuracy, sweep.convergence_flag))
+    ok = all(mean >= 0.90 and converged for _, mean, converged in results)
+    report(
+        "criterion 9 (every kernel family usable)",
+        ok,
+        ", ".join(
+            f"{family} mean={mean:.4f} converged={converged}"
+            for family, mean, converged in results
+        )
+        + " (target mean >= 0.90, converged)",
     )

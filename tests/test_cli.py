@@ -105,6 +105,21 @@ class TestTrain:
         assert code == 3
         assert "line 2: non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("change", ["duplicate", "conflict"])
+    def test_duplicate_or_conflicting_rows_exit_3(self, trace_path, tmp_path, capsys, change):
+        lines = trace_path.read_text().splitlines()
+        row = lines[1].split(",")
+        if change == "conflict":
+            row[0] = str(int(row[0]) + 10_000)
+            row[5] = str(1 - int(row[5]))
+        lines.append(",".join(row))
+        trace_path.write_text("\n".join(lines) + "\n")
+        code = main(["train", str(trace_path), "--train-size", "30", "--seed", "5",
+                     "-o", str(tmp_path / "m.txt")])
+        assert code == 3
+        assert f"vehicle {row[1]!r}" in capsys.readouterr().err
+        assert not (tmp_path / "m.txt").exists()
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.txt")])
         assert code == 1

@@ -106,6 +106,28 @@ class TestTraceCsv:
             (1, "v0001"),
         ]
 
+    def test_duplicate_step_vehicle_row_rejected(self, tmp_path):
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "step,vehicle_id,x,y,speed,route_label\n"
+            "0,v0001,0,0,1,0\n"
+            "1,v0001,1,0,1,0\n"
+            "0,v0001,5,0,1,0\n"
+        )
+        with pytest.raises(TraceFormatError, match="'v0001': duplicate row at step 0"):
+            read_trace_csv(path)
+
+    def test_route_label_change_within_vehicle_rejected(self, tmp_path):
+        path = tmp_path / "conflict.csv"
+        path.write_text(
+            "step,vehicle_id,x,y,speed,route_label\n"
+            "0,v0001,0,0,1,0\n"
+            "0,v0002,0,0,1,1\n"
+            "1,v0001,1,0,1,1\n"
+        )
+        with pytest.raises(TraceFormatError, match="'v0001': route_label changes"):
+            read_trace_csv(path)
+
 
 class TestFcdXml:
     def test_zero_timesteps_empty_trace(self, tmp_path):
@@ -169,6 +191,17 @@ class TestFcdXml:
         )
         with pytest.raises(TraceFormatError, match="'v': non-finite"):
             read_fcd_xml(path, {"v": 0})
+
+    def test_duplicate_vehicle_in_timestep_rejected(self, tmp_path):
+        path = tmp_path / "dup.xml"
+        path.write_text(
+            '<fcd-export><timestep time="0.0">'
+            '<vehicle id="car1" x="1.0" y="0.0" speed="1.0"/>'
+            '<vehicle id="car1" x="2.0" y="0.0" speed="1.0"/>'
+            "</timestep></fcd-export>\n"
+        )
+        with pytest.raises(TraceFormatError, match="'car1': duplicate row at step 0"):
+            read_fcd_xml(path, {"car1": 0})
 
     def test_syntax_error_reports_byte_offset(self, tmp_path):
         path = tmp_path / "bad.xml"

@@ -14,7 +14,6 @@ from routesvm.eval_pipeline import (
     boundary_report,
     evaluate,
     format_report,
-    linear_model_from_weights,
     report_to_csv,
     sweep_with_model,
     train_position_model,
@@ -25,8 +24,10 @@ from routesvm.svm import (
     SvmModel,
     TrainConfig,
     classify,
-    decision_value,
+    decision_values,
     extract_hyperplane,
+    load_model,
+    save_model,
     train,
 )
 
@@ -187,39 +188,37 @@ class TestReportSerialization:
         assert "undefined" in format_report(report)
 
 
-class TestLinearModelFromWeights:
-    def test_decision_matches_explicit_plane(self):
+def anisotropic_positions(rng: random.Random, n: int) -> list[LabeledExample]:
+    """Road-like examples: x spans 2 km and carries no signal, y separates."""
+    data = []
+    for _ in range(n):
+        label = 1 if rng.random() < 0.5 else -1
+        x = rng.uniform(0.0, 2000.0)
+        y = rng.gauss(1.0 if label == 1 else -1.0, 0.3)
+        data.append(LabeledExample((x, y), label))
+    return data
+
+
+class TestPipelineHyperplane:
+    def test_raw_plane_matches_decision_values(self):
         rng = random.Random(13)
-        for _ in range(50):
-            w = np.array([rng.uniform(-5, 5), rng.uniform(-5, 5)])
-            b = rng.uniform(-5, 5)
-            model = linear_model_from_weights(w, b)
-            x = (rng.uniform(-10, 10), rng.uniform(-10, 10))
-            assert decision_value(model, x) == pytest.approx(float(w @ x) + b, rel=1e-12, abs=1e-12)
-
-    def test_model_invariants_hold(self):
-        model = linear_model_from_weights(np.array([0.5, -2.0]), 1.0)
-        assert all(a > 0 for a in model.alphas)
-        assert sum(a * e.label for a, e in zip(model.alphas, model.support_examples)) == 0.0
-        w, b = extract_hyperplane(model)
-        assert tuple(w) == (0.5, -2.0)
-        assert b == 1.0
-
-    def test_zero_component_skipped(self):
-        model = linear_model_from_weights(np.array([0.0, 3.0]), 0.0)
-        assert len(model.support_examples) == 2  # basis + balancing support
+        for _ in range(20):
+            model = train_position_model(
+                anisotropic_positions(rng, rng.randint(10, 60)), KernelSpec.linear()
+            )
+            assert model.scaler is not None
+            w, b = extract_hyperplane(model)
+            points = np.array(
+                [(rng.uniform(-500, 2500), rng.uniform(-5, 5)) for _ in range(25)]
+            )
+            assert decision_values(model, points) == pytest.approx(
+                points @ w + b, rel=1e-9, abs=1e-9
+            )
 
 
 class TestTrainPositionModel:
     def test_linear_handles_anisotropic_scales(self):
-        # x spans thousands of units and carries no signal; y separates.
-        rng = random.Random(21)
-        data = []
-        for _ in range(80):
-            label = 1 if rng.random() < 0.5 else -1
-            x = rng.uniform(0.0, 2000.0)
-            y = rng.gauss(1.0 if label == 1 else -1.0, 0.3)
-            data.append(LabeledExample((x, y), label))
+        data = anisotropic_positions(random.Random(21), 80)
         model = train_position_model(data, KernelSpec.linear(), TrainConfig(rng_seed=1))
         assert model.summary.converged
         correct = sum(classify(model, e.features) == e.label for e in data)
@@ -229,16 +228,21 @@ class TestTrainPositionModel:
         assert abs(boundary.intercept) < 0.8
         assert abs(boundary.slope) < 1e-2
 
-    def test_nonlinear_kernel_trains_on_raw_features(self):
-        xor = [
-            LabeledExample((0.0, 0.0), -1),
-            LabeledExample((1.0, 1.0), -1),
-            LabeledExample((0.0, 1.0), 1),
-            LabeledExample((1.0, 0.0), 1),
-        ]
-        model = train_position_model(xor, KernelSpec.rbf(gamma=1.0), TrainConfig(C=100.0))
-        assert model.kernel.family == "rbf"
-        assert set(model.support_examples) <= set(xor)
+    @pytest.mark.parametrize("kernel", [
+        KernelSpec.rbf(), KernelSpec.polynomial(), KernelSpec.sigmoid(),
+    ], ids=lambda k: k.family)
+    def test_nonlinear_keeps_scaler_on_reload(self, kernel, tmp_path):
+        rng = random.Random(5)
+        data = anisotropic_positions(rng, 60)
+        model = train_position_model(data, kernel, TrainConfig())
+        assert model.scaler is not None
+        assert model.scaler.mean[0] > 100.0  # fitted on raw meters
+        path = tmp_path / "model.txt"
+        save_model(model, path)
+        restored = load_model(path)
+        assert restored == model
+        points = np.array([(rng.uniform(0, 2000), rng.uniform(-3, 3)) for _ in range(50)])
+        assert np.array_equal(decision_values(restored, points), decision_values(model, points))
 
     def test_close_to_direct_training_when_scales_are_sane(self):
         # Standardization reweights features, so the two solutions differ a

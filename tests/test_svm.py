@@ -15,6 +15,8 @@ from routesvm.svm import (
     ZeroNormError,
     classify,
     decision_value,
+    decision_values,
+    extract_hyperplane,
     functional_margin,
     geometric_margin,
     kernel_eval,
@@ -190,6 +192,13 @@ class TestStandardizer:
         with pytest.raises(ValueError):
             Standardizer().transform(np.zeros((2, 2)))
 
+    def test_fit_returns_new_hashable_instance(self):
+        unfitted = Standardizer()
+        fitted = unfitted.fit(np.array([[1.0, 5.0], [3.0, 5.0]]))
+        assert unfitted.mean is None
+        assert fitted == Standardizer(mean=(2.0, 5.0), scale=(1.0, 1.0))
+        assert hash(fitted) == hash(Standardizer(mean=(2.0, 5.0), scale=(1.0, 1.0)))
+
 
 class TestSerialization:
     def test_round_trip_structural_equality(self):
@@ -223,12 +232,57 @@ class TestSerialization:
         assert restored.alphas == model.alphas
         assert restored.support_examples == model.support_examples
 
+    def test_scaler_round_trips_in_header(self):
+        scaler = Standardizer(mean=(1 / 3, -math.pi), scale=(math.e, 0.5))
+        model = SvmModel(
+            kernel=KernelSpec.rbf(gamma=0.5),
+            support_examples=(LabeledExample((0.25, -1.0), 1), LabeledExample((-0.5, 2.0), -1)),
+            alphas=(0.75, 0.75),
+            bias=0.125,
+            scaler=scaler,
+        )
+        text = model_to_text(model)
+        assert text.startswith("routesvm-model v2 family=rbf ")
+        assert text.splitlines()[0].endswith(
+            " mean=0.33333333333333331,-3.1415926535897931 scale=2.7182818284590451,0.5"
+        )
+        restored = model_from_text(text)
+        assert restored == model
+        assert model_to_text(restored) == text
+
+    def test_model_without_scaler_has_no_scaler_tokens(self):
+        text = model_to_text(single_support_model())
+        assert text.startswith("routesvm-model v2 ")
+        assert "mean=" not in text and "scale=" not in text
+
+    def test_v1_text_still_loads_and_predicts(self):
+        # A linear model as the v1 format wrote it: unit-basis supports that
+        # spell out w = (4.3871317720793428e-4, 2.4235366289262417).
+        text = (
+            "routesvm-model v1 family=linear bias=3.1045942042217614 supports=3\n"
+            "0.00043871317720793428 1 1 0\n"
+            "2.4235366289262417 1 0 1\n"
+            "2.4239753421034496 -1 0 0\n"
+        )
+        model = model_from_text(text)
+        assert model.scaler is None
+        w, b = extract_hyperplane(model)
+        assert tuple(w) == (0.00043871317720793428, 2.4235366289262417)
+        assert b == 3.1045942042217614
+        points = np.array([(0.0, 0.0), (1500.0, -1.0), (300.0, -2.5), (2000.0, 1.5)])
+        assert decision_values(model, points) == pytest.approx(points @ w + b, rel=1e-12)
+        assert [classify(model, p) for p in points] == [1, 1, -1, 1]
+
     @pytest.mark.parametrize(
         "text",
         [
             "",
             "not-a-model v1 family=linear bias=0 supports=0\n",
-            "routesvm-model v2 family=linear bias=0 supports=0\n",
+            "routesvm-model v9 family=linear bias=0 supports=0\n",
+            "routesvm-model v2 family=linear bias=0 supports=0 mean=1,2\n",
+            "routesvm-model v2 family=linear bias=0 supports=1 mean=0,0 scale=1,0\n1.0 1 0 0\n",
+            "routesvm-model v2 family=linear bias=0 supports=1 mean=0 scale=1\n1.0 1 0 0\n",
+            "routesvm-model v1 family=linear bias=0 supports=0 mean=0,0 scale=1,1\n",
             "routesvm-model v1 family=linear bias=0 supports=1\n",
             "routesvm-model v1 family=linear bias=zz supports=0\n",
             "routesvm-model v1 family=linear bias=0 supports=1\n1.0 1\n",
