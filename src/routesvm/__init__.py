@@ -1,6 +1,6 @@
 """Highway junction route prediction with a from-scratch kernel SVM."""
 
-from .traffic_sim import ConfigError, ScenarioConfig, Trace, TrajectoryPoint, generate_trace, vehicle_position
+from .traffic_sim import ConfigError, ScenarioConfig, Trace, generate_trace, make_trace, vehicle_position
 from .svm import (
     KernelSpec,
     LabeledExample,

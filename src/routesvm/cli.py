@@ -16,7 +16,6 @@ from .dataset_io import (
     Dataset,
     InsufficientVehiclesError,
     TraceFormatError,
-    derive_seed,
     read_examples_csv,
     read_trace_csv,
     sample_examples,
@@ -25,10 +24,12 @@ from .dataset_io import (
 )
 from .eval_pipeline import (
     EmptyTestError,
+    accuracy_sweep,
     boundary_report,
     format_boundary,
     format_report,
     report_to_csv,
+    sample_test_set,
     sweep_with_model,
     train_position_model,
 )
@@ -194,7 +195,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _train_model(args: argparse.Namespace):
+def _training_inputs(args: argparse.Namespace):
+    """The trace, kernel and validated TrainConfig that the train flags name."""
     trace = read_trace_csv(args.trace)
     kernel = _kernel_from_args(args)
     cfg = TrainConfig(C=args.C, tol=args.tol, max_passes=args.max_passes)
@@ -202,13 +204,13 @@ def _train_model(args: argparse.Namespace):
         cfg.validate()
     except ValueError as exc:
         raise _UsageError(str(exc)) from exc
-    train_ds = sample_examples(trace, args.train_size, args.seed)
-    model = train_position_model(list(train_ds.examples), kernel, cfg)
-    return trace, train_ds, model
+    return trace, kernel, cfg
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _, _, model = _train_model(args)
+    trace, kernel, cfg = _training_inputs(args)
+    train_ds = sample_examples(trace, args.train_size, args.seed)
+    model = train_position_model(list(train_ds.examples), kernel, cfg)
     save_model(model, args.output)
     summary = model.summary
     print(f"support vectors: {summary.n_support}")
@@ -224,18 +226,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     test_sizes = parse_test_sizes(args.test_sizes)
     if args.model:
         trace = read_trace_csv(args.trace)
-        model = load_model(args.model)
-        report = sweep_with_model(model, trace, test_sizes, args.seed)
+        report = sweep_with_model(load_model(args.model), trace, test_sizes, args.seed)
     else:
-        trace, train_ds, model = _train_model(args)
-        report = sweep_with_model(
-            model,
-            trace,
-            test_sizes,
-            args.seed,
-            exclude_vehicles=train_ds.vehicle_ids,
-            train_size=args.train_size,
-        )
+        trace, kernel, cfg = _training_inputs(args)
+        report = accuracy_sweep(trace, args.train_size, test_sizes, kernel, cfg, args.seed)
     report_to_csv(report, args.output)
     print(format_report(report))
     print(f"wrote report to {args.output}")
@@ -287,40 +281,24 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
     seed = args.seed
     test_sizes = parse_test_sizes(args.test_sizes)
 
-    config = ScenarioConfig(num_vehicles=args.vehicles, rng_seed=seed)
-    trace = generate_trace(config)
+    trace = generate_trace(ScenarioConfig(num_vehicles=args.vehicles, rng_seed=seed))
     write_trace_csv(trace, out_dir / "trace.csv")
 
     train_ds = sample_examples(trace, args.train_size, seed)
-    cfg = TrainConfig()
-    model = train_position_model(list(train_ds.examples), KernelSpec.linear(), cfg)
+    model = train_position_model(list(train_ds.examples), KernelSpec.linear(), TrainConfig())
     save_model(model, out_dir / "model.txt")
 
-    report = sweep_with_model(
-        model,
-        trace,
-        test_sizes,
-        seed,
-        exclude_vehicles=train_ds.vehicle_ids,
-        train_size=args.train_size,
-    )
+    report = sweep_with_model(model, trace, test_sizes, seed, train_ds.vehicle_ids, args.train_size)
     report_to_csv(report, out_dir / "report.csv")
 
-    write_examples_csv(train_ds, out_dir / "train.csv")
-    spec = PlotSpec()
-    (out_dir / "train.svg").write_text(
-        render_svg(model, train_ds, spec), encoding="utf-8", newline="\n"
-    )
+    figures = {"train": train_ds}
     for size in (10, 100):
-        if size not in test_sizes:
-            continue
-        test_ds = sample_examples(
-            trace, size, derive_seed(seed, size), exclude_vehicles=train_ds.vehicle_ids
-        )
-        write_examples_csv(test_ds, out_dir / f"test_{size}.csv")
-        (out_dir / f"test_{size}.svg").write_text(
-            render_svg(model, test_ds, spec), encoding="utf-8", newline="\n"
-        )
+        if size in test_sizes:
+            figures[f"test_{size}"] = sample_test_set(trace, size, seed, train_ds.vehicle_ids)
+    for name, dataset in figures.items():
+        write_examples_csv(dataset, out_dir / f"{name}.csv")
+        svg = render_svg(model, dataset, PlotSpec())
+        (out_dir / f"{name}.svg").write_text(svg, encoding="utf-8", newline="\n")
 
     print(format_report(report))
     print(f"outputs in {out_dir}")
@@ -419,10 +397,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except _UsageError as exc:
-        _err(str(exc))
-        return 2
-    except ConfigError as exc:
+    except (_UsageError, ConfigError) as exc:
         _err(str(exc))
         return 2
     except (

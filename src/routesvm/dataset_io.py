@@ -13,8 +13,11 @@ Label sidecar  CSV with header ``vehicle_id,route_label`` mapping each
                vehicle to its route outcome (0 or 1).
 Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 
-Every x, y and speed value must be finite, a (step, vehicle_id) pair occurs
-once and a vehicle keeps one route label; readers raise :class:`TraceFormatError`.
+Both trace readers parse their rows into columns and build the trace with
+:func:`~routesvm.traffic_sim.make_trace`, then validate the whole trace in one
+step: every x, y and speed value must be finite, a (step, vehicle_id) pair
+occurs once and a vehicle keeps one route label.  A step must fit in a signed
+64-bit integer.  Violations raise :class:`TraceFormatError`.
 
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
 route 1 -> -1.  No other module converts labels.
@@ -26,11 +29,15 @@ import logging
 import math
 import random
 import xml.etree.ElementTree as ElementTree
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .svm import LabeledExample
-from .traffic_sim import Trace, TrajectoryPoint
+from .traffic_sim import POINT_DTYPE, Trace, make_trace
 
 __all__ = [
     "TraceFormatError",
@@ -56,6 +63,11 @@ LABEL_HEADER = "vehicle_id,route_label"
 EXAMPLES_HEADER = "x,y,label"
 
 LabelTable = dict[str, int]
+
+_FIELDS = POINT_DTYPE.names  # step, vehicle, x, y, speed, route_label
+_FCD_ATTRS = ("id", "x", "y", "speed")
+_CHUNK = 1 << 16  # rows formatted per batch by write_trace_csv
+_STEP_MIN, _STEP_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class TraceFormatError(ValueError):
@@ -83,29 +95,29 @@ def label_to_class(route_label: int) -> int:
     return 1 if route_label == 0 else -1
 
 
-def _f17(v: float) -> str:
-    return format(float(v), ".17g")
+def _checked_trace(columns: dict, ids: dict[str, int], where: Callable[[int], str]) -> Trace:
+    """The readers' one validation step, over the whole trace at once.
 
-
-def _require_finite(where: str, *values: float) -> None:
-    if not all(math.isfinite(v) for v in values):
-        raise TraceFormatError(f"{where}: non-finite value")
-
-
-def _canonical_trace(points: list[TrajectoryPoint]) -> Trace:
-    """Sort points into (step, vehicle_id) order, rejecting a repeated
-    (step, vehicle_id) and a vehicle whose route label changes."""
-    points.sort(key=lambda p: (p.step, p.vehicle_id))
-    routes: dict[str, int] = {}
-    prev_step = prev_vid = None
-    for p in points:
-        step, vid, route = p.step, p.vehicle_id, p.route_label
-        if step == prev_step and vid == prev_vid:
-            raise TraceFormatError(f"vehicle {vid!r}: duplicate row at step {step}")
-        if routes.setdefault(vid, route) != route:
-            raise TraceFormatError(f"vehicle {vid!r}: route_label changes between rows")
-        prev_step, prev_vid = step, vid
-    return Trace(points=tuple(points))
+    ``columns`` holds the rows in file order, ``ids`` maps each vehicle id to
+    its ``vehicle`` index, and ``where(row)`` names a row for the non-finite
+    error.  A repeated (step, vehicle_id) or a route label that differs from
+    the vehicle's first is reported for its first row in canonical order."""
+    finite = np.isfinite(columns["x"]) & np.isfinite(columns["y"]) & np.isfinite(columns["speed"])
+    if not finite.all():
+        raise TraceFormatError(f"{where(int(np.argmin(finite)))}: non-finite value")
+    trace = make_trace(columns, list(ids))
+    step, vehicle, route = (trace.points[f] for f in ("step", "vehicle", "route_label"))
+    rows, starts, _ = trace.rows_by_vehicle
+    duplicate = np.zeros(len(step), dtype=bool)
+    duplicate[1:] = (step[1:] == step[:-1]) & (vehicle[1:] == vehicle[:-1])
+    bad = duplicate | (route != route[rows[starts]][vehicle])
+    if bad.any():
+        i = int(np.argmax(bad))
+        vid = trace.vehicle_ids[vehicle[i]]
+        if duplicate[i]:
+            raise TraceFormatError(f"vehicle {vid!r}: duplicate row at step {step[i]}")
+        raise TraceFormatError(f"vehicle {vid!r}: route_label changes between rows")
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -115,56 +127,56 @@ def _canonical_trace(points: list[TrajectoryPoint]) -> Trace:
 
 def write_trace_csv(trace: Trace, destination: str | Path) -> None:
     """Write the trace in canonical row order; see the module docstring."""
-    lines = [TRACE_HEADER]
-    for p in trace.points:
-        lines.append(
-            f"{p.step},{p.vehicle_id},{_f17(p.x)},{_f17(p.y)},{_f17(p.speed)},{p.route_label}"
-        )
-    Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    points, ids = trace.points, trace.vehicle_ids
+    with open(destination, "w", encoding="utf-8", newline="\n") as out:
+        out.write(TRACE_HEADER + "\n")
+        for lo in range(0, len(points), _CHUNK):
+            chunk = points[lo : lo + _CHUNK]
+            out.writelines(
+                f"{step},{ids[v]},{x:.17g},{y:.17g},{speed:.17g},{route}\n"
+                for step, v, x, y, speed, route in zip(*(chunk[f].tolist() for f in _FIELDS))
+            )
 
 
 def read_trace_csv(source: str | Path) -> Trace:
     """Inverse of :func:`write_trace_csv`; rows are re-sorted into canonical
     (step, vehicle_id) order and validated as the module docstring says.  The
-    returned trace carries no scenario config.
+    returned trace carries no scenario config.  The file is read line by line;
+    no copy of its text is held.
     """
-    text = Path(source).read_text(encoding="utf-8")
-    lines = text.splitlines()
-    if not lines or lines[0] != TRACE_HEADER:
-        raise TraceFormatError(
-            f"malformed header: expected {TRACE_HEADER!r}, got {lines[0]!r}"
-            if lines
-            else "empty file"
-        )
-    points = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise TraceFormatError(f"line {line_no}: expected 6 fields, got {len(fields)}")
-        try:
-            step = int(fields[0])
-            x = float(fields[2])
-            y = float(fields[3])
-            speed = float(fields[4])
-            route_label = int(fields[5])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from exc
-        _require_finite(f"line {line_no}", x, y, speed)
-        if route_label not in (0, 1):
-            raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
-        points.append(
-            TrajectoryPoint(
-                vehicle_id=fields[1],
-                step=step,
-                x=x,
-                y=y,
-                speed=speed,
-                route_label=route_label,
-            )
-        )
-    return _canonical_trace(points)
+    ids: dict[str, int] = {}
+    cols: tuple[list, ...] = tuple([] for _ in _FIELDS)
+    blanks: list[int] = []  # rows read before each skipped blank line
+    with open(source, encoding="utf-8") as lines:
+        header = lines.readline()
+        got = header.rstrip("\n")
+        if got != TRACE_HEADER:
+            message = f"malformed header: expected {TRACE_HEADER!r}, got {got!r}"
+            raise TraceFormatError(message if header else "empty file")
+        for line_no, line in enumerate(lines, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                blanks.append(len(cols[0]))
+                continue
+            fields = line.split(",")
+            if len(fields) != 6:
+                raise TraceFormatError(f"line {line_no}: expected 6 fields, got {len(fields)}")
+            try:
+                step = int(fields[0])
+                x, y, speed = float(fields[2]), float(fields[3]), float(fields[4])
+                route_label = int(fields[5])
+            except ValueError as exc:
+                raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from exc
+            if not _STEP_MIN <= step <= _STEP_MAX:
+                raise TraceFormatError(f"line {line_no}: step {step} out of the int64 range")
+            if route_label not in (0, 1):
+                raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
+            row = (step, ids.setdefault(fields[1], len(ids)), x, y, speed, route_label)
+            for c, value in zip(cols, row):
+                c.append(value)
+    columns = {f: np.array(c, dtype=POINT_DTYPE[f]) for c, f in zip(cols, _FIELDS)}
+    del cols  # free the per-row Python objects before sorting
+    return _checked_trace(columns, ids, lambda row: f"line {row + 2 + bisect_right(blanks, row)}")
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +207,8 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
             f"XML syntax error at byte offset {offset} (line {line}, column {column}): {exc}"
         ) from exc
 
-    points = []
+    ids: dict[str, int] = {}
+    cols: tuple[list, ...] = tuple([] for _ in _FIELDS)
     skipped = 0
     step = -1
     for timestep in root.iter("timestep"):
@@ -203,36 +216,27 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
             raise TraceFormatError("timestep element is missing required attribute 'time'")
         step += 1
         for vehicle in timestep.iter("vehicle"):
-            values = {}
-            for attr in ("id", "x", "y", "speed"):
-                raw = vehicle.get(attr)
-                if raw is None:
-                    raise TraceFormatError(
-                        f"vehicle element is missing required attribute {attr!r}"
-                    )
-                values[attr] = raw
-            vehicle_id = values["id"]
+            values = [vehicle.get(attr) for attr in _FCD_ATTRS]
+            if None in values:
+                missing = _FCD_ATTRS[values.index(None)]
+                raise TraceFormatError(f"vehicle element is missing required attribute {missing!r}")
+            vehicle_id = values[0]
             if vehicle_id not in labels:
                 skipped += 1
                 continue
             try:
-                x, y, speed = (float(values[a]) for a in ("x", "y", "speed"))
+                x, y, speed = map(float, values[1:])
             except ValueError as exc:
                 raise TraceFormatError(f"vehicle {vehicle_id!r}: {exc}") from exc
-            _require_finite(f"vehicle {vehicle_id!r}", x, y, speed)
-            points.append(
-                TrajectoryPoint(
-                    vehicle_id=vehicle_id,
-                    step=step,
-                    x=x,
-                    y=y,
-                    speed=speed,
-                    route_label=labels[vehicle_id],
-                )
-            )
+            index = ids.setdefault(vehicle_id, len(ids))
+            for c, value in zip(cols, (step, index, x, y, speed, labels[vehicle_id])):
+                c.append(value)
     if skipped:
         log.warning("skipped %d vehicle observations with no route label", skipped)
-    return _canonical_trace(points)
+    names = list(ids)
+    return _checked_trace(
+        dict(zip(_FIELDS, cols)), ids, lambda row: f"vehicle {names[cols[1][row]]!r}"
+    )
 
 
 def read_label_csv(source: str | Path) -> LabelTable:
@@ -274,7 +278,7 @@ def write_label_csv(labels: LabelTable, destination: str | Path) -> None:
 def write_examples_csv(dataset: Dataset, destination: str | Path) -> None:
     lines = [EXAMPLES_HEADER]
     for e in dataset.examples:
-        lines.append(f"{_f17(e.features[0])},{_f17(e.features[1])},{e.label}")
+        lines.append(f"{e.features[0]:.17g},{e.features[1]:.17g},{e.label}")
     Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -294,7 +298,8 @@ def read_examples_csv(source: str | Path) -> Dataset:
             label = int(fields[2])
         except ValueError as exc:
             raise TraceFormatError(f"line {line_no}: non-numeric field") from exc
-        _require_finite(f"line {line_no}", x, y)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TraceFormatError(f"line {line_no}: non-finite value")
         if label not in (1, -1):
             raise TraceFormatError(f"line {line_no}: label must be +1 or -1")
         examples.append(LabeledExample(features=(x, y), label=label))
@@ -321,31 +326,6 @@ def _choose(items: list, n: int, rng: random.Random) -> list:
     return picked
 
 
-def _one_example_per_vehicle(
-    by_vehicle: dict[str, list[TrajectoryPoint]],
-    chosen: list[str],
-    rng: random.Random,
-) -> tuple[LabeledExample, ...]:
-    examples = []
-    for vid in chosen:
-        pts = by_vehicle[vid]
-        k = min(int(rng.random() * len(pts)), len(pts) - 1)
-        p = pts[k]
-        examples.append(
-            LabeledExample(features=(p.x, p.y), label=label_to_class(p.route_label))
-        )
-    return tuple(examples)
-
-
-def _points_by_vehicle(trace: Trace) -> dict[str, list[TrajectoryPoint]]:
-    by_vehicle: dict[str, list[TrajectoryPoint]] = {}
-    for p in trace.points:
-        by_vehicle.setdefault(p.vehicle_id, []).append(p)
-    for pts in by_vehicle.values():
-        pts.sort(key=lambda p: p.step)
-    return by_vehicle
-
-
 def sample_examples(
     trace: Trace,
     n: int,
@@ -356,24 +336,29 @@ def sample_examples(
 
     Vehicles are chosen uniformly without replacement from the trace (minus
     ``exclude_vehicles``); each contributes its position at one uniformly
-    random step.  Deterministic in (trace, n, seed).
+    random step.  Deterministic in (trace, n, seed): the ``n`` vehicle draws
+    come first, then one step draw per chosen vehicle, in choice order.
     """
-    by_vehicle = _points_by_vehicle(trace)
     excluded = set(exclude_vehicles)
-    ids = sorted(v for v in by_vehicle if v not in excluded)
-    if len(ids) < n:
-        raise InsufficientVehiclesError(
-            f"need {n} distinct vehicles, trace provides {len(ids)}"
-        )
+    pool = [v for v, vid in enumerate(trace.vehicle_ids) if vid not in excluded]
+    if len(pool) < n:
+        raise InsufficientVehiclesError(f"need {n} distinct vehicles, trace provides {len(pool)}")
     rng = random.Random(seed)
-    chosen = _choose(ids, n, rng)
-    examples = _one_example_per_vehicle(by_vehicle, chosen, rng)
-    provenance = "generated" if trace.config is not None else "imported"
+    chosen = np.array(_choose(pool, n, rng), dtype=np.int64)
+    draws = np.array([rng.random() for _ in range(n)])
+    rows, starts, counts = trace.rows_by_vehicle
+    count = counts[chosen]
+    k = np.minimum((draws * count).astype(np.int64), count - 1)
+    picked = trace.points[rows[starts[chosen] + k]]
+    examples = tuple(
+        LabeledExample(features=(x, y), label=label_to_class(route))
+        for x, y, route in zip(*(picked[f].tolist() for f in ("x", "y", "route_label")))
+    )
     return Dataset(
         examples=examples,
-        provenance=provenance,
+        provenance="generated" if trace.config is not None else "imported",
         seed=seed,
-        vehicle_ids=tuple(chosen),
+        vehicle_ids=tuple(trace.vehicle_ids[v] for v in chosen.tolist()),
     )
 
 

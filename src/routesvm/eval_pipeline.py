@@ -35,6 +35,7 @@ __all__ = [
     "evaluate",
     "boundary_report",
     "train_position_model",
+    "sample_test_set",
     "sweep_with_model",
     "accuracy_sweep",
     "report_to_csv",
@@ -133,6 +134,15 @@ def train_position_model(
     return replace(train(scaled, kernel, cfg), scaler=scaler)
 
 
+def sample_test_set(
+    trace: Trace, size: int, seed: int, train_vehicles: tuple[str, ...] = ()
+) -> Dataset:
+    """The sweep's test set of ``size`` examples: drawn on the seeded
+    sub-stream ``derive_seed(seed, size)`` from vehicles not in
+    ``train_vehicles``."""
+    return sample_examples(trace, size, derive_seed(seed, size), exclude_vehicles=train_vehicles)
+
+
 def sweep_with_model(
     model: SvmModel,
     trace: Trace,
@@ -145,10 +155,7 @@ def sweep_with_model(
     requested size (seeded sub-stream per size)."""
     rows = []
     for size in test_sizes:
-        test_ds = sample_examples(
-            trace, size, derive_seed(seed, size), exclude_vehicles=exclude_vehicles
-        )
-        correct, _ = evaluate(model, test_ds)
+        correct, _ = evaluate(model, sample_test_set(trace, size, seed, exclude_vehicles))
         rows.append(SweepRow(test_size=size, correct=correct))
     mean = sum(r.accuracy for r in rows) / len(rows) if rows else None
     boundary = boundary_report(model)
@@ -176,22 +183,12 @@ def accuracy_sweep(
     Every test set is drawn from vehicles disjoint from the training
     vehicles.  Deterministic in (trace, sizes, kernel, cfg, seed).
     """
-    vehicle_count = len(trace.vehicle_ids())
-    needed = train_size + (max(test_sizes) if test_sizes else 0)
-    if vehicle_count < needed:
-        raise InsufficientVehiclesError(
-            f"need {needed} distinct vehicles, trace provides {vehicle_count}"
-        )
+    needed, count = train_size + max(test_sizes, default=0), len(trace.vehicle_ids)
+    if count < needed:
+        raise InsufficientVehiclesError(f"need {needed} distinct vehicles, trace provides {count}")
     train_ds = sample_examples(trace, train_size, seed)
     model = train_position_model(list(train_ds.examples), kernel, cfg)
-    return sweep_with_model(
-        model,
-        trace,
-        test_sizes,
-        seed,
-        exclude_vehicles=train_ds.vehicle_ids,
-        train_size=train_size,
-    )
+    return sweep_with_model(model, trace, test_sizes, seed, train_ds.vehicle_ids, train_size)
 
 
 def report_to_csv(report: EvaluationReport, destination: str | Path) -> None:

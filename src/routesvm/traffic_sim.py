@@ -6,6 +6,11 @@ each vehicle either continues straight (route 0) or takes the right off-ramp
 continuing straight.  The simulator emits one position sample per vehicle per
 time step, labeled with the vehicle's route choice.
 
+A :class:`Trace` holds those samples as numpy columns (step, vehicle index,
+x, y, speed, route_label) in one structured array, plus the sorted table of
+vehicle ids the index points into.  :func:`make_trace` is the one place that
+builds a trace from columns; the simulator and both file readers use it.
+
 All randomness comes from a single ``random.Random`` stream consumed in a
 documented order, so a given ``ScenarioConfig`` always produces a
 bit-identical trace on every platform.
@@ -14,13 +19,17 @@ bit-identical trace on every platform.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+
+import numpy as np
 
 __all__ = [
     "ConfigError",
     "ScenarioConfig",
-    "TrajectoryPoint",
     "Trace",
+    "make_trace",
     "generate_trace",
     "vehicle_position",
 ]
@@ -89,33 +98,64 @@ class ScenarioConfig:
             raise ConfigError("rng_seed", "must be a nonnegative integer")
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One vehicle observation: position and speed at a time step."""
-
-    vehicle_id: str
-    step: int
-    x: float
-    y: float
-    speed: float
-    route_label: int  # 0 = straight mainline, 1 = off-ramp
+POINT_DTYPE = np.dtype(
+    [("step", np.int64), ("vehicle", np.int64), ("x", np.float64), ("y", np.float64),
+     ("speed", np.float64), ("route_label", np.int8)]  # route 0 = mainline, 1 = off-ramp
+)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
-    """A full simulation run: points sorted by (step, vehicle_id).
+    """Vehicle observations, one row per vehicle per step; build with :func:`make_trace`.
 
-    ``config`` is ``None`` for traces ingested from external files; it is
-    carried for provenance and excluded from equality so that round-trips
-    through formats that do not persist it still compare equal.
+    ``points`` is a read-only ``POINT_DTYPE`` array sorted by (step, vehicle
+    id); its ``vehicle`` field indexes ``vehicle_ids``, the sorted table of
+    distinct ids, so index order is id order.  ``config`` is ``None`` for
+    ingested traces; it is carried for provenance and excluded from equality,
+    so round-trips through formats that do not persist it compare equal.
     """
 
-    points: tuple[TrajectoryPoint, ...]
-    config: ScenarioConfig | None = field(default=None, compare=False)
+    points: np.ndarray
+    vehicle_ids: tuple[str, ...]
+    config: ScenarioConfig | None = None
 
-    def vehicle_ids(self) -> list[str]:
-        """Distinct vehicle ids in sorted order."""
-        return sorted({p.vehicle_id for p in self.points})
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.vehicle_ids == other.vehicle_ids and np.array_equal(self.points, other.points)
+
+    @cached_property
+    def rows_by_vehicle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, starts, counts): row indices grouped by vehicle index, each
+        vehicle's rows in step order; vehicle ``v`` owns
+        ``rows[starts[v]:starts[v] + counts[v]]``.  Computed once per trace."""
+        rows = np.lexsort((self.points["step"], self.points["vehicle"]))
+        counts = np.bincount(self.points["vehicle"], minlength=len(self.vehicle_ids))
+        return rows, np.cumsum(counts) - counts, counts
+
+
+def make_trace(
+    columns: Mapping, vehicle_ids: Sequence[str], config: ScenarioConfig | None = None
+) -> Trace:
+    """A trace from columns of rows in any order.
+
+    ``columns`` maps every ``POINT_DTYPE`` field to one value per row; the
+    ``vehicle`` values index ``vehicle_ids``, distinct ids in any order, each
+    with a row.  The id table is sorted, the indices remapped to it and the
+    rows put in (step, vehicle id) order with one stable ``np.lexsort``.
+    Nothing is validated here; the file readers validate what they ingest.
+    """
+    id_order = sorted(range(len(vehicle_ids)), key=vehicle_ids.__getitem__)
+    rank = np.argsort(np.array(id_order, dtype=np.int64))  # given index -> sorted position
+    vehicle = rank[np.asarray(columns["vehicle"], dtype=np.int64)]
+    step = np.asarray(columns["step"], dtype=np.int64)
+    order = np.lexsort((vehicle, step))
+    points = np.empty(len(order), dtype=POINT_DTYPE)
+    points["step"], points["vehicle"] = step[order], vehicle[order]
+    for name in ("x", "y", "speed", "route_label"):
+        points[name] = np.asarray(columns[name])[order]
+    points.flags.writeable = False
+    return Trace(points, tuple(vehicle_ids[i] for i in id_order), config)
 
 
 def _ramp_y(config: ScenarioConfig, lane_y: float, x: float) -> float:
@@ -159,9 +199,10 @@ def vehicle_position(
 def generate_trace(config: ScenarioConfig) -> Trace:
     """Simulate the configured scenario and return its labeled trace.
 
-    Per vehicle, in id order, the seeded stream is consumed as: route draw,
-    lane draw, speed draw, then one y-jitter draw per time step.  Identical
-    configs (including seed) therefore yield bit-identical traces.
+    Per vehicle, in index order (vehicle ``i`` is ``v{i:04d}``), the seeded
+    stream is consumed as: route draw, lane draw, speed draw, then one
+    y-jitter draw per time step.  Identical configs (including seed)
+    therefore yield bit-identical traces.
 
     Raises :class:`ConfigError` for configs violating invariants.
     """
@@ -169,25 +210,25 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     rng = random.Random(config.rng_seed)
     lo, hi = config.speed_range
     noise = config.lane_noise
-    points = []
-    for i in range(config.num_vehicles):
-        vehicle_id = f"v{i:04d}"
+    n, steps = config.num_vehicles, config.num_steps
+    routes, speeds, xs, ys = [], [], [], []
+    for i in range(n):
         route = 1 if rng.random() < config.route2_probability else 0
         lane_index = min(int(rng.random() * LANE_COUNT), LANE_COUNT - 1)
         speed = lo + (hi - lo) * rng.random()
         spawn_x = config.spawn_spacing * i
-        for step in range(config.num_steps):
+        routes.append(route)
+        speeds.append(speed)
+        for step in range(steps):
             x, y = vehicle_position(config, route, lane_index, speed, step, spawn_x)
-            jitter = (2.0 * rng.random() - 1.0) * noise
-            points.append(
-                TrajectoryPoint(
-                    vehicle_id=vehicle_id,
-                    step=step,
-                    x=x,
-                    y=y + jitter,
-                    speed=speed,
-                    route_label=route,
-                )
-            )
-    points.sort(key=lambda p: (p.step, p.vehicle_id))
-    return Trace(points=tuple(points), config=config)
+            xs.append(x)
+            ys.append(y + (2.0 * rng.random() - 1.0) * noise)
+    columns = {
+        "step": np.tile(np.arange(steps), n),
+        "vehicle": np.repeat(np.arange(n), steps),
+        "x": xs,
+        "y": ys,
+        "speed": np.repeat(speeds, steps),
+        "route_label": np.repeat(routes, steps),
+    }
+    return make_trace(columns, [f"v{i:04d}" for i in range(n)], config)

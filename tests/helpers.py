@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
-from routesvm.traffic_sim import Trace, TrajectoryPoint
+from routesvm.traffic_sim import Trace, make_trace
 
 
 def hard_margin_oracle(points, labels):
@@ -112,25 +112,34 @@ def random_linear_model(rng: random.Random, max_supports: int = 5) -> SvmModel:
     )
 
 
+def trace_from_rows(rows) -> Trace:
+    """A trace from (step, vehicle_id, x, y, speed, route_label) rows in any order."""
+    ids: dict[str, int] = {}
+    columns = {name: [] for name in ("step", "vehicle", "x", "y", "speed", "route_label")}
+    for step, vid, *rest in rows:
+        for column, value in zip(columns.values(), (step, ids.setdefault(vid, len(ids)), *rest)):
+            column.append(value)
+    return make_trace(columns, list(ids))
+
+
 def random_trace(rng: random.Random, n_vehicles: int = 5, n_steps: int = 4) -> Trace:
     """An arbitrary (not simulator-generated) trace for round-trip tests."""
-    points = []
+    rows = []
     for i in range(n_vehicles):
         label = rng.randint(0, 1)
         speed = rng.uniform(0.5, 3.0)
         for step in range(n_steps):
-            points.append(
-                TrajectoryPoint(
-                    vehicle_id=f"v{i:04d}",
-                    step=step,
-                    x=rng.uniform(-1e3, 1e3),
-                    y=rng.uniform(-5, 5),
-                    speed=speed,
-                    route_label=label,
-                )
-            )
-    points.sort(key=lambda p: (p.step, p.vehicle_id))
-    return Trace(points=tuple(points))
+            x, y = rng.uniform(-1e3, 1e3), rng.uniform(-5, 5)
+            rows.append((step, f"v{i:04d}", x, y, speed, label))
+    return trace_from_rows(rows)
+
+
+def rows_of(trace: Trace) -> list[tuple]:
+    """The trace's rows in order as (step, vehicle_id, x, y, speed, route_label)."""
+    p = trace.points
+    ids = [trace.vehicle_ids[v] for v in p["vehicle"].tolist()]
+    rest = (p[f].tolist() for f in ("x", "y", "speed", "route_label"))
+    return list(zip(p["step"].tolist(), ids, *rest))
 
 
 def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5) -> None:
@@ -139,17 +148,16 @@ def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5)
     ``time`` attributes advance by ``time_step`` seconds, deliberately not
     equal to the integer step index, so ingestion has to renumber.
     """
-    steps = sorted({p.step for p in trace.points})
-    by_step: dict[int, list[TrajectoryPoint]] = {s: [] for s in steps}
-    for p in trace.points:
-        by_step[p.step].append(p)
+    by_step: dict[int, list[tuple]] = {}
+    for row in rows_of(trace):
+        by_step.setdefault(row[0], []).append(row)
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<fcd-export>"]
-    for index, step in enumerate(steps):
+    for index, step in enumerate(sorted(by_step)):
         lines.append(f'  <timestep time="{index * time_step:.2f}">')
-        for p in by_step[step]:
+        for _, vid, x, y, speed, _ in by_step[step]:
             lines.append(
-                f'    <vehicle id="{p.vehicle_id}" x="{p.x:.17g}" y="{p.y:.17g}" '
-                f'speed="{p.speed:.17g}" lane="ignored_0" angle="90.00"/>'
+                f'    <vehicle id="{vid}" x="{x:.17g}" y="{y:.17g}" '
+                f'speed="{speed:.17g}" lane="ignored_0" angle="90.00"/>'
             )
         lines.append("  </timestep>")
     lines.append("</fcd-export>")
@@ -157,4 +165,4 @@ def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5)
 
 
 def label_table_of(trace: Trace) -> dict[str, int]:
-    return {p.vehicle_id: p.route_label for p in trace.points}
+    return {vid: label for _, vid, *_, label in rows_of(trace)}

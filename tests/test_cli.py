@@ -120,6 +120,19 @@ class TestTrain:
         assert f"vehicle {row[1]!r}" in capsys.readouterr().err
         assert not (tmp_path / "m.txt").exists()
 
+    def test_step_outside_int64_exits_3(self, trace_path, tmp_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        fields = lines[2].split(",")
+        fields[0] = "99999999999999999999999"
+        lines[2] = ",".join(fields)
+        trace_path.write_text("\n".join(lines) + "\n")
+        code = main(["train", str(trace_path), "--train-size", "30", "--seed", "5",
+                     "-o", str(tmp_path / "m.txt")])
+        assert code == 3
+        assert "line 3: step 99999999999999999999999 out of the int64 range" in (
+            capsys.readouterr().err
+        )
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.txt")])
         assert code == 1

@@ -18,19 +18,19 @@ from routesvm.dataset_io import (
     write_trace_csv,
 )
 from routesvm.svm import LabeledExample
-from routesvm.traffic_sim import Trace, TrajectoryPoint
+from routesvm.traffic_sim import Trace
 
-from helpers import label_table_of, random_trace, write_fcd_xml
+from helpers import label_table_of, random_trace, rows_of, trace_from_rows, write_fcd_xml
 
 
 def one_point_trace() -> Trace:
-    return Trace(points=(TrajectoryPoint("v0001", 0, 1.5, -0.25, 2.0, 1),))
+    return trace_from_rows([(0, "v0001", 1.5, -0.25, 2.0, 1)])
 
 
 class TestTraceCsv:
     def test_empty_trace_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        write_trace_csv(Trace(points=()), path)
+        write_trace_csv(trace_from_rows([]), path)
         assert path.read_text() == "step,vehicle_id,x,y,speed,route_label\n"
 
     def test_one_point_trace_is_two_lines(self, tmp_path):
@@ -59,7 +59,9 @@ class TestTraceCsv:
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "h.csv"
         path.write_text("step,vehicle_id,x,y,speed,route_label\n")
-        assert read_trace_csv(path).points == ()
+        trace = read_trace_csv(path)
+        assert len(trace.points) == 0
+        assert trace.vehicle_ids == ()
 
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -91,6 +93,26 @@ class TestTraceCsv:
         with pytest.raises(TraceFormatError, match="line 3: non-finite"):
             read_trace_csv(path)
 
+    def test_blank_lines_skipped_and_counted_in_line_numbers(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        header = "step,vehicle_id,x,y,speed,route_label\n"
+        path.write_text(header + "0,v1,1.0,2.0,3.0,0\n\n1,v1,1.0,2.0,3.0,0\n")
+        assert len(read_trace_csv(path).points) == 2
+        path.write_text(header + "\n0,v1,1.0,2.0,3.0,0\n\n\n1,v1,1.0,nan,3.0,0\n")
+        with pytest.raises(TraceFormatError, match="line 6: non-finite"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("step", ["99999999999999999999999", "-9223372036854775809"])
+    def test_step_outside_int64_names_line(self, tmp_path, step):
+        path = tmp_path / "bigstep.csv"
+        path.write_text(
+            "step,vehicle_id,x,y,speed,route_label\n"
+            "9223372036854775807,v1,1.0,2.0,3.0,0\n"
+            f"{step},v1,1.0,2.0,3.0,0\n"
+        )
+        with pytest.raises(TraceFormatError, match="line 3: step .* out of the int64 range"):
+            read_trace_csv(path)
+
     def test_rows_resorted_to_canonical_order(self, tmp_path):
         path = tmp_path / "shuffled.csv"
         path.write_text(
@@ -100,7 +122,7 @@ class TestTraceCsv:
             "0,v0001,0,0,1,0\n"
         )
         trace = read_trace_csv(path)
-        assert [(p.step, p.vehicle_id) for p in trace.points] == [
+        assert [row[:2] for row in rows_of(trace)] == [
             (0, "v0001"),
             (0, "v0002"),
             (1, "v0001"),
@@ -133,7 +155,7 @@ class TestFcdXml:
     def test_zero_timesteps_empty_trace(self, tmp_path):
         path = tmp_path / "empty.xml"
         path.write_text("<fcd-export></fcd-export>\n")
-        assert read_fcd_xml(path, {}).points == ()
+        assert len(read_fcd_xml(path, {}).points) == 0
 
     def test_single_labeled_vehicle(self, tmp_path):
         path = tmp_path / "one.xml"
@@ -143,9 +165,7 @@ class TestFcdXml:
             "</timestep></fcd-export>\n"
         )
         trace = read_fcd_xml(path, {"car1": 1})
-        assert trace.points == (
-            TrajectoryPoint("car1", 0, 10.0, -1.5, 2.5, 1),
-        )
+        assert rows_of(trace) == [(0, "car1", 10.0, -1.5, 2.5, 1)]
 
     def test_round_trip_with_step_renumbering(self, small_trace, tmp_path):
         path = tmp_path / "fcd.xml"
@@ -260,10 +280,10 @@ class TestExamplesCsv:
 
 class TestSampling:
     def test_exhaustive_selection_uses_every_vehicle(self, small_trace):
-        n = len(small_trace.vehicle_ids())
+        n = len(small_trace.vehicle_ids)
         ds = sample_examples(small_trace, n, seed=1)
         assert len(ds.examples) == n
-        assert sorted(ds.vehicle_ids) == small_trace.vehicle_ids()
+        assert tuple(sorted(ds.vehicle_ids)) == small_trace.vehicle_ids
 
     def test_determinism(self, small_trace):
         a = sample_examples(small_trace, 20, seed=5)
@@ -271,15 +291,15 @@ class TestSampling:
         assert a == b
 
     def test_labels_mapped_canonically(self, small_trace):
-        ds = sample_examples(small_trace, len(small_trace.vehicle_ids()), seed=2)
-        labels_by_vehicle = {p.vehicle_id: p.route_label for p in small_trace.points}
+        ds = sample_examples(small_trace, len(small_trace.vehicle_ids), seed=2)
+        labels_by_vehicle = label_table_of(small_trace)
         for vid, example in zip(ds.vehicle_ids, ds.examples):
             expected = 1 if labels_by_vehicle[vid] == 0 else -1
             assert example.label == expected
 
     def test_features_come_from_vehicle_points(self, small_trace):
         ds = sample_examples(small_trace, 10, seed=4)
-        point_set = {(p.vehicle_id, p.x, p.y) for p in small_trace.points}
+        point_set = {(vid, x, y) for _, vid, x, y, *_ in rows_of(small_trace)}
         for vid, example in zip(ds.vehicle_ids, ds.examples):
             assert (vid, example.features[0], example.features[1]) in point_set
 
@@ -293,10 +313,37 @@ class TestSampling:
         with pytest.raises(InsufficientVehiclesError):
             sample_examples(small_trace, 1000, seed=0)
 
+    @pytest.mark.parametrize("n,seed,banned", [(60, 1, 0), (25, 9, 30), (0, 2, 0), (400, 7, 150)])
+    def test_matches_per_vehicle_reference(self, small_trace, default_trace, n, seed, banned):
+        trace = default_trace if n > 60 else small_trace
+        exclude = trace.vehicle_ids[::2][:banned]
+        expected = reference_sample(trace, n, seed, exclude)
+        ds = sample_examples(trace, n, seed, exclude_vehicles=exclude)
+        assert (ds.vehicle_ids, ds.examples) == expected
+
     def test_exclusion_respected(self, small_trace):
-        banned = tuple(small_trace.vehicle_ids()[:10])
+        banned = small_trace.vehicle_ids[:10]
         ds = sample_examples(small_trace, 30, seed=3, exclude_vehicles=banned)
         assert not set(ds.vehicle_ids) & set(banned)
+
+
+def reference_sample(trace, n, seed, exclude):
+    """The sampler written out row by row: regroup the trace per vehicle,
+    pick vehicles by seeded partial Fisher-Yates, then one step each."""
+    by_vehicle: dict[str, list[tuple]] = {}
+    for row in sorted(rows_of(trace), key=lambda r: (r[1], r[0])):
+        by_vehicle.setdefault(row[1], []).append(row)
+    pool = sorted(v for v in by_vehicle if v not in set(exclude))
+    rng = random.Random(seed)
+    for i in range(n):
+        j = i + min(int(rng.random() * (len(pool) - i)), len(pool) - i - 1)
+        pool[i], pool[j] = pool[j], pool[i]
+    examples = []
+    for vid in pool[:n]:
+        rows = by_vehicle[vid]
+        _, _, x, y, _, route = rows[min(int(rng.random() * len(rows)), len(rows) - 1)]
+        examples.append(LabeledExample((x, y), 1 if route == 0 else -1))
+    return tuple(pool[:n]), tuple(examples)
 
 
 class TestSplitDisjoint:
@@ -311,10 +358,10 @@ class TestSplitDisjoint:
         return train_ds, test_ds
 
     def test_full_partition(self, small_trace):
-        n = len(small_trace.vehicle_ids())
+        n = len(small_trace.vehicle_ids)
         train_ds, test_ds = self.split(small_trace, n - 10, 10, seed=1)
-        combined = sorted(train_ds.vehicle_ids + test_ds.vehicle_ids)
-        assert combined == small_trace.vehicle_ids()
+        combined = tuple(sorted(train_ds.vehicle_ids + test_ds.vehicle_ids))
+        assert combined == small_trace.vehicle_ids
 
     def test_disjoint_vehicle_sets(self, small_trace):
         train_ds, test_ds = self.split(small_trace, 30, 20, seed=2)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from routesvm.traffic_sim import (
@@ -8,6 +9,8 @@ from routesvm.traffic_sim import (
     generate_trace,
     vehicle_position,
 )
+
+from helpers import label_table_of, rows_of
 
 
 def config_with(**kwargs) -> ScenarioConfig:
@@ -93,16 +96,16 @@ class TestGenerateTrace:
         cfg = config_with(num_vehicles=1, route2_probability=0.0, lane_noise=0.0)
         trace = generate_trace(cfg)
         assert len(trace.points) == cfg.num_steps
-        labels = {p.route_label for p in trace.points}
+        labels = set(trace.points["route_label"].tolist())
         assert labels == {0}
-        ys = {p.y for p in trace.points}
+        ys = set(trace.points["y"].tolist())
         assert len(ys) == 1
         assert ys.pop() in cfg.lane_y
 
     def test_route_split_matches_probability(self):
         cfg = config_with(num_vehicles=500, route2_probability=0.5, rng_seed=7)
         trace = generate_trace(cfg)
-        label_per_vehicle = {p.vehicle_id: p.route_label for p in trace.points}
+        label_per_vehicle = label_table_of(trace)
         fraction = sum(label_per_vehicle.values()) / len(label_per_vehicle)
         assert 0.4 <= fraction <= 0.6
 
@@ -112,35 +115,52 @@ class TestGenerateTrace:
 
     def test_points_sorted_and_unique(self):
         trace = generate_trace(config_with(num_vehicles=7, num_steps=9))
-        keys = [(p.step, p.vehicle_id) for p in trace.points]
+        keys = [row[:2] for row in rows_of(trace)]
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
+
+    def test_id_string_order_above_ten_thousand_vehicles(self):
+        trace = generate_trace(ScenarioConfig(num_vehicles=10001, num_steps=1))
+        keys = [row[:2] for row in rows_of(trace)]
+        assert keys == sorted(keys)
+        assert len(set(keys)) == 10001
+        ids = [vid for _, vid in keys]
+        assert ids.index("v10000") < ids.index("v1001")
+        assert list(trace.vehicle_ids) == ids
+
+    def test_points_are_read_only(self):
+        trace = generate_trace(config_with())
+        with pytest.raises(ValueError):
+            trace.points["x"][0] = 0.0
 
     def test_labels_constant_per_vehicle_and_steps_contiguous(self):
         trace = generate_trace(config_with(num_vehicles=12, num_steps=15))
         by_vehicle = {}
-        for p in trace.points:
-            by_vehicle.setdefault(p.vehicle_id, []).append(p)
-        for pts in by_vehicle.values():
-            assert len({p.route_label for p in pts}) == 1
-            steps = sorted(p.step for p in pts)
+        for step, vid, *_, label in rows_of(trace):
+            by_vehicle.setdefault(vid, []).append((step, label))
+        for rows in by_vehicle.values():
+            assert len({label for _, label in rows}) == 1
+            steps = sorted(step for step, _ in rows)
             assert steps == list(range(steps[0], steps[0] + len(steps)))
 
     def test_class_geometry_bands(self, default_trace):
         cfg = default_trace.config
-        for p in default_trace.points:
-            if p.route_label == 0:
-                assert p.y >= min(cfg.lane_y) - cfg.lane_noise - 1e-12
-            elif p.x > cfg.ramp_end[0]:
-                assert p.y <= cfg.ramp_end[1] + cfg.lane_noise + 1e-12
+        p = default_trace.points
+        mainline = p["route_label"] == 0
+        assert mainline.any() and not mainline.all()
+        assert np.all(p["y"][mainline] >= min(cfg.lane_y) - cfg.lane_noise - 1e-12)
+        past_ramp = ~mainline & (p["x"] > cfg.ramp_end[0])
+        assert past_ramp.any()
+        assert np.all(p["y"][past_ramp] <= cfg.ramp_end[1] + cfg.lane_noise + 1e-12)
 
     def test_speed_within_range_and_constant(self):
         cfg = config_with(num_vehicles=9)
         trace = generate_trace(cfg)
         by_vehicle = {}
-        for p in trace.points:
-            by_vehicle.setdefault(p.vehicle_id, set()).add(p.speed)
+        for _, vid, _, _, speed, _ in rows_of(trace):
+            by_vehicle.setdefault(vid, set()).add(speed)
         lo, hi = cfg.speed_range
+        assert len(by_vehicle) == cfg.num_vehicles
         for speeds in by_vehicle.values():
             assert len(speeds) == 1
             speed = speeds.pop()
