@@ -9,7 +9,9 @@ results and file paths go to standard output.
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .dataset_io import (
@@ -35,12 +37,12 @@ from .eval_pipeline import (
 )
 from .plotting import PlotSpec, render_svg
 from .svm import (
+    KERNEL_FAMILIES,
     DimensionMismatchError,
     KernelSpec,
     ModelFormatError,
     SingleClassError,
     TrainConfig,
-    UnsupportedKernelError,
     load_model,
     save_model,
 )
@@ -54,8 +56,8 @@ DEFAULT_TEST_SIZES = "10:100:10"
 DEFAULT_TRAIN_SIZE = 400
 
 
-class _UsageError(Exception):
-    pass
+class _UsageError(ValueError):
+    """Bad flags; like every other ValueError that is no data error, exit 2."""
 
 
 def _err(message: str) -> None:
@@ -66,104 +68,76 @@ def _err(message: str) -> None:
 # Scenario configuration assembly (defaults <- config file <- flags)
 # ---------------------------------------------------------------------------
 
-_SCALAR_FIELDS = {
-    "num_vehicles": int,
-    "num_steps": int,
-    "junction_x": float,
-    "route2_probability": float,
-    "spawn_spacing": float,
-    "lane_noise": float,
-    "rng_seed": int,
+# Each generate flag and the ScenarioConfig field it sets.
+_SCENARIO_FLAGS = {
+    "--vehicles": "num_vehicles",
+    "--steps": "num_steps",
+    "--seed": "rng_seed",
+    "--route2-prob": "route2_probability",
+    "--spacing": "spawn_spacing",
+    "--junction-x": "junction_x",
+    "--ramp-end": "ramp_end",
+    "--lane-y": "lane_y",
+    "--speed-range": "speed_range",
+    "--lane-noise": "lane_noise",
 }
+_SCENARIO_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
-_TUPLE_FIELDS = {"lane_y": 3, "ramp_end": 2, "speed_range": 2}
-
-
-def _parse_floats(raw: str, field: str, where: str = "") -> tuple[float, ...]:
-    """A comma-separated tuple field; ``where`` prefixes the error message."""
-    parts = [p.strip() for p in raw.split(",")]
-    count = _TUPLE_FIELDS[field]
-    if len(parts) != count:
-        raise ConfigError(field, f"{where}expected {count} comma-separated numbers, got {raw!r}")
+def _scenario_value(field: str, raw: str, where: str = ""):
+    """A ScenarioConfig field's value, typed from its default: an int, a float,
+    or a tuple of as many comma-separated values as the default holds, each
+    typed like the default's.  ``where`` prefixes the error message."""
+    if field not in _SCENARIO_DEFAULTS:
+        raise ConfigError(field, f"{where}unknown field")
+    default = _SCENARIO_DEFAULTS[field]
+    shape, parts = (default, raw.split(",")) if isinstance(default, tuple) else ((default,), [raw])
+    if len(parts) != len(shape):
+        message = f"{where}expected {len(shape)} comma-separated numbers, got {raw!r}"
+        raise ConfigError(field, message)
     try:
-        return tuple(float(p) for p in parts)
+        values = tuple(type(d)(p) for d, p in zip(shape, parts))
     except ValueError:
         raise ConfigError(field, f"{where}non-numeric value {raw!r}") from None
+    return values if isinstance(default, tuple) else values[0]
 
 
 def load_scenario_file(path: str | Path) -> dict:
     """Parse the key=value scenario format ('#' comments, blank lines ok)."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError("config", f"not UTF-8 text ({exc})") from None
     values: dict = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
             raise ConfigError("config", f"line {line_no}: expected key=value, got {line!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
-        if key in _SCALAR_FIELDS:
-            try:
-                values[key] = _SCALAR_FIELDS[key](raw)
-            except ValueError:
-                raise ConfigError(key, f"line {line_no}: non-numeric value {raw!r}") from None
-        elif key in _TUPLE_FIELDS:
-            values[key] = _parse_floats(raw, key, f"line {line_no}: ")
-        else:
-            raise ConfigError(key, f"line {line_no}: unknown field")
+        values[key] = _scenario_value(key, raw, f"line {line_no}: ")
     return values
 
 
 def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_scenario_file(args.config))
-    overrides = {
-        "num_vehicles": args.vehicles,
-        "num_steps": args.steps,
-        "route2_probability": args.route2_prob,
-        "spawn_spacing": args.spacing,
-        "junction_x": args.junction_x,
-        "lane_noise": args.lane_noise,
-        "rng_seed": args.seed,
-    }
-    for key, value in overrides.items():
-        if value is not None:
-            values[key] = value
-    for key in _TUPLE_FIELDS:
-        if getattr(args, key) is not None:
-            values[key] = _parse_floats(getattr(args, key), key)
+    values = load_scenario_file(args.config) if args.config else {}
+    for field in _SCENARIO_FLAGS.values():
+        if getattr(args, field) is not None:
+            values[field] = _scenario_value(field, getattr(args, field))
     return ScenarioConfig(**values)
 
 
 def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
-    family = args.kernel
-    try:
-        if family == "linear":
-            for flag, value in (("gamma", args.gamma), ("coef0", args.coef0), ("degree", args.degree)):
-                if value is not None:
-                    raise _UsageError(f"--{flag} does not apply to the linear kernel")
-            return KernelSpec.linear()
-        if family == "rbf":
-            if args.coef0 is not None or args.degree is not None:
-                raise _UsageError("--coef0/--degree do not apply to the rbf kernel")
-            return KernelSpec.rbf(gamma=args.gamma)
-        if family == "polynomial":
-            return KernelSpec.polynomial(
-                degree=args.degree if args.degree is not None else 3,
-                gamma=args.gamma,
-                coef0=args.coef0 if args.coef0 is not None else 0.0,
-            )
-        if family == "sigmoid":
-            if args.degree is not None:
-                raise _UsageError("--degree does not apply to the sigmoid kernel")
-            return KernelSpec.sigmoid(
-                gamma=args.gamma,
-                coef0=args.coef0 if args.coef0 is not None else 0.0,
-            )
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    raise _UsageError(f"unknown kernel {family!r}")
+    """The --kernel family's constructor, called with the kernel flags given;
+    a flag that constructor does not take is a usage error."""
+    make = getattr(KernelSpec, args.kernel)
+    given = {name: getattr(args, name) for name in ("gamma", "coef0", "degree")
+             if getattr(args, name) is not None}
+    for name in given:
+        if name not in inspect.signature(make).parameters:
+            raise _UsageError(f"--{name} does not apply to the {args.kernel} kernel")
+    return make(**given)
 
 
 def parse_test_sizes(raw: str) -> list[int]:
@@ -200,10 +174,7 @@ def _training_inputs(args: argparse.Namespace):
     trace = read_trace_csv(args.trace)
     kernel = _kernel_from_args(args)
     cfg = TrainConfig(C=args.C, tol=args.tol, max_passes=args.max_passes)
-    try:
-        cfg.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
+    cfg.validate()
     return trace, kernel, cfg
 
 
@@ -247,16 +218,8 @@ def _plot_spec_from_args(args: argparse.Namespace) -> PlotSpec:
             lo_hi = raw.split(":")
             if len(lo_hi) != 2:
                 raise _UsageError(f"--{name.replace('_', '-')} needs low:high")
-            try:
-                kwargs[name] = (float(lo_hi[0]), float(lo_hi[1]))
-            except ValueError as exc:
-                raise _UsageError(str(exc)) from exc
-    spec = PlotSpec(**kwargs)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from exc
-    return spec
+            kwargs[name] = (float(lo_hi[0]), float(lo_hi[1]))
+    return PlotSpec(**kwargs)
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
@@ -265,11 +228,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
         dataset = read_examples_csv(args.data)
     else:
         dataset = Dataset(examples=(), provenance="imported", seed=0)
-    spec = _plot_spec_from_args(args)
-    try:
-        svg = render_svg(model, dataset, spec)
-    except UnsupportedKernelError as exc:
-        raise _UsageError(str(exc)) from exc
+    svg = render_svg(model, dataset, _plot_spec_from_args(args))
     Path(args.output).write_text(svg, encoding="utf-8", newline="\n")
     print(f"wrote plot to {args.output}")
     return 0
@@ -311,11 +270,10 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=("linear", "polynomial", "rbf", "sigmoid"),
-                        default="linear")
-    parser.add_argument("--C", type=float, default=1.0, help="soft-margin box constraint")
-    parser.add_argument("--tol", type=float, default=1e-3, help="KKT tolerance")
-    parser.add_argument("--max-passes", type=int, default=200)
+    parser.add_argument("--kernel", choices=KERNEL_FAMILIES, default="linear")
+    parser.add_argument("--C", type=float, default=TrainConfig.C, help="soft-margin box constraint")
+    parser.add_argument("--tol", type=float, default=TrainConfig.tol, help="KKT tolerance")
+    parser.add_argument("--max-passes", type=int, default=TrainConfig.max_passes)
     parser.add_argument("--gamma", type=float, default=None,
                         help="kernel scale (default: 1/(d*var) of the standardized "
                         "training features)")
@@ -334,16 +292,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="simulate the highway scenario to a trace CSV")
     p.add_argument("--config", help="key=value scenario file (flags override it)")
-    p.add_argument("--vehicles", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--route2-prob", type=float, default=None)
-    p.add_argument("--spacing", type=float, default=None)
-    p.add_argument("--junction-x", type=float, default=None)
-    p.add_argument("--ramp-end", default=None, help="x,y of the off-ramp end")
-    p.add_argument("--lane-y", default=None, help="three lane ordinates, comma separated")
-    p.add_argument("--speed-range", default=None, help="low,high meters/step")
-    p.add_argument("--lane-noise", type=float, default=None)
+    for flag, field in _SCENARIO_FLAGS.items():
+        default = _SCENARIO_DEFAULTS[field]
+        shown = ",".join(map(str, default)) if isinstance(default, tuple) else default
+        p.add_argument(flag, dest=field, help=f"default {shown}")
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=_cmd_generate)
 
@@ -366,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render decision regions and scatter to SVG")
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None, help="examples CSV (x,y,label)")
-    p.add_argument("--width", type=int, default=640)
-    p.add_argument("--height", type=int, default=480)
+    p.add_argument("--width", type=int, default=PlotSpec.width)
+    p.add_argument("--height", type=int, default=PlotSpec.height)
     p.add_argument("--no-regions", action="store_true",
                    help="scatter only (required for nonlinear kernels)")
     p.add_argument("--x-range", default=None, help="low:high")
@@ -381,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out-dir", required=True)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--vehicles", type=int, default=600)
+    p.add_argument("--vehicles", type=int, default=ScenarioConfig.num_vehicles)
     p.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     p.add_argument("--test-sizes", default=DEFAULT_TEST_SIZES)
     p.set_defaults(func=_cmd_run_paper)
@@ -397,9 +349,6 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (_UsageError, ConfigError) as exc:
-        _err(str(exc))
-        return 2
     except (
         SingleClassError,
         InsufficientVehiclesError,

@@ -17,7 +17,9 @@ Both trace readers parse their rows into columns and build the trace with
 :func:`~routesvm.traffic_sim.make_trace`, then validate the whole trace in one
 step: every x, y and speed value must be finite, a (step, vehicle_id) pair
 occurs once and a vehicle keeps one route label.  A step must fit in a signed
-64-bit integer.  Violations raise :class:`TraceFormatError`.
+64-bit integer, and an FCD vehicle id holds no comma, CR or LF, which a trace
+CSV could not hold.  Every file is UTF-8, and the three CSV formats share one
+row reader.  Violations raise :class:`TraceFormatError`.
 
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
 route 1 -> -1.  No other module converts labels.
@@ -31,6 +33,7 @@ import random
 import xml.etree.ElementTree as ElementTree
 from bisect import bisect_right
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -95,6 +98,39 @@ def label_to_class(route_label: int) -> int:
     return 1 if route_label == 0 else -1
 
 
+@contextmanager
+def _utf8_text(source: str | Path):
+    """``source`` opened as text; bytes that are not UTF-8 raise TraceFormatError."""
+    try:
+        with open(source, encoding="utf-8") as text:
+            yield text
+    except UnicodeDecodeError as exc:
+        raise TraceFormatError(f"not UTF-8 text ({exc})") from None
+
+
+def _csv_rows(source: str | Path, header: str, blanks: list[int] | None = None):
+    """(line number, fields) of each non-blank line after ``header``; a file
+    with another first line, or a row with another field count, is an error.
+    ``blanks`` gets the number of rows before each blank line skipped."""
+    width = header.count(",") + 1
+    with _utf8_text(source) as lines:
+        first = lines.readline()
+        got = first.rstrip("\n")
+        if got != header:
+            message = f"malformed header: expected {header!r}, got {got!r}"
+            raise TraceFormatError(message if first else "empty file")
+        for line_no, line in enumerate(lines, start=2):
+            if line == "\n":
+                if blanks is not None:
+                    blanks.append(line_no - 2 - len(blanks))
+                continue
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != width:
+                message = f"line {line_no}: expected {width} fields, got {len(fields)}"
+                raise TraceFormatError(message)
+            yield line_no, fields
+
+
 def _checked_trace(columns: dict, ids: dict[str, int], where: Callable[[int], str]) -> Trace:
     """The readers' one validation step, over the whole trace at once.
 
@@ -146,34 +182,21 @@ def read_trace_csv(source: str | Path) -> Trace:
     """
     ids: dict[str, int] = {}
     cols: tuple[list, ...] = tuple([] for _ in _FIELDS)
-    blanks: list[int] = []  # rows read before each skipped blank line
-    with open(source, encoding="utf-8") as lines:
-        header = lines.readline()
-        got = header.rstrip("\n")
-        if got != TRACE_HEADER:
-            message = f"malformed header: expected {TRACE_HEADER!r}, got {got!r}"
-            raise TraceFormatError(message if header else "empty file")
-        for line_no, line in enumerate(lines, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                blanks.append(len(cols[0]))
-                continue
-            fields = line.split(",")
-            if len(fields) != 6:
-                raise TraceFormatError(f"line {line_no}: expected 6 fields, got {len(fields)}")
-            try:
-                step = int(fields[0])
-                x, y, speed = float(fields[2]), float(fields[3]), float(fields[4])
-                route_label = int(fields[5])
-            except ValueError as exc:
-                raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from exc
-            if not _STEP_MIN <= step <= _STEP_MAX:
-                raise TraceFormatError(f"line {line_no}: step {step} out of the int64 range")
-            if route_label not in (0, 1):
-                raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
-            row = (step, ids.setdefault(fields[1], len(ids)), x, y, speed, route_label)
-            for c, value in zip(cols, row):
-                c.append(value)
+    blanks: list[int] = []
+    for line_no, fields in _csv_rows(source, TRACE_HEADER, blanks):
+        try:
+            step = int(fields[0])
+            x, y, speed = float(fields[2]), float(fields[3]), float(fields[4])
+            route_label = int(fields[5])
+        except ValueError as exc:
+            raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from exc
+        if not _STEP_MIN <= step <= _STEP_MAX:
+            raise TraceFormatError(f"line {line_no}: step {step} out of the int64 range")
+        if route_label not in (0, 1):
+            raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
+        row = (step, ids.setdefault(fields[1], len(ids)), x, y, speed, route_label)
+        for c, value in zip(cols, row):
+            c.append(value)
     columns = {f: np.array(c, dtype=POINT_DTYPE[f]) for c, f in zip(cols, _FIELDS)}
     del cols  # free the per-row Python objects before sorting
     return _checked_trace(columns, ids, lambda row: f"line {row + 2 + bisect_right(blanks, row)}")
@@ -197,7 +220,8 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
     warning with the skip count is logged.  A vehicle listed twice in one
     timestep raises :class:`TraceFormatError`.
     """
-    text = Path(source).read_text(encoding="utf-8")
+    with _utf8_text(source) as file:
+        text = file.read()
     try:
         root = ElementTree.fromstring(text)
     except ElementTree.ParseError as exc:
@@ -234,6 +258,9 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
     if skipped:
         log.warning("skipped %d vehicle observations with no route label", skipped)
     names = list(ids)
+    for vehicle_id in names:
+        if any(c in vehicle_id for c in ",\r\n"):
+            raise TraceFormatError(f"vehicle {vehicle_id!r}: a trace CSV id holds no ',', CR, LF")
     return _checked_trace(
         dict(zip(_FIELDS, cols)), ids, lambda row: f"vehicle {names[cols[1][row]]!r}"
     )
@@ -241,17 +268,8 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
 
 def read_label_csv(source: str | Path) -> LabelTable:
     """Load the ``vehicle_id,route_label`` sidecar; ids must be unique."""
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != LABEL_HEADER:
-        raise TraceFormatError(f"malformed header: expected {LABEL_HEADER!r}")
     table: LabelTable = {}
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 2:
-            raise TraceFormatError(f"line {line_no}: expected 2 fields, got {len(fields)}")
-        vehicle_id, raw = fields
+    for line_no, (vehicle_id, raw) in _csv_rows(source, LABEL_HEADER):
         try:
             route_label = int(raw)
         except ValueError as exc:
@@ -283,16 +301,8 @@ def write_examples_csv(dataset: Dataset, destination: str | Path) -> None:
 
 
 def read_examples_csv(source: str | Path) -> Dataset:
-    lines = Path(source).read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != EXAMPLES_HEADER:
-        raise TraceFormatError(f"malformed header: expected {EXAMPLES_HEADER!r}")
     examples = []
-    for line_no, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise TraceFormatError(f"line {line_no}: expected 3 fields, got {len(fields)}")
+    for line_no, fields in _csv_rows(source, EXAMPLES_HEADER):
         try:
             x, y = float(fields[0]), float(fields[1])
             label = int(fields[2])

@@ -17,21 +17,21 @@ from .svm import SvmModel, UnsupportedKernelError, classify, decision_values
 __all__ = ["PlotSpec", "render_svg"]
 
 _PAD_FRACTION = 0.05
+_POS_COLOR = "#d94f3d"  # class +1 (mainline route)
+_NEG_COLOR = "#3a6bc6"  # class -1 (off-ramp route)
+_REGION_POS_COLOR = "#f6ddd9"
+_REGION_NEG_COLOR = "#dbe5f6"
+_BOUNDARY_STROKE = "#222222"
+_POINT_RADIUS = 3.0
 
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Figure styling: canvas size, class styles, shading, axis ranges."""
+    """Figure layout: canvas size, region shading, axis ranges."""
 
     width: int = 640
     height: int = 480
-    pos_color: str = "#d94f3d"  # class +1 (mainline route)
-    neg_color: str = "#3a6bc6"  # class -1 (off-ramp route)
-    region_pos_color: str = "#f6ddd9"
-    region_neg_color: str = "#dbe5f6"
     shade_regions: bool = True
-    boundary_stroke: str = "#222222"
-    point_radius: float = 3.0
     x_range: tuple[float, float] | None = None
     y_range: tuple[float, float] | None = None
 
@@ -136,11 +136,11 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
         f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
         "<style>"
-        f".region-pos{{fill:{spec.region_pos_color};}}"
-        f".region-neg{{fill:{spec.region_neg_color};}}"
-        f".boundary{{stroke:{spec.boundary_stroke};stroke-width:1.5;fill:none;}}"
-        f".pt-pos{{fill:{spec.pos_color};}}"
-        f".pt-neg{{fill:{spec.neg_color};}}"
+        f".region-pos{{fill:{_REGION_POS_COLOR};}}"
+        f".region-neg{{fill:{_REGION_NEG_COLOR};}}"
+        f".boundary{{stroke:{_BOUNDARY_STROKE};stroke-width:1.5;fill:none;}}"
+        f".pt-pos{{fill:{_POS_COLOR};}}"
+        f".pt-neg{{fill:{_NEG_COLOR};}}"
         f".miss{{fill:none;stroke:#111111;stroke-width:1.2;}}"
         "</style>",
         f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
@@ -175,7 +175,7 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
             f'x2="{canvas.px(p2[0]):.2f}" y2="{canvas.py(p2[1]):.2f}"/>'
         )
 
-    r = spec.point_radius
+    r = _POINT_RADIUS
     features = np.array([e.features for e in dataset.examples], dtype=float).reshape(-1, 2)
     predicted = np.where(decision_values(model, features) >= 0.0, 1, -1)
     for example, predicted_label in zip(dataset.examples, predicted):

@@ -605,12 +605,12 @@ def model_from_text(text: str) -> SvmModel:
     except ValueError as exc:
         raise ModelFormatError(f"bad kernel parameters: {exc}") from exc
 
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = [(line_no, ln) for line_no, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != count:
         raise ModelFormatError(f"expected {count} support lines, found {len(body)}")
     alphas = []
     examples = []
-    for line_no, line in enumerate(body, start=2):
+    for line_no, line in body:
         tokens = line.split()
         if len(tokens) < 3:
             raise ModelFormatError(f"line {line_no}: too few fields")
@@ -641,4 +641,8 @@ def save_model(model: SvmModel, path: str | Path) -> None:
 
 
 def load_model(path: str | Path) -> SvmModel:
-    return model_from_text(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"not UTF-8 text ({exc})") from None
+    return model_from_text(text)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from pathlib import Path
+from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
@@ -156,7 +157,7 @@ def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5)
         lines.append(f'  <timestep time="{index * time_step:.2f}">')
         for _, vid, x, y, speed, _ in by_step[step]:
             lines.append(
-                f'    <vehicle id="{vid}" x="{x:.17g}" y="{y:.17g}" '
+                f'    <vehicle id={quoteattr(vid)} x="{x:.17g}" y="{y:.17g}" '
                 f'speed="{speed:.17g}" lane="ignored_0" angle="90.00"/>'
             )
         lines.append("  </timestep>")

@@ -69,6 +69,117 @@ class TestGenerate:
         assert out.read_text().count("\n") == 5 * 8 + 1
 
 
+#: (flag, ScenarioConfig field, flag value, a different value for the file)
+SCENARIO_FLAGS = [
+    ("--vehicles", "num_vehicles", "70", "40"),
+    ("--steps", "num_steps", "6", "3"),
+    ("--seed", "rng_seed", "11", "2"),
+    ("--route2-prob", "route2_probability", "0.3", "0.9"),
+    ("--spacing", "spawn_spacing", "4.0", "1.5"),
+    ("--junction-x", "junction_x", "150", "100"),
+    ("--ramp-end", "ramp_end", "300,-3", "280,-2.5"),
+    ("--lane-y", "lane_y", "1,0,-1", "0.5,0,-0.5"),
+    ("--speed-range", "speed_range", "0.5,2", "1,4"),
+    ("--lane-noise", "lane_noise", "0.2", "0.01"),
+]
+SCENARIO_IDS = [case[1] for case in SCENARIO_FLAGS]
+BASE_CONFIG = "num_vehicles = 90\nnum_steps = 5\n"  # 90 vehicles reach past the junction
+
+
+class TestScenarioFlags:
+    def generate(self, tmp_path, name, flags=(), config=None):
+        out = tmp_path / f"{name}.csv"
+        if config is not None:
+            path = tmp_path / f"{name}.cfg"
+            path.write_text(config)
+            flags = ["--config", str(path), *flags]
+        assert main(["generate", *flags, "-o", str(out)]) == 0
+        return out.read_bytes()
+
+    @pytest.mark.parametrize("flag, field, value, file_value", SCENARIO_FLAGS, ids=SCENARIO_IDS)
+    def test_flag_matches_config_key_and_overrides_it(self, tmp_path, flag, field, value,
+                                                      file_value):
+        from_flag = self.generate(tmp_path, "flag", [f"{flag}={value}"], BASE_CONFIG)
+        from_file = self.generate(tmp_path, "file", config=BASE_CONFIG + f"{field} = {value}\n")
+        other = BASE_CONFIG + f"{field} = {file_value}\n"
+        assert from_file == from_flag
+        assert self.generate(tmp_path, "both", [f"{flag}={value}"], other) == from_flag
+        assert self.generate(tmp_path, "other", config=other) != from_flag
+
+    def test_all_flags_match_config_file(self, tmp_path):
+        flags = [f"{flag}={value}" for flag, _, value, _ in SCENARIO_FLAGS]
+        config = "".join(f"{field} = {value}\n" for _, field, value, _ in SCENARIO_FLAGS)
+        from_flags = self.generate(tmp_path, "flags", flags)
+        assert self.generate(tmp_path, "file", config=config) == from_flags
+
+    @pytest.mark.parametrize("flag, field, bad", [
+        ("--vehicles", "num_vehicles", "0"),
+        ("--steps", "num_steps", "-1"),
+        ("--seed", "rng_seed", "-3"),
+        ("--route2-prob", "route2_probability", "1.5"),
+        ("--spacing", "spawn_spacing", "0"),
+        ("--ramp-end", "ramp_end", "100,-3"),
+        ("--ramp-end", "ramp_end", "300"),
+        ("--lane-y", "lane_y", "0,x,-1"),
+        ("--lane-y", "lane_y", "-1,0,1"),
+        ("--speed-range", "speed_range", "3,1"),
+        ("--speed-range", "speed_range", "1,2,3"),
+        ("--lane-noise", "lane_noise", "-0.1"),
+    ])
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, flag, field, bad):
+        out = str(tmp_path / "t.csv")
+        assert main(["generate", "--vehicles=8", f"{flag}={bad}", "-o", out]) == 2
+        assert field in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"num_vehicles = 8\n{field} = {bad}\n")
+        assert main(["generate", "--config", str(config), "-o", out]) == 2
+        assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field", [case[:2] for case in SCENARIO_FLAGS
+                                             if "," not in case[2]])
+    def test_non_numeric_value_exits_2_naming_field(self, tmp_path, capsys, flag, field):
+        out = str(tmp_path / "t.csv")
+        assert main(["generate", f"{flag}=abc", "-o", out]) == 2
+        assert f"{field}: non-numeric value 'abc'" in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"{field} = abc\n")
+        assert main(["generate", "--config", str(config), "-o", out]) == 2
+        assert f"{field}: line 1: non-numeric value 'abc'" in capsys.readouterr().err
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"num_vehicles = 8\nlane_noise = \xff\n")
+        assert main(["generate", "--config", str(config), "-o", str(tmp_path / "t.csv")]) == 2
+        assert "config" in capsys.readouterr().err
+
+
+class TestKernelFlags:
+    @pytest.mark.parametrize("family, flag, value", [
+        ("linear", "gamma", "0.5"),
+        ("linear", "coef0", "1"),
+        ("linear", "degree", "2"),
+        ("rbf", "coef0", "1"),
+        ("rbf", "degree", "2"),
+        ("sigmoid", "degree", "2"),
+    ])
+    def test_flag_that_does_not_apply_exits_2(self, trace_path, tmp_path, capsys, family,
+                                              flag, value):
+        out = tmp_path / "m.txt"
+        code = main(["train", str(trace_path), "--train-size", "30", "--kernel", family,
+                     f"--{flag}", value, "-o", str(out)])
+        assert code == 2
+        assert f"--{flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("family, degree", [("polynomial", 3), ("sigmoid", None)])
+    def test_constructor_defaults_are_saved(self, trace_path, tmp_path, family, degree):
+        out = tmp_path / "m.txt"
+        assert main(["train", str(trace_path), "--train-size", "30", "--kernel", family,
+                     "-o", str(out)]) == 0
+        kernel = load_model(out).kernel
+        assert (kernel.family, kernel.degree, kernel.coef0) == (family, degree, 0.0)
+
+
 class TestTrain:
     def test_trains_and_prints_boundary(self, trace_path, tmp_path, capsys):
         out = tmp_path / "model.txt"
@@ -133,6 +244,12 @@ class TestTrain:
             capsys.readouterr().err
         )
 
+    def test_non_utf8_trace_exits_3(self, trace_path, tmp_path, capsys):
+        trace_path.write_bytes(trace_path.read_bytes() + b"0,v\xff,1,2,3,0\n")
+        code = main(["train", str(trace_path), "--train-size", "30", "-o", str(tmp_path / "m.txt")])
+        assert code == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.txt")])
         assert code == 1
@@ -175,6 +292,15 @@ class TestSweep:
                      "--test-sizes", "10,20", "-o", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 3
+
+    def test_non_utf8_model_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model_path)]) == 0
+        model_path.write_bytes(model_path.read_bytes().replace(b"family", b"\xffamily"))
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert "not UTF-8 text" in capsys.readouterr().err
 
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["sweep", str(tmp_path / "nope.csv"), "--test-sizes", "10",

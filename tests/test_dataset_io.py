@@ -1,5 +1,6 @@
 import logging
 import random
+import re
 
 import pytest
 
@@ -228,6 +229,32 @@ class TestFcdXml:
         path.write_text("<fcd-export>\n  <timestep\n")
         with pytest.raises(TraceFormatError, match="byte offset"):
             read_fcd_xml(path, {})
+
+
+@pytest.mark.parametrize("reader, header", [
+    (read_trace_csv, b"step,vehicle_id,x,y,speed,route_label\n0,v\xff,1,2,3,0\n"),
+    (lambda path: read_fcd_xml(path, {}), b"<fcd-export>\xff</fcd-export>\n"),
+    (read_label_csv, b"vehicle_id,route_label\nv\xff,0\n"),
+    (read_examples_csv, b"x,y,label\n1,2,1\n\xff\n"),
+], ids=["trace", "fcd", "labels", "examples"])
+def test_non_utf8_file_is_a_format_error(tmp_path, reader, header):
+    path = tmp_path / "bad"
+    path.write_bytes(header)
+    with pytest.raises(TraceFormatError, match="not UTF-8 text"):
+        reader(path)
+
+
+@pytest.mark.parametrize("vehicle_id", ["a,b", "a&#10;b", "a&#13;b"])
+def test_fcd_id_a_trace_csv_cannot_hold_is_rejected(tmp_path, vehicle_id):
+    path = tmp_path / "id.xml"
+    path.write_text(
+        '<fcd-export><timestep time="0">'
+        f'<vehicle id="{vehicle_id}" x="1" y="2" speed="3"/>'
+        "</timestep></fcd-export>\n"
+    )
+    name = vehicle_id.replace("&#10;", "\n").replace("&#13;", "\r")
+    with pytest.raises(TraceFormatError, match=f"vehicle {re.escape(repr(name))}: "):
+        read_fcd_xml(path, {name: 0})
 
 
 class TestLabelCsv:

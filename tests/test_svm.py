@@ -28,6 +28,10 @@ from routesvm.svm import (
 from helpers import random_linear_model
 
 
+# A bad support line at file line 4, after a blank line 3.
+BAD_LINE_AFTER_BLANK = "routesvm-model v2 family=linear bias=0 supports=2\n1.0 1 0 0\n\n1.0 x 0 0\n"
+
+
 def single_support_model(features=(0.0, 1.0), label=1, alpha=1.0, bias=0.0) -> SvmModel:
     return SvmModel(
         kernel=KernelSpec.linear(),
@@ -287,8 +291,13 @@ class TestSerialization:
             "routesvm-model v1 family=linear bias=zz supports=0\n",
             "routesvm-model v1 family=linear bias=0 supports=1\n1.0 1\n",
             "routesvm-model v1 family=linear bias=0 supports=0 extra=1\n",
+            BAD_LINE_AFTER_BLANK,
         ],
     )
     def test_malformed_model_text(self, text):
         with pytest.raises(ModelFormatError):
             model_from_text(text)
+
+    def test_bad_support_line_is_named_by_its_file_line(self):
+        with pytest.raises(ModelFormatError, match="^line 4: "):
+            model_from_text(BAD_LINE_AFTER_BLANK)

@@ -18,7 +18,7 @@ from routesvm.dataset_io import (
 )
 from routesvm.traffic_sim import Trace
 
-from helpers import trace_from_rows
+from helpers import label_table_of, trace_from_rows, write_fcd_xml
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -42,9 +42,9 @@ FLOATS = st.one_of(
 
 
 @st.composite
-def traces(draw) -> Trace:
+def traces(draw, ids=VEHICLE_IDS) -> Trace:
     rows = []
-    for vid in draw(st.lists(VEHICLE_IDS, unique=True, max_size=6)):
+    for vid in draw(st.lists(ids, unique=True, max_size=6)):
         label = draw(st.integers(0, 1))
         for step in draw(st.lists(STEPS, unique=True, min_size=1, max_size=4)):
             rows.append((step, vid, draw(FLOATS), draw(FLOATS), draw(FLOATS), label))
@@ -88,7 +88,7 @@ JUNK = st.one_of(
 INTEGERS = st.one_of(st.integers(-(2**70), 2**70).map(str), JUNK)
 NUMBERS = st.one_of(st.floats().map(repr), st.integers(-5, 5).map(str), JUNK)
 LABELS = st.one_of(st.sampled_from(["0", "1"]), JUNK)
-IDS = st.one_of(st.sampled_from(["v1", "v2", "v10"]), JUNK)
+IDS = st.one_of(st.sampled_from(["v1", "v2", "v10", "a,b", "c\nd", "e\rf"]), JUNK)
 
 CSV_ROWS = st.one_of(
     st.tuples(INTEGERS, IDS, NUMBERS, NUMBERS, NUMBERS, LABELS).map(",".join),
@@ -101,13 +101,22 @@ CSV_TEXT = st.builds(
     st.lists(CSV_ROWS, max_size=8),
     st.sampled_from(["\n", "", "\r\n"]),
 )
+# CSV text as UTF-8, with arbitrary bytes spliced in, or arbitrary bytes.
+CSV_BYTES = st.one_of(
+    CSV_TEXT.map(str.encode),
+    st.builds(
+        lambda text, junk, at: text[:at] + junk + text[at:],
+        CSV_TEXT.map(str.encode), st.binary(min_size=1, max_size=4), st.integers(0, 200),
+    ),
+    st.binary(max_size=60),
+)
 
 
 @SETTINGS
-@given(text=CSV_TEXT)
-def test_fuzzed_trace_csv_gives_trace_or_format_error(tmp_path_factory, text):
+@given(data=CSV_BYTES)
+def test_fuzzed_trace_csv_gives_trace_or_format_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz_csv") / "trace.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(data)
     try:
         trace = read_trace_csv(path)
     except TraceFormatError:
@@ -145,3 +154,24 @@ def test_fuzzed_fcd_xml_gives_trace_or_format_error(tmp_path_factory, text, labe
         return
     check_valid(trace)
     assert set(trace.vehicle_ids) <= set(labels)
+
+
+# Ids an FCD file can carry, among them some a trace CSV cannot hold.
+FCD_IDS = st.one_of(
+    st.sampled_from(["a,b", ",", "c\nd", "e\r", "\r\n"]),
+    VEHICLE_IDS.filter(lambda vid: not {"\ufffe", "\uffff"} & set(vid)),  # not XML characters
+)
+
+
+@SETTINGS
+@given(trace=traces(FCD_IDS))
+def test_ingested_fcd_round_trips_through_trace_csv(tmp_path_factory, trace):
+    folder = tmp_path_factory.mktemp("fcd_csv")
+    write_fcd_xml(trace, folder / "fcd.xml")
+    try:
+        ingested = read_fcd_xml(folder / "fcd.xml", label_table_of(trace))
+    except TraceFormatError as exc:
+        assert any(c in vid for vid in trace.vehicle_ids for c in ",\r\n"), exc
+        return
+    write_trace_csv(ingested, folder / "trace.csv")
+    assert read_trace_csv(folder / "trace.csv") == ingested
