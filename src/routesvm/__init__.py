@@ -23,6 +23,6 @@ from .dataset_io import (
     sample_examples,
     write_trace_csv,
 )
-from .eval_pipeline import EvaluationReport, accuracy_sweep, boundary_report, evaluate
+from .eval_pipeline import EvaluationReport, accuracy_sweep, boundary_report, evaluate, split_examples
 
 __version__ = "0.1.0"

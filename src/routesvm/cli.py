@@ -20,18 +20,16 @@ from .dataset_io import (
     TraceFormatError,
     read_examples_csv,
     read_trace_csv,
-    sample_examples,
     write_examples_csv,
     write_trace_csv,
 )
 from .eval_pipeline import (
-    EmptyTestError,
     accuracy_sweep,
     boundary_report,
     format_boundary,
     format_report,
     report_to_csv,
-    sample_test_set,
+    split_examples,
     sweep_with_model,
     train_position_model,
 )
@@ -180,8 +178,8 @@ def _training_inputs(args: argparse.Namespace):
 
 def _cmd_train(args: argparse.Namespace) -> int:
     trace, kernel, cfg = _training_inputs(args)
-    train_ds = sample_examples(trace, args.train_size, args.seed)
-    model = train_position_model(list(train_ds.examples), kernel, cfg)
+    train_ds, _ = split_examples(trace, args.train_size, (), args.seed)
+    model = train_position_model(train_ds.examples, kernel, cfg)
     save_model(model, args.output)
     summary = model.summary
     print(f"support vectors: {summary.n_support}")
@@ -196,8 +194,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     test_sizes = parse_test_sizes(args.test_sizes)
     if args.model:
-        trace = read_trace_csv(args.trace)
-        report = sweep_with_model(load_model(args.model), trace, test_sizes, args.seed)
+        trace, model = read_trace_csv(args.trace), load_model(args.model)
+        _, tests = split_examples(trace, 0, test_sizes, args.seed)
+        report = sweep_with_model(model, tests, 0)
     else:
         trace, kernel, cfg = _training_inputs(args)
         report = accuracy_sweep(trace, args.train_size, test_sizes, kernel, cfg, args.seed)
@@ -227,7 +226,7 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     if args.data:
         dataset = read_examples_csv(args.data)
     else:
-        dataset = Dataset(examples=(), provenance="imported", seed=0)
+        dataset = Dataset(examples=())
     svg = render_svg(model, dataset, _plot_spec_from_args(args))
     Path(args.output).write_text(svg, encoding="utf-8", newline="\n")
     print(f"wrote plot to {args.output}")
@@ -236,24 +235,21 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 def _cmd_run_paper(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    seed = args.seed
     test_sizes = parse_test_sizes(args.test_sizes)
 
-    trace = generate_trace(ScenarioConfig(num_vehicles=args.vehicles, rng_seed=seed))
+    trace = generate_trace(ScenarioConfig(num_vehicles=args.vehicles, rng_seed=args.seed))
+    train_ds, tests = split_examples(trace, args.train_size, test_sizes, args.seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
 
-    train_ds = sample_examples(trace, args.train_size, seed)
-    model = train_position_model(list(train_ds.examples), KernelSpec.linear(), TrainConfig())
+    model = train_position_model(train_ds.examples, KernelSpec.linear(), TrainConfig())
     save_model(model, out_dir / "model.txt")
 
-    report = sweep_with_model(model, trace, test_sizes, seed, train_ds.vehicle_ids, args.train_size)
+    report = sweep_with_model(model, tests, args.train_size)
     report_to_csv(report, out_dir / "report.csv")
 
     figures = {"train": train_ds}
-    for size in (10, 100):
-        if size in test_sizes:
-            figures[f"test_{size}"] = sample_test_set(trace, size, seed, train_ds.vehicle_ids)
+    figures.update((f"test_{n}", test) for n, test in zip(test_sizes, tests) if n in (10, 100))
     for name, dataset in figures.items():
         write_examples_csv(dataset, out_dir / f"{name}.csv")
         svg = render_svg(model, dataset, PlotSpec())
@@ -354,7 +350,6 @@ def main(argv: list[str] | None = None) -> int:
         InsufficientVehiclesError,
         TraceFormatError,
         ModelFormatError,
-        EmptyTestError,
         DimensionMismatchError,
     ) as exc:
         _err(str(exc))

@@ -83,11 +83,9 @@ class InsufficientVehiclesError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Sampled labeled examples plus the provenance needed to reproduce them."""
+    """Labeled examples and, when sampled from a trace, their vehicles."""
 
     examples: tuple[LabeledExample, ...]
-    provenance: str  # "generated" | "imported"
-    seed: int
     vehicle_ids: tuple[str, ...] = ()
 
 
@@ -313,7 +311,7 @@ def read_examples_csv(source: str | Path) -> Dataset:
         if label not in (1, -1):
             raise TraceFormatError(f"line {line_no}: label must be +1 or -1")
         examples.append(LabeledExample(features=(x, y), label=label))
-    return Dataset(examples=tuple(examples), provenance="imported", seed=0)
+    return Dataset(examples=tuple(examples))
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +347,8 @@ def sample_examples(
     random step.  Deterministic in (trace, n, seed): the ``n`` vehicle draws
     come first, then one step draw per chosen vehicle, in choice order.
     """
+    if n < 0:
+        raise ValueError(f"sample size must be at least 0, got {n}")
     excluded = set(exclude_vehicles)
     pool = [v for v, vid in enumerate(trace.vehicle_ids) if vid not in excluded]
     if len(pool) < n:
@@ -364,12 +364,7 @@ def sample_examples(
         LabeledExample(features=(x, y), label=label_to_class(route))
         for x, y, route in zip(*(picked[f].tolist() for f in ("x", "y", "route_label")))
     )
-    return Dataset(
-        examples=examples,
-        provenance="generated" if trace.config is not None else "imported",
-        seed=seed,
-        vehicle_ids=tuple(trace.vehicle_ids[v] for v in chosen.tolist()),
-    )
+    return Dataset(examples, tuple(trace.vehicle_ids[v] for v in chosen.tolist()))
 
 
 def derive_seed(seed: int, stream: int) -> int:

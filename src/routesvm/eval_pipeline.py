@@ -1,9 +1,11 @@
 """Train/evaluate orchestration: accuracy sweeps and boundary summaries.
 
-A sweep trains one model, evaluates it on independently drawn test sets of
-each requested size (every test set vehicle-disjoint from the training set),
-and reports exact correct counts per row so accuracies are rational numbers,
-not accumulated floats.
+:func:`split_examples` is the one rule that draws an experiment's examples
+from a trace: a training set, then one test set of each requested size,
+every test set vehicle-disjoint from the training set.  A sweep trains one
+model on the training set, evaluates it on each test set, and reports exact
+correct counts per row so accuracies are rational numbers, not accumulated
+floats.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ __all__ = [
     "evaluate",
     "boundary_report",
     "train_position_model",
-    "sample_test_set",
+    "split_examples",
     "sweep_with_model",
     "accuracy_sweep",
     "report_to_csv",
@@ -81,7 +83,6 @@ class EvaluationReport:
     mean_accuracy: float | None  # None when the sweep had zero rows
     boundary: BoundaryLine | VerticalBoundary | None
     train_size: int
-    seed: int
     convergence_flag: bool
 
 
@@ -134,38 +135,44 @@ def train_position_model(
     return replace(train(scaled, kernel, cfg), scaler=scaler)
 
 
-def sample_test_set(
-    trace: Trace, size: int, seed: int, train_vehicles: tuple[str, ...] = ()
-) -> Dataset:
-    """The sweep's test set of ``size`` examples: drawn on the seeded
-    sub-stream ``derive_seed(seed, size)`` from vehicles not in
-    ``train_vehicles``."""
-    return sample_examples(trace, size, derive_seed(seed, size), exclude_vehicles=train_vehicles)
+def split_examples(
+    trace: Trace, train_size: int, test_sizes: list[int] | tuple[int, ...], seed: int
+) -> tuple[Dataset, tuple[Dataset, ...]]:
+    """The training set and one test set per size, in order.
+
+    The training set is ``sample_examples(trace, train_size, seed)``; the test
+    set of each size is drawn on the sub-stream ``derive_seed(seed, size)``
+    from the vehicles not in the training set.  The sizes and the trace's
+    vehicle count (``train_size + max(test_sizes)``) are checked before any
+    draw.
+    """
+    if train_size < 0:
+        raise ValueError(f"train size must be at least 0, got {train_size}")
+    if min(test_sizes, default=1) < 1:
+        raise ValueError(f"test sizes must be at least 1, got {min(test_sizes)}")
+    needed, count = train_size + max(test_sizes, default=0), len(trace.vehicle_ids)
+    if count < needed:
+        raise InsufficientVehiclesError(f"need {needed} distinct vehicles, trace provides {count}")
+    train_ds = sample_examples(trace, train_size, seed)
+    return train_ds, tuple(
+        sample_examples(trace, size, derive_seed(seed, size), exclude_vehicles=train_ds.vehicle_ids)
+        for size in test_sizes
+    )
 
 
 def sweep_with_model(
-    model: SvmModel,
-    trace: Trace,
-    test_sizes: list[int] | tuple[int, ...],
-    seed: int,
-    exclude_vehicles: tuple[str, ...] = (),
-    train_size: int = 0,
+    model: SvmModel, tests: tuple[Dataset, ...], train_size: int
 ) -> EvaluationReport:
-    """Evaluate an existing model on one independently sampled test set per
-    requested size (seeded sub-stream per size)."""
-    rows = []
-    for size in test_sizes:
-        correct, _ = evaluate(model, sample_test_set(trace, size, seed, exclude_vehicles))
-        rows.append(SweepRow(test_size=size, correct=correct))
+    """Evaluate an existing model on each test set, one row per set."""
+    rows = tuple(SweepRow(len(test.examples), evaluate(model, test)[0]) for test in tests)
     mean = sum(r.accuracy for r in rows) / len(rows) if rows else None
     boundary = boundary_report(model)
     converged = model.summary.converged if model.summary is not None else True
     return EvaluationReport(
-        rows=tuple(rows),
+        rows=rows,
         mean_accuracy=mean,
         boundary=boundary,
         train_size=train_size,
-        seed=seed,
         convergence_flag=converged,
     )
 
@@ -178,17 +185,12 @@ def accuracy_sweep(
     cfg: TrainConfig = TrainConfig(),
     seed: int = 0,
 ) -> EvaluationReport:
-    """Train once on ``train_size`` examples, then run the accuracy sweep.
-
-    Every test set is drawn from vehicles disjoint from the training
-    vehicles.  Deterministic in (trace, sizes, kernel, cfg, seed).
+    """Train once on the training set of :func:`split_examples`, then score
+    each of its test sets.  Deterministic in (trace, sizes, kernel, cfg, seed).
     """
-    needed, count = train_size + max(test_sizes, default=0), len(trace.vehicle_ids)
-    if count < needed:
-        raise InsufficientVehiclesError(f"need {needed} distinct vehicles, trace provides {count}")
-    train_ds = sample_examples(trace, train_size, seed)
-    model = train_position_model(list(train_ds.examples), kernel, cfg)
-    return sweep_with_model(model, trace, test_sizes, seed, train_ds.vehicle_ids, train_size)
+    train_ds, tests = split_examples(trace, train_size, test_sizes, seed)
+    model = train_position_model(train_ds.examples, kernel, cfg)
+    return sweep_with_model(model, tests, train_size)
 
 
 def report_to_csv(report: EvaluationReport, destination: str | Path) -> None:

@@ -106,6 +106,15 @@ class TestScenarioFlags:
         assert self.generate(tmp_path, "both", [f"{flag}={value}"], other) == from_flag
         assert self.generate(tmp_path, "other", config=other) != from_flag
 
+    def test_negative_tuple_values_use_the_equals_form(self, tmp_path):
+        # "--lane-y -1,-2,-3" would read "-1,-2,-3" as an option.
+        values = {"lane_y": "-1,-2,-3", "ramp_end": "260,-5"}
+        flags = ["--lane-y=-1,-2,-3", "--ramp-end=260,-5"]
+        config = BASE_CONFIG + "".join(f"{k} = {v}\n" for k, v in values.items())
+        from_flags = self.generate(tmp_path, "flags", flags, BASE_CONFIG)
+        assert self.generate(tmp_path, "file", config=config) == from_flags
+        assert self.generate(tmp_path, "base", config=BASE_CONFIG) != from_flags
+
     def test_all_flags_match_config_file(self, tmp_path):
         flags = [f"{flag}={value}" for flag, _, value, _ in SCENARIO_FLAGS]
         config = "".join(f"{field} = {value}\n" for _, field, value, _ in SCENARIO_FLAGS)
@@ -312,6 +321,18 @@ class TestSweep:
                      "-o", str(tmp_path / "r.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("sizes", ["--test-sizes=0,10", "--test-sizes=-5,10"])
+    @pytest.mark.parametrize("model", [False, True], ids=["train", "model"])
+    def test_size_below_one_exits_2(self, trace_path, tmp_path, capsys, sizes, model):
+        flags = ["--train-size", "30"]
+        if model:
+            assert main(["train", str(trace_path), *flags, "-o", str(tmp_path / "m.txt")]) == 0
+            flags = ["--model", str(tmp_path / "m.txt")]
+        out = tmp_path / "r.csv"
+        assert main(["sweep", str(trace_path), *flags, sizes, "-o", str(out)]) == 2
+        assert "test sizes must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_test_sizes(self):
         assert parse_test_sizes("10") == [10]
         assert parse_test_sizes("10,20,30") == [10, 20, 30]
@@ -392,6 +413,27 @@ class TestRunPaper:
         assert code == 0
         for name in ("test_10.csv", "test_10.svg", "test_100.csv", "test_100.svg"):
             assert (out_dir / name).exists()
+
+    def test_report_matches_sweep_of_its_trace(self, tmp_path):
+        out_dir = tmp_path / "run"
+        flags = ["--seed", "11", "--train-size", "40", "--test-sizes", "5:50:15"]
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "120", *flags]) == 0
+        sweep = tmp_path / "sweep.csv"
+        assert main(["sweep", str(out_dir / "trace.csv"), *flags, "-o", str(sweep)]) == 0
+        assert sweep.read_bytes() == (out_dir / "report.csv").read_bytes()
+
+    def test_too_few_vehicles_exits_3_before_writing(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "450"]) == 3
+        assert "need 500 distinct vehicles, trace provides 450" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("sizes", ["--test-sizes=0,10", "--test-sizes=-5,10"])
+    def test_size_below_one_exits_2_before_writing(self, tmp_path, capsys, sizes):
+        out_dir = tmp_path / "run"
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "80", sizes]) == 2
+        assert "test sizes must be at least 1" in capsys.readouterr().err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
 
 
 class TestUsage:

@@ -8,7 +8,6 @@ from routesvm.dataset_io import (
     Dataset,
     InsufficientVehiclesError,
     TraceFormatError,
-    derive_seed,
     read_examples_csv,
     read_fcd_xml,
     read_label_csv,
@@ -18,6 +17,7 @@ from routesvm.dataset_io import (
     write_label_csv,
     write_trace_csv,
 )
+from routesvm.eval_pipeline import split_examples
 from routesvm.svm import LabeledExample
 from routesvm.traffic_sim import Trace
 
@@ -284,8 +284,6 @@ class TestExamplesCsv:
                 LabeledExample((1.25, -0.5), 1),
                 LabeledExample((200.0, -2.0), -1),
             ),
-            provenance="generated",
-            seed=3,
         )
         path = tmp_path / "examples.csv"
         write_examples_csv(dataset, path)
@@ -340,6 +338,10 @@ class TestSampling:
         with pytest.raises(InsufficientVehiclesError):
             sample_examples(small_trace, 1000, seed=0)
 
+    def test_negative_size_rejected(self, small_trace):
+        with pytest.raises(ValueError, match="sample size must be at least 0, got -1"):
+            sample_examples(small_trace, -1, seed=0)
+
     @pytest.mark.parametrize("n,seed,banned", [(60, 1, 0), (25, 9, 30), (0, 2, 0), (400, 7, 150)])
     def test_matches_per_vehicle_reference(self, small_trace, default_trace, n, seed, banned):
         trace = default_trace if n > 60 else small_trace
@@ -374,14 +376,11 @@ def reference_sample(trace, n, seed, exclude):
 
 
 class TestSplitDisjoint:
-    """Train/test splits drawn with ``sample_examples(exclude_vehicles=...)``."""
+    """Train/test splits drawn with ``eval_pipeline.split_examples``."""
 
     @staticmethod
     def split(trace, n_train, n_test, seed):
-        train_ds = sample_examples(trace, n_train, seed)
-        test_ds = sample_examples(
-            trace, n_test, derive_seed(seed, 1), exclude_vehicles=train_ds.vehicle_ids
-        )
+        train_ds, (test_ds,) = split_examples(trace, n_train, (n_test,), seed)
         return train_ds, test_ds
 
     def test_full_partition(self, small_trace):
@@ -405,14 +404,3 @@ class TestSplitDisjoint:
 
     def test_determinism(self, small_trace):
         assert self.split(small_trace, 30, 20, seed=4) == self.split(small_trace, 30, 20, seed=4)
-
-    def test_generated_trace_provenance(self, small_trace):
-        train_ds, test_ds = self.split(small_trace, 10, 5, seed=1)
-        assert train_ds.provenance == test_ds.provenance == "generated"
-
-    def test_imported_trace_provenance(self, tmp_path, small_trace):
-        path = tmp_path / "t.csv"
-        write_trace_csv(small_trace, path)
-        imported = read_trace_csv(path)
-        ds = sample_examples(imported, 5, seed=1)
-        assert ds.provenance == "imported"

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from routesvm.dataset_io import Dataset, sample_examples
+from routesvm.dataset_io import Dataset, InsufficientVehiclesError, sample_examples
 from routesvm.eval_pipeline import (
     BoundaryLine,
     EmptyTestError,
@@ -15,6 +15,7 @@ from routesvm.eval_pipeline import (
     evaluate,
     format_report,
     report_to_csv,
+    split_examples,
     sweep_with_model,
     train_position_model,
 )
@@ -52,7 +53,7 @@ def linear_model(w, b) -> SvmModel:
 
 
 def dataset_of(examples) -> Dataset:
-    return Dataset(examples=tuple(examples), provenance="generated", seed=0)
+    return Dataset(examples=tuple(examples))
 
 
 class TestEvaluate:
@@ -131,16 +132,24 @@ class TestSweep:
         assert report.train_size == 30
 
     def test_test_sets_disjoint_from_training_vehicles(self, small_trace):
-        train_ds = sample_examples(small_trace, 30, 5)
+        train_ds, tests = split_examples(small_trace, 30, [5, 10, 20], 5)
+        assert train_ds == sample_examples(small_trace, 30, 5)
+        assert [len(t.examples) for t in tests] == [5, 10, 20]
+        for test in tests:
+            assert len(set(test.vehicle_ids)) == len(test.examples)
+            assert not set(test.vehicle_ids) & set(train_ds.vehicle_ids)
         model = train(list(train_ds.examples), KernelSpec.linear(), TrainConfig())
-        report = sweep_with_model(
-            model, small_trace, [10], 5, exclude_vehicles=train_ds.vehicle_ids
-        )
-        assert len(report.rows) == 1
+        report = sweep_with_model(model, tests, 30)
+        assert [r.test_size for r in report.rows] == [5, 10, 20]
+
+    @pytest.mark.parametrize("train_size, test_sizes", [(-1, [5]), (30, [0, 5]), (30, [5, -3])])
+    def test_sizes_below_range_rejected_before_drawing(self, small_trace, train_size,
+                                                       test_sizes):
+        # The vehicle count would also fail: the size check comes first.
+        with pytest.raises(ValueError, match="sizes? must be at least"):
+            split_examples(small_trace, train_size, test_sizes + [1000], 0)
 
     def test_insufficient_vehicles_propagates(self, small_trace):
-        from routesvm.dataset_io import InsufficientVehiclesError
-
         with pytest.raises(InsufficientVehiclesError):
             accuracy_sweep(small_trace, 55, [10], KernelSpec.linear(), TrainConfig(), seed=0)
 
@@ -156,7 +165,6 @@ class TestReportSerialization:
             mean_accuracy=None,
             boundary=None,
             train_size=0,
-            seed=0,
             convergence_flag=True,
         )
         path = tmp_path / "r.csv"
@@ -183,7 +191,7 @@ class TestReportSerialization:
     def test_empty_report_mean_flagged(self):
         report = EvaluationReport(
             rows=(), mean_accuracy=None, boundary=None,
-            train_size=10, seed=0, convergence_flag=True,
+            train_size=10, convergence_flag=True,
         )
         assert "undefined" in format_report(report)
 

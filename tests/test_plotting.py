@@ -15,7 +15,7 @@ def sign_of_y_model() -> SvmModel:
 
 
 def dataset_of(examples) -> Dataset:
-    return Dataset(examples=tuple(examples), provenance="generated", seed=0)
+    return Dataset(examples=tuple(examples))
 
 
 def rbf_model() -> SvmModel:
