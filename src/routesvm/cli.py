@@ -9,7 +9,6 @@ results and file paths go to standard output.
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -36,6 +35,7 @@ from .eval_pipeline import (
 from .plotting import PlotSpec, render_svg
 from .svm import (
     KERNEL_FAMILIES,
+    KERNEL_PARAMS,
     DimensionMismatchError,
     KernelSpec,
     ModelFormatError,
@@ -126,16 +126,19 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
+# Every kernel parameter and its type; each is a train flag.
+_KERNEL_FLAGS = {name: kind for params in KERNEL_PARAMS.values() for name, kind in params.items()}
+
+
 def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
     """The --kernel family's constructor, called with the kernel flags given;
-    a flag that constructor does not take is a usage error."""
-    make = getattr(KernelSpec, args.kernel)
-    given = {name: getattr(args, name) for name in ("gamma", "coef0", "degree")
+    a flag that family does not take is a usage error."""
+    given = {name: getattr(args, name) for name in _KERNEL_FLAGS
              if getattr(args, name) is not None}
     for name in given:
-        if name not in inspect.signature(make).parameters:
+        if name not in KERNEL_PARAMS[args.kernel]:
             raise _UsageError(f"--{name} does not apply to the {args.kernel} kernel")
-    return make(**given)
+    return getattr(KernelSpec, args.kernel)(**given)
 
 
 def parse_test_sizes(raw: str) -> list[int]:
@@ -270,11 +273,8 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--C", type=float, default=TrainConfig.C, help="soft-margin box constraint")
     parser.add_argument("--tol", type=float, default=TrainConfig.tol, help="KKT tolerance")
     parser.add_argument("--max-passes", type=int, default=TrainConfig.max_passes)
-    parser.add_argument("--gamma", type=float, default=None,
-                        help="kernel scale (default: 1/(d*var) of the standardized "
-                        "training features)")
-    parser.add_argument("--coef0", type=float, default=None)
-    parser.add_argument("--degree", type=int, default=None)
+    for name, kind in _KERNEL_FLAGS.items():
+        parser.add_argument(f"--{name}", type=kind)
     parser.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

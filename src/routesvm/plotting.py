@@ -39,8 +39,8 @@ class PlotSpec:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("plot dimensions must be positive")
         for name, rng in (("x_range", self.x_range), ("y_range", self.y_range)):
-            if rng is not None and not rng[0] < rng[1]:
-                raise ValueError(f"{name} must be a nonempty interval")
+            if rng is not None and not -np.inf < rng[0] < rng[1] < np.inf:
+                raise ValueError(f"{name} must be a finite, nonempty interval")
 
 
 def _auto_ranges(

@@ -50,7 +50,14 @@ __all__ = [
     "load_model",
 ]
 
-KERNEL_FAMILIES = ("linear", "polynomial", "rbf", "sigmoid")
+# Each kernel family's parameters and their types, in model-header order.
+KERNEL_PARAMS: dict[str, dict[str, type]] = {
+    "linear": {},
+    "polynomial": {"degree": int, "gamma": float, "coef0": float},
+    "rbf": {"gamma": float},
+    "sigmoid": {"gamma": float, "coef0": float},
+}
+KERNEL_FAMILIES = tuple(KERNEL_PARAMS)
 
 NORM_FLOOR = 1e-12
 
@@ -79,8 +86,8 @@ class ModelFormatError(ValueError):
 
 
 def _f17(v: float) -> str:
-    """Decimal text with 17 significant digits (exact float round-trip)."""
-    return format(float(v), ".17g")
+    """Decimal text with 17 significant digits (exact float round-trip); an int exactly."""
+    return str(v) if isinstance(v, int) else format(float(v), ".17g")
 
 
 @dataclass(frozen=True)
@@ -106,9 +113,10 @@ class KernelSpec:
     rbf:         K(a,b) = exp(-gamma*||a-b||^2)
     sigmoid:     K(a,b) = tanh(gamma*(a.b) + coef0)
 
-    ``gamma=None`` on a parametric family means "fill in the scale-aware
-    default at training time" (1 / (n_features * feature variance)); it must
-    be concrete before the kernel can be evaluated.
+    ``KERNEL_PARAMS`` lists the parameters each family takes; the others
+    stay ``None``.  ``gamma=None`` means "fill in the default at training
+    time", 1 / n_features; it must be concrete before the kernel can be
+    evaluated.
     """
 
     family: str
@@ -133,35 +141,25 @@ class KernelSpec:
         return cls("sigmoid", gamma=gamma, coef0=coef0)
 
     def validate(self) -> None:
-        if self.family not in KERNEL_FAMILIES:
+        if self.family not in KERNEL_PARAMS:
             raise UnsupportedKernelError(f"unknown kernel family {self.family!r}")
-        uses_gamma = self.family in ("polynomial", "rbf", "sigmoid")
-        uses_coef0 = self.family in ("polynomial", "sigmoid")
-        uses_degree = self.family == "polynomial"
-        if uses_gamma:
-            if self.gamma is None or not (self.gamma > 0):
-                raise ValueError(f"{self.family} kernel needs gamma > 0")
-        elif self.gamma is not None:
-            raise ValueError(f"{self.family} kernel takes no gamma")
-        if uses_coef0:
-            if self.coef0 is None:
-                raise ValueError(f"{self.family} kernel needs coef0")
-        elif self.coef0 is not None:
-            raise ValueError(f"{self.family} kernel takes no coef0")
-        if uses_degree:
-            if self.degree is None or self.degree < 1:
-                raise ValueError("polynomial kernel needs degree >= 1")
-        elif self.degree is not None:
-            raise ValueError(f"{self.family} kernel takes no degree")
+        params = KERNEL_PARAMS[self.family]
+        for name in ("degree", "gamma", "coef0"):
+            value, kind = getattr(self, name), params.get(name)
+            if kind is None:
+                if value is not None:
+                    raise ValueError(f"{self.family} kernel takes no {name}")
+            elif not (isinstance(value, (kind, int)) and -math.inf < value < math.inf):
+                raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}")
+        if "gamma" in params and not self.gamma > 0:
+            raise ValueError(f"{self.family} kernel needs gamma > 0")
+        if "degree" in params and self.degree < 1:
+            raise ValueError("polynomial kernel needs degree >= 1")
 
     def resolved(self, features: np.ndarray) -> "KernelSpec":
-        """Fill a missing gamma from the data scale: 1/(d * variance)."""
-        if self.family in ("polynomial", "rbf", "sigmoid") and self.gamma is None:
-            var = float(np.var(features))
-            if var <= 0.0:
-                var = 1.0
-            gamma = 1.0 / (features.shape[1] * var)
-            return KernelSpec(self.family, degree=self.degree, gamma=gamma, coef0=self.coef0)
+        """Fill a missing gamma with 1/d for d features."""
+        if "gamma" in KERNEL_PARAMS.get(self.family, ()) and self.gamma is None:
+            return replace(self, gamma=1.0 / features.shape[1])
         return self
 
 
@@ -417,7 +415,7 @@ class _Smo:
             f_up = np.where(up, f, -np.inf)
             i = int(np.argmax(f_up))
             gap = float(f_up[i] - np.min(np.where(low, f, np.inf)))
-            if gap <= self.tol or steps == max_passes * self.n:
+            if gap <= self.tol or steps >= max_passes * self.n:
                 break
             b = f[i] - f
             a = self.diag[i] + self.diag - 2.0 * self.k[i]
@@ -546,12 +544,7 @@ def model_to_text(model: SvmModel) -> str:
     """
     spec = model.kernel
     parts = [_MAGIC, _VERSION, f"family={spec.family}"]
-    if spec.degree is not None:
-        parts.append(f"degree={spec.degree}")
-    if spec.gamma is not None:
-        parts.append(f"gamma={_f17(spec.gamma)}")
-    if spec.coef0 is not None:
-        parts.append(f"coef0={_f17(spec.coef0)}")
+    parts.extend(f"{name}={_f17(getattr(spec, name))}" for name in KERNEL_PARAMS[spec.family])
     parts.append(f"bias={_f17(model.bias)}")
     parts.append(f"supports={len(model.support_examples)}")
     if model.scaler is not None:
@@ -584,11 +577,10 @@ def model_from_text(text: str) -> SvmModel:
         fields[key] = value
     try:
         family = fields.pop("family")
+        params = {name: kind(fields.pop(name))
+                  for name, kind in KERNEL_PARAMS.get(family, {}).items()}
         bias = float(fields.pop("bias"))
         count = int(fields.pop("supports"))
-        degree = int(fields.pop("degree")) if "degree" in fields else None
-        gamma = float(fields.pop("gamma")) if "gamma" in fields else None
-        coef0 = float(fields.pop("coef0")) if "coef0" in fields else None
         scaler = None
         if header[1] != "v1" and ("mean" in fields or "scale" in fields):
             scaler = Standardizer(
@@ -599,7 +591,7 @@ def model_from_text(text: str) -> SvmModel:
         raise ModelFormatError(f"bad model header: {exc}") from exc
     if fields:
         raise ModelFormatError(f"unknown header fields {sorted(fields)}")
-    spec = KernelSpec(family, degree=degree, gamma=gamma, coef0=coef0)
+    spec = KernelSpec(family, **params)
     try:
         spec.validate()
     except ValueError as exc:
@@ -621,6 +613,8 @@ def model_from_text(text: str) -> SvmModel:
             examples.append(LabeledExample(features=features, label=label))
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc
+    if not all(map(math.isfinite, (bias, *alphas))):
+        raise ModelFormatError("bias and alphas must be finite")
     if scaler is not None and not (
         {len(scaler.scale)} | {len(e.features) for e in examples} == {len(scaler.mean)}
         and all(map(math.isfinite, scaler.mean + scaler.scale))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import random
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -73,6 +73,9 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming the first field that is invalid."""
+        for f in fields(self):  # unlike math.isfinite, comparisons take ints past float range
+            if not all(-np.inf < v < np.inf for v in np.ravel(getattr(self, f.name))):
+                raise ConfigError(f.name, "must be finite")
         if self.num_vehicles < 1:
             raise ConfigError("num_vehicles", "must be >= 1")
         if self.num_steps < 1:

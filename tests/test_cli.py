@@ -61,6 +61,12 @@ class TestGenerate:
         cfg.write_text("vehicles = 10\n")
         assert main(["generate", "--config", str(cfg), "-o", str(tmp_path / "t.csv")]) == 2
 
+    def test_config_line_without_equals_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("num_vehicles = 10\nnum_steps 8\n")
+        assert main(["generate", "--config", str(cfg), "-o", str(tmp_path / "t.csv")]) == 2
+        assert "config: line 2: expected key=value, got 'num_steps 8'" in capsys.readouterr().err
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("num_vehicles = 15\nnum_steps = 8\n")
@@ -154,6 +160,23 @@ class TestScenarioFlags:
         config.write_text(f"{field} = abc\n")
         assert main(["generate", "--config", str(config), "-o", out]) == 2
         assert f"{field}: line 1: non-numeric value 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, field, bad", [
+        ("--junction-x", "junction_x", "nan"),
+        ("--spacing", "spawn_spacing", "inf"),
+        ("--lane-noise", "lane_noise", "inf"),
+        ("--ramp-end", "ramp_end", "260,nan"),
+        ("--speed-range", "speed_range", "1,inf"),
+    ])
+    def test_non_finite_value_exits_2_naming_field(self, tmp_path, capsys, flag, field, bad):
+        out = tmp_path / "t.csv"
+        assert main(["generate", "--vehicles=8", f"{flag}={bad}", "-o", str(out)]) == 2
+        assert f"{field}: must be finite" in capsys.readouterr().err
+        config = tmp_path / "bad.cfg"
+        config.write_text(f"num_vehicles = 8\n{field} = {bad}\n")
+        assert main(["generate", "--config", str(config), "-o", str(out)]) == 2
+        assert f"{field}: must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_utf8_config_exits_2(self, tmp_path, capsys):
         config = tmp_path / "bad.cfg"
@@ -259,6 +282,27 @@ class TestTrain:
         assert code == 3
         assert "not UTF-8 text" in capsys.readouterr().err
 
+    def test_route_label_outside_0_1_exits_3(self, trace_path, tmp_path, capsys):
+        lines = trace_path.read_text().splitlines()
+        fields = lines[1].split(",")
+        fields[5] = "2"
+        lines[1] = ",".join(fields)
+        trace_path.write_text("\n".join(lines) + "\n")
+        code = main(["train", str(trace_path), "--train-size", "30", "-o", str(tmp_path / "m.txt")])
+        assert code == 3
+        assert "line 2: route_label must be 0 or 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--C=-1", "C must be finite and > 0"),
+        ("--tol=0", "tol must be finite and > 0"),
+        ("--max-passes=0", "max_passes must be >= 1"),
+    ])
+    def test_bad_train_config_exits_2(self, trace_path, tmp_path, capsys, flag, message):
+        out = tmp_path / "m.txt"
+        assert main(["train", str(trace_path), "--train-size", "30", flag, "-o", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["train", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.txt")])
         assert code == 1
@@ -311,6 +355,19 @@ class TestSweep:
         assert code == 3
         assert "not UTF-8 text" in capsys.readouterr().err
 
+    def test_non_finite_model_bias_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model_path)]) == 0
+        text = model_path.read_text()
+        bias = text.split("bias=", 1)[1].split()[0]
+        model_path.write_text(text.replace(f"bias={bias}", "bias=nan", 1))
+        out = tmp_path / "r.csv"
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(out)])
+        assert code == 3
+        assert "bias and alphas must be finite" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["sweep", str(tmp_path / "nope.csv"), "--test-sizes", "10",
                      "-o", str(tmp_path / "r.csv")])
@@ -320,6 +377,17 @@ class TestSweep:
         code = main(["sweep", str(trace_path), "--test-sizes", "abc",
                      "-o", str(tmp_path / "r.csv")])
         assert code == 2
+
+    @pytest.mark.parametrize("sizes, message", [
+        ("10:5:1", "range needs stop >= start and step > 0"),
+        ("1:10:0", "range needs stop >= start and step > 0"),
+        ("1:2", "range needs start:stop:step"),
+    ])
+    def test_bad_test_size_range_exits_2(self, trace_path, tmp_path, capsys, sizes, message):
+        out = tmp_path / "r.csv"
+        assert main(["sweep", str(trace_path), "--test-sizes", sizes, "-o", str(out)]) == 2
+        assert f"bad --test-sizes value {sizes!r}: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("sizes", ["--test-sizes=0,10", "--test-sizes=-5,10"])
     @pytest.mark.parametrize("model", [False, True], ids=["train", "model"])
@@ -379,6 +447,21 @@ class TestPlot:
         assert main(flags + ["-o", str(a)]) == 0
         assert main(flags + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("flag, message", [
+        ("--x-range=0:inf", "x_range must be a finite, nonempty interval"),
+        ("--y-range=-inf:0", "y_range must be a finite, nonempty interval"),
+        ("--x-range=a:b", "could not convert string to float: 'a'"),
+        ("--x-range=1", "--x-range needs low:high"),
+    ])
+    def test_bad_axis_range_exits_2(self, model_path, data_path, tmp_path, capsys, flag,
+                                    message):
+        out = tmp_path / "plot.svg"
+        code = main(["plot", "--model", str(model_path), "--data", str(data_path), flag,
+                     "-o", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
     def test_shading_nonlinear_exits_2(self, trace_path, tmp_path, capsys):
         model_path = tmp_path / "rbf.txt"

@@ -45,6 +45,17 @@ def bias_only_model(bias: float) -> SvmModel:
     return SvmModel(kernel=KernelSpec.linear(), support_examples=(), alphas=(), bias=bias)
 
 
+class TestLabeledExample:
+    @pytest.mark.parametrize("features, label, message", [
+        ((0.0, 1.0), 0, "label must be +1 or -1, got 0"),
+        ((math.nan, 1.0), 1, "features must be finite"),
+    ])
+    def test_bad_label_or_feature_raises(self, features, label, message):
+        with pytest.raises(ValueError) as exc_info:
+            LabeledExample(features, label)
+        assert str(exc_info.value) == message
+
+
 class TestKernels:
     def test_linear_dot_product(self):
         assert kernel_eval(KernelSpec.linear(), (1, 2), (3, 4)) == 11.0
@@ -93,6 +104,9 @@ class TestKernels:
             KernelSpec("polynomial", degree=0, gamma=1.0, coef0=0.0),
             KernelSpec("sigmoid", gamma=1.0, coef0=0.0, degree=2),
             KernelSpec("quadratic"),
+            KernelSpec("rbf", gamma=math.inf),
+            KernelSpec("sigmoid", gamma=1.0, coef0=math.nan),
+            KernelSpec("polynomial", degree=2.5, gamma=1.0, coef0=0.0),
         ],
     )
     def test_parameters_present_exactly_per_family(self, spec):
@@ -291,12 +305,35 @@ class TestSerialization:
             "routesvm-model v1 family=linear bias=zz supports=0\n",
             "routesvm-model v1 family=linear bias=0 supports=1\n1.0 1\n",
             "routesvm-model v1 family=linear bias=0 supports=0 extra=1\n",
+            "routesvm-model v2 family=linear bias=nan supports=0\n",
+            "routesvm-model v2 family=linear bias=0 supports=1\nnan 1 0 0\n",
+            "routesvm-model v2 family=rbf gamma=inf bias=0 supports=0\n",
+            "routesvm-model v2 family=sigmoid gamma=1 coef0=nan bias=0 supports=0\n",
             BAD_LINE_AFTER_BLANK,
         ],
     )
     def test_malformed_model_text(self, text):
         with pytest.raises(ModelFormatError):
             model_from_text(text)
+
+    @pytest.mark.parametrize("header, message", [
+        ("family=rbf bias=0", "bad model header: 'gamma'"),
+        ("family=rbf degree=2 gamma=1 bias=0", "unknown header fields ['degree']"),
+    ])
+    def test_bad_header_messages(self, header, message):
+        with pytest.raises(ModelFormatError) as exc_info:
+            model_from_text(f"routesvm-model v2 {header} supports=0\n")
+        assert str(exc_info.value) == message
+
+    def test_header_writes_the_family_parameters_in_table_order(self):
+        model = SvmModel(KernelSpec.polynomial(degree=3, gamma=0.5, coef0=0.0), (), (), 1.0)
+        assert model_to_text(model) == (
+            "routesvm-model v2 family=polynomial degree=3 gamma=0.5 coef0=0 bias=1 supports=0\n"
+        )
+
+    def test_large_degree_round_trips(self):
+        model = SvmModel(KernelSpec.polynomial(degree=10**20, gamma=0.5), (), (), 1.0)
+        assert model_from_text(model_to_text(model)) == model
 
     def test_bad_support_line_is_named_by_its_file_line(self):
         with pytest.raises(ModelFormatError, match="^line 4: "):

@@ -68,8 +68,14 @@ class TestTrainBasics:
 
     def test_gamma_default_resolved_at_training(self):
         model = train(TWO_POINTS, KernelSpec.rbf())
-        xs = np.array([e.features for e in TWO_POINTS])
-        assert model.kernel.gamma == pytest.approx(1.0 / (2 * float(np.var(xs))))
+        assert model.kernel.gamma == 1.0 / len(TWO_POINTS[0].features)
+
+    def test_fractional_max_passes_caps_odd_n(self):
+        # 41 examples: the cap is 61.5 steps, which a step count never equals.
+        data = random_overlapping_examples(random.Random(0), 41)
+        model = train(data, KernelSpec.linear(), TrainConfig(C=100.0, max_passes=1.5))
+        assert model.summary.passes == 2
+        assert model.summary.converged is False
 
     def test_determinism(self):
         rng = random.Random(31)
