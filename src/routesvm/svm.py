@@ -16,6 +16,7 @@ linear, polynomial, rbf, sigmoid.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
@@ -149,8 +150,9 @@ class KernelSpec:
             if kind is None:
                 if value is not None:
                     raise ValueError(f"{self.family} kernel takes no {name}")
-            elif not (isinstance(value, (kind, int)) and -math.inf < value < math.inf):
-                raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}")
+            elif not (isinstance(value, (kind, int)) and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}"
+                                 " within float64 range")
         if "gamma" in params and not self.gamma > 0:
             raise ValueError(f"{self.family} kernel needs gamma > 0")
         if "degree" in params and self.degree < 1:
@@ -305,6 +307,10 @@ def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
         xs = xs[None, :]
     if not model.support_examples:
         return np.full(xs.shape[0], model.bias)
+    if xs.shape[1] != model._support_matrix.shape[1]:
+        raise DimensionMismatchError(
+            f"model has {model._support_matrix.shape[1]} features, data has {xs.shape[1]}"
+        )
     if model.scaler is not None:
         xs = model.scaler.transform(xs)
     k = kernel_matrix(model.kernel, model._support_matrix, xs)
@@ -415,7 +421,7 @@ class _Smo:
             f_up = np.where(up, f, -np.inf)
             i = int(np.argmax(f_up))
             gap = float(f_up[i] - np.min(np.where(low, f, np.inf)))
-            if gap <= self.tol or steps >= max_passes * self.n:
+            if not gap > self.tol or steps >= max_passes * self.n:  # a nan gap stops too
                 break
             b = f[i] - f
             a = self.diag[i] + self.diag - 2.0 * self.k[i]
@@ -494,9 +500,10 @@ def train(
     the violation gap m(alpha) - M(alpha) is at most ``cfg.tol`` or after
     ``cfg.max_passes`` passes of n pair steps each.  ``summary.converged`` is
     True only when the gap certificate held and the final KKT case split
-    finds no violation; non-convergence is reported there, not raised.
-    ``cfg.rng_seed`` has no effect.  Examples with zero dual coefficient are
-    dropped from the model.
+    finds no violation; non-convergence is reported there, not raised.  A
+    kernel that overflows on the data leaves a non-finite bias or alpha, and
+    that raises ValueError.  ``cfg.rng_seed`` has no effect.  Examples with
+    zero dual coefficient are dropped from the model.
     """
     cfg.validate()
     if not data:
@@ -516,6 +523,8 @@ def train(
 
     smo = _Smo(gram, ys, cfg)
     summary = smo.run(cfg.max_passes)
+    if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
+        raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
     keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
     return SvmModel(
         kernel=kernel,
@@ -615,6 +624,8 @@ def model_from_text(text: str) -> SvmModel:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc
     if not all(map(math.isfinite, (bias, *alphas))):
         raise ModelFormatError("bias and alphas must be finite")
+    if min(alphas, default=0.0) < 0.0:
+        raise ModelFormatError("alphas must be >= 0")
     if scaler is not None and not (
         {len(scaler.scale)} | {len(e.features) for e in examples} == {len(scaler.mean)}
         and all(map(math.isfinite, scaler.mean + scaler.scale))

@@ -11,9 +11,11 @@ x, y, speed, route_label) in one structured array, plus the sorted table of
 vehicle ids the index points into.  :func:`make_trace` is the one place that
 builds a trace from columns; the simulator and both file readers use it.
 
-All randomness comes from a single ``random.Random`` stream consumed in a
-documented order, so a given ``ScenarioConfig`` always produces a
-bit-identical trace on every platform.
+All randomness comes from one ``random.Random(rng_seed)`` stream, drawn in
+this order: per vehicle, in index order, a route draw, a lane draw, a speed
+draw, then one y-jitter draw per time step.  Positions are elementwise
+float64 arithmetic in a fixed order, so a given ``ScenarioConfig`` always
+produces a bit-identical trace on every platform.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "ConfigError",
@@ -161,76 +164,52 @@ def make_trace(
     return Trace(points, tuple(vehicle_ids[i] for i in id_order), config)
 
 
-def _ramp_y(config: ScenarioConfig, lane_y: float, x: float) -> float:
-    """Off-ramp ordinate at abscissa ``x``.
-
-    Cubic Hermite blend from (junction_x, lane_y) to ramp_end with zero slope
-    at both ends; flat at the ramp level beyond ramp_end.
-    """
-    x0 = config.junction_x
-    x1, y1 = config.ramp_end
-    if x <= x0:
-        return lane_y
-    if x >= x1:
-        return y1
-    s = (x - x0) / (x1 - x0)
-    return lane_y + (y1 - lane_y) * (3.0 * s * s - 2.0 * s ** 3)
-
-
 def vehicle_position(
-    config: ScenarioConfig,
-    route: int,
-    lane_index: int,
-    speed: float,
-    step: int,
-    spawn_x: float = 0.0,
-) -> tuple[float, float]:
+    config: ScenarioConfig, route: ArrayLike, lane_index: ArrayLike, speed: ArrayLike,
+    step: ArrayLike, spawn_x: ArrayLike = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free position of a vehicle at ``step``.
 
     x advances by ``speed`` per step from ``spawn_x``.  Route 0 keeps the
-    spawn lane ordinate forever; route 1 follows the lane until the junction,
-    then the smooth ramp path down to the ramp level.  Pure function of its
-    arguments.
+    lane ordinate forever; route 1 follows the lane until the junction, then
+    a cubic Hermite blend with zero slope at both ends down to ``ramp_end``,
+    and stays flat at the ramp level beyond it.  The arguments broadcast
+    together, so one call places a whole fleet; scalar arguments give 0-d
+    results.  Pure function of its arguments.
     """
-    x = spawn_x + speed * step
-    lane_y = config.lane_y[lane_index]
-    if route == 0:
-        return x, lane_y
-    return x, _ramp_y(config, lane_y, x)
+    x = spawn_x + speed * np.asarray(step)
+    lane_y = np.asarray(config.lane_y, dtype=float)[lane_index]
+    x0 = config.junction_x
+    x1, y1 = config.ramp_end
+    s = (x - x0) / (x1 - x0)  # float_power is C pow, as Python's s ** 3; numpy's ** is not
+    ramp_y = np.where(x <= x0, lane_y, np.where(
+        x >= x1, y1, lane_y + (y1 - lane_y) * (3.0 * s * s - 2.0 * np.float_power(s, 3))))
+    return x, np.where(np.asarray(route) == 0, lane_y, ramp_y)
 
 
 def generate_trace(config: ScenarioConfig) -> Trace:
     """Simulate the configured scenario and return its labeled trace.
 
-    Per vehicle, in index order (vehicle ``i`` is ``v{i:04d}``), the seeded
-    stream is consumed as: route draw, lane draw, speed draw, then one
-    y-jitter draw per time step.  Identical configs (including seed)
-    therefore yield bit-identical traces.
+    Vehicle ``i`` is ``v{i:04d}``; row ``i`` of the draws holds its route,
+    lane and speed draws, then its y-jitter draws, in stream order.
 
     Raises :class:`ConfigError` for configs violating invariants.
     """
     config.validate()
     rng = random.Random(config.rng_seed)
-    lo, hi = config.speed_range
-    noise = config.lane_noise
     n, steps = config.num_vehicles, config.num_steps
-    routes, speeds, xs, ys = [], [], [], []
-    for i in range(n):
-        route = 1 if rng.random() < config.route2_probability else 0
-        lane_index = min(int(rng.random() * LANE_COUNT), LANE_COUNT - 1)
-        speed = lo + (hi - lo) * rng.random()
-        spawn_x = config.spawn_spacing * i
-        routes.append(route)
-        speeds.append(speed)
-        for step in range(steps):
-            x, y = vehicle_position(config, route, lane_index, speed, step, spawn_x)
-            xs.append(x)
-            ys.append(y + (2.0 * rng.random() - 1.0) * noise)
+    u = np.fromiter(iter(rng.random, None), float, count=n * (3 + steps)).reshape(n, -1)
+    lo, hi = config.speed_range
+    routes = (u[:, :1] < config.route2_probability).astype(np.int8)  # (n, 1) columns
+    lanes = np.minimum((u[:, 1:2] * LANE_COUNT).astype(np.int64), LANE_COUNT - 1)
+    speeds = lo + (hi - lo) * u[:, 2:3]
+    spawn_x = config.spawn_spacing * np.arange(n)[:, None]
+    x, y = vehicle_position(config, routes, lanes, speeds, np.arange(steps), spawn_x)
     columns = {
         "step": np.tile(np.arange(steps), n),
         "vehicle": np.repeat(np.arange(n), steps),
-        "x": xs,
-        "y": ys,
+        "x": x.ravel(),
+        "y": (y + (2.0 * u[:, 3:] - 1.0) * config.lane_noise).ravel(),
         "speed": np.repeat(speeds, steps),
         "route_label": np.repeat(routes, steps),
     }

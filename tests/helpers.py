@@ -9,7 +9,7 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
-from routesvm.traffic_sim import Trace, make_trace
+from routesvm.traffic_sim import LANE_COUNT, ScenarioConfig, Trace, make_trace
 
 
 def hard_margin_oracle(points, labels):
@@ -111,6 +111,34 @@ def random_linear_model(rng: random.Random, max_supports: int = 5) -> SvmModel:
         alphas=alphas,
         bias=rng.uniform(-2, 2),
     )
+
+
+def reference_trace(config: ScenarioConfig) -> Trace:
+    """The simulator as a scalar loop, one point at a time: an oracle for
+    ``generate_trace``, which must match it bit for bit."""
+    config.validate()
+    rng = random.Random(config.rng_seed)
+    lo, hi = config.speed_range
+    x0 = config.junction_x
+    x1, y1 = config.ramp_end
+    columns = {name: [] for name in ("step", "vehicle", "x", "y", "speed", "route_label")}
+    for i in range(config.num_vehicles):
+        route = 1 if rng.random() < config.route2_probability else 0
+        lane_y = config.lane_y[min(int(rng.random() * LANE_COUNT), LANE_COUNT - 1)]
+        speed = lo + (hi - lo) * rng.random()
+        for step in range(config.num_steps):
+            x = config.spawn_spacing * i + speed * step
+            y = lane_y
+            if route == 1 and x >= x1:
+                y = y1
+            elif route == 1 and x > x0:
+                s = (x - x0) / (x1 - x0)
+                y = lane_y + (y1 - lane_y) * (3.0 * s * s - 2.0 * s ** 3)
+            row = (step, i, x, y + (2.0 * rng.random() - 1.0) * config.lane_noise, speed, route)
+            for column, value in zip(columns.values(), row):
+                column.append(value)
+    ids = [f"v{i:04d}" for i in range(config.num_vehicles)]
+    return make_trace(columns, ids, config)
 
 
 def trace_from_rows(rows) -> Trace:

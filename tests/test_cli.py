@@ -6,6 +6,13 @@ from routesvm.svm import load_model
 from routesvm.traffic_sim import ScenarioConfig, generate_trace
 
 
+# A linear model over three features, with a scaler.
+THREE_FEATURE_MODEL = (
+    "routesvm-model v2 family=linear bias=0 supports=2 mean=0,0,0 scale=1,1,1\n"
+    "1 1 1 0 0\n1 -1 0 1 0\n"
+)
+
+
 @pytest.fixture()
 def trace_path(tmp_path, small_trace):
     path = tmp_path / "trace.csv"
@@ -203,6 +210,27 @@ class TestKernelFlags:
         assert f"--{flag}" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("degree, message", [
+        (10**20, "non-finite bias or alpha"),
+        (int("1" * 401), "needs a finite int degree within float64 range"),
+    ])
+    def test_overflowing_degree_exits_2(self, trace_path, tmp_path, capsys, degree, message):
+        out = tmp_path / "m.txt"
+        code = main(["train", str(trace_path), "--train-size", "30", "--kernel", "polynomial",
+                     "--degree", str(degree), "-o", str(out)])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_overflowing_degree_in_a_model_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "m.txt"
+        model_path.write_text(f"routesvm-model v2 family=polynomial degree={'1' * 401} gamma=1"
+                              " coef0=0 bias=0 supports=0\n")
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert "within float64 range" in capsys.readouterr().err
+
     @pytest.mark.parametrize("family, degree", [("polynomial", 3), ("sigmoid", None)])
     def test_constructor_defaults_are_saved(self, trace_path, tmp_path, family, degree):
         out = tmp_path / "m.txt"
@@ -368,6 +396,28 @@ class TestSweep:
         assert "bias and alphas must be finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_negative_model_alpha_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model_path)]) == 0
+        header, first, *rest = model_path.read_text().splitlines(keepends=True)
+        model_path.write_text("".join([header, "-5 " + first.split(" ", 1)[1], *rest]))
+        out = tmp_path / "r.csv"
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(out)])
+        assert code == 3
+        assert "alphas must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_model_wider_than_the_data_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(THREE_FEATURE_MODEL)
+        out = tmp_path / "r.csv"
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(out)])
+        assert code == 3
+        assert "model has 3 features, data has 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["sweep", str(tmp_path / "nope.csv"), "--test-sizes", "10",
                      "-o", str(tmp_path / "r.csv")])
@@ -434,6 +484,16 @@ class TestPlot:
         text = out.read_text()
         assert text.startswith("<svg")
         assert "<polygon" in text
+
+    def test_model_wider_than_the_data_exits_3(self, data_path, tmp_path, capsys):
+        model_path = tmp_path / "wide.txt"
+        model_path.write_text(THREE_FEATURE_MODEL)
+        out = tmp_path / "plot.svg"
+        code = main(["plot", "--model", str(model_path), "--data", str(data_path),
+                     "--no-regions", "-o", str(out)])
+        assert code == 3
+        assert "model has 3 features, data has 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_plot_empty_dataset(self, model_path, tmp_path):
         out = tmp_path / "plot.svg"

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -107,6 +108,8 @@ class TestKernels:
             KernelSpec("rbf", gamma=math.inf),
             KernelSpec("sigmoid", gamma=1.0, coef0=math.nan),
             KernelSpec("polynomial", degree=2.5, gamma=1.0, coef0=0.0),
+            KernelSpec("polynomial", degree=2**1024, gamma=1.0, coef0=0.0),
+            KernelSpec("sigmoid", gamma=1.0, coef0=-(10**400)),
         ],
     )
     def test_parameters_present_exactly_per_family(self, spec):
@@ -128,6 +131,12 @@ class TestDecisionAndClassify:
         assert classify(bias_only_model(2.3), (0, 0)) == 1
         assert classify(bias_only_model(-0.1), (0, 0)) == -1
         assert classify(bias_only_model(0.0), (0, 0)) == 1
+
+    def test_width_mismatch_raises_before_the_scaler(self):
+        model = replace(single_support_model(features=(0.0, 1.0, 2.0)),
+                        scaler=Standardizer((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
+        with pytest.raises(DimensionMismatchError, match="^model has 3 features, data has 2$"):
+            decision_values(model, np.zeros((10, 2)))
 
     def test_classify_consistent_with_decision_on_grid(self):
         rng = random.Random(11)
@@ -307,6 +316,9 @@ class TestSerialization:
             "routesvm-model v1 family=linear bias=0 supports=0 extra=1\n",
             "routesvm-model v2 family=linear bias=nan supports=0\n",
             "routesvm-model v2 family=linear bias=0 supports=1\nnan 1 0 0\n",
+            "routesvm-model v2 family=linear bias=0 supports=1\n-5 1 0 0\n",
+            f"routesvm-model v2 family=polynomial degree={'1' * 401} gamma=1 coef0=0"
+            " bias=0 supports=0\n",
             "routesvm-model v2 family=rbf gamma=inf bias=0 supports=0\n",
             "routesvm-model v2 family=sigmoid gamma=1 coef0=nan bias=0 supports=0\n",
             BAD_LINE_AFTER_BLANK,

@@ -1,4 +1,5 @@
-"""Property tests for the trace readers and writer (needs ``hypothesis``)."""
+"""Property tests for the simulator and the trace readers and writer (needs
+``hypothesis``)."""
 
 from xml.sax.saxutils import quoteattr
 
@@ -16,9 +17,9 @@ from routesvm.dataset_io import (
     read_trace_csv,
     write_trace_csv,
 )
-from routesvm.traffic_sim import Trace
+from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace
 
-from helpers import label_table_of, trace_from_rows, write_fcd_xml
+from helpers import label_table_of, reference_trace, trace_from_rows, write_fcd_xml
 
 SETTINGS = settings(max_examples=200, deadline=None, database=None)
 
@@ -49,6 +50,36 @@ def traces(draw, ids=VEHICLE_IDS) -> Trace:
         for step in draw(st.lists(STEPS, unique=True, min_size=1, max_size=4)):
             rows.append((step, vid, draw(FLOATS), draw(FLOATS), draw(FLOATS), label))
     return trace_from_rows(draw(st.permutations(rows)))
+
+
+@st.composite
+def scenarios(draw) -> ScenarioConfig:
+    """Valid scenario configs, small enough to simulate point by point."""
+    coord = st.floats(-1e3, 1e3, allow_subnormal=False)
+    lane_y = sorted(draw(st.lists(coord, min_size=3, max_size=3, unique=True)), reverse=True)
+    junction_x = draw(coord)
+    ramp_x = junction_x + draw(st.floats(1e-3, 500.0))
+    low = draw(st.floats(1e-3, 10.0))
+    return ScenarioConfig(
+        num_vehicles=draw(st.integers(1, 12)),
+        num_steps=draw(st.integers(1, 40)),
+        lane_y=tuple(lane_y),
+        junction_x=junction_x,
+        ramp_end=(ramp_x, lane_y[2] - draw(st.floats(1e-3, 50.0))),
+        speed_range=(low, low + draw(st.floats(0.0, 10.0))),
+        route2_probability=draw(st.floats(0.0, 1.0)),
+        spawn_spacing=draw(st.floats(1e-3, 50.0)),
+        lane_noise=draw(st.floats(0.0, 2.0)),
+        rng_seed=draw(st.integers(0, 2**64)),
+    )
+
+
+@SETTINGS
+@given(config=scenarios())
+def test_generate_trace_matches_the_scalar_reference(config):
+    trace, reference = generate_trace(config), reference_trace(config)
+    assert trace.vehicle_ids == reference.vehicle_ids
+    assert trace.points.tobytes() == reference.points.tobytes()
 
 
 @SETTINGS

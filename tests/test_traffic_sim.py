@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from routesvm.dataset_io import write_trace_csv
 from routesvm.traffic_sim import (
     ConfigError,
     ScenarioConfig,
@@ -84,6 +86,23 @@ class TestVehiclePosition:
                 assert y <= prev_y + 1e-12
             prev_y = y
 
+    def test_scalar_arguments_give_0d_results(self):
+        x, y = vehicle_position(ScenarioConfig(), 1, 0, 2.5, 90)
+        assert np.ndim(x) == np.ndim(y) == 0
+
+    def test_arguments_broadcast_to_the_per_vehicle_values(self):
+        cfg = ScenarioConfig()
+        routes, lanes = np.array([[0], [1], [1]]), np.array([[2], [0], [1]])
+        speeds, spawn = np.array([[1.5], [2.0], [3.0]]), np.array([[0.0], [150.0], [190.0]])
+        steps = np.arange(40)
+        x, y = vehicle_position(cfg, routes, lanes, speeds, steps, spawn)
+        assert x.shape == y.shape == (3, 40)
+        for v in range(3):
+            for t in steps.tolist():
+                one = vehicle_position(cfg, int(routes[v, 0]), int(lanes[v, 0]),
+                                       float(speeds[v, 0]), t, float(spawn[v, 0]))
+                assert (x[v, t], y[v, t]) == one
+
     def test_x_strictly_increasing(self):
         cfg = ScenarioConfig()
         for route in (0, 1):
@@ -112,6 +131,16 @@ class TestGenerateTrace:
     def test_determinism(self):
         cfg = config_with(rng_seed=99)
         assert generate_trace(cfg) == generate_trace(cfg)
+
+    @pytest.mark.parametrize("seed, digest", [
+        (7, "74edcf8d646f805939cab1d11d73059032ee2bb32547ae0bf979e158046631c6"),
+        (11, "9d1b92bf82e5dc39a3a9fdad2cb0908470cfdc02a92469ef8f0fee6c030ca05e"),
+        (23, "3e49271f32934f1cb8b8a10fae50c693ad64330cfba288444ec062880a9036e1"),
+    ])
+    def test_default_trace_bytes_are_pinned(self, tmp_path, seed, digest):
+        path = tmp_path / "trace.csv"
+        write_trace_csv(generate_trace(ScenarioConfig(rng_seed=seed)), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_points_sorted_and_unique(self):
         trace = generate_trace(config_with(num_vehicles=7, num_steps=9))

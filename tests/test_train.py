@@ -66,6 +66,11 @@ class TestTrainBasics:
             train([LabeledExample((0.0,), 1), LabeledExample((1.0, 1.0), -1)],
                   KernelSpec.linear())
 
+    def test_kernel_overflow_raises_instead_of_a_nan_model(self):
+        data = random_overlapping_examples(random.Random(0), 20)
+        with pytest.raises(ValueError, match="non-finite bias or alpha"):
+            train(data, KernelSpec.polynomial(degree=10**20, gamma=0.5))
+
     def test_gamma_default_resolved_at_training(self):
         model = train(TWO_POINTS, KernelSpec.rbf())
         assert model.kernel.gamma == 1.0 / len(TWO_POINTS[0].features)
