@@ -1,9 +1,9 @@
 """Command-line surface: generate traces, train, sweep, plot, reproduce.
 
 Exit codes are stable across subcommands: 0 success, 1 I/O failure, 2 bad
-usage or configuration, 3 data error (single-class training data, malformed
-input files, insufficient vehicles).  Diagnostics go to standard error;
-results and file paths go to standard output.
+usage or configuration, 3 data error (``svm.DataError``: single-class training
+data, malformed input files, insufficient vehicles).  Diagnostics go to
+standard error; results and file paths go to standard output.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from pathlib import Path
 
 from .dataset_io import (
     Dataset,
-    InsufficientVehiclesError,
-    TraceFormatError,
     read_examples_csv,
     read_trace_csv,
     write_examples_csv,
@@ -36,10 +34,8 @@ from .plotting import PlotSpec, render_svg
 from .svm import (
     KERNEL_FAMILIES,
     KERNEL_PARAMS,
-    DimensionMismatchError,
+    DataError,
     KernelSpec,
-    ModelFormatError,
-    SingleClassError,
     TrainConfig,
     load_model,
     save_model,
@@ -213,7 +209,6 @@ def _plot_spec_from_args(args: argparse.Namespace) -> PlotSpec:
     kwargs: dict = {
         "width": args.width,
         "height": args.height,
-        "shade_regions": not args.no_regions,
     }
     for name, raw in (("x_range", args.x_range), ("y_range", args.y_range)):
         if raw is not None:
@@ -311,13 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True, help="report CSV path")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("plot", help="render decision regions and scatter to SVG")
+    p = sub.add_parser("plot", help="render the scatter, and a linear model's regions, to SVG")
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None, help="examples CSV (x,y,label)")
     p.add_argument("--width", type=int, default=PlotSpec.width)
     p.add_argument("--height", type=int, default=PlotSpec.height)
-    p.add_argument("--no-regions", action="store_true",
-                   help="scatter only (required for nonlinear kernels)")
     p.add_argument("--x-range", default=None, help="low:high")
     p.add_argument("--y-range", default=None, help="low:high")
     p.add_argument("-o", "--output", required=True, help="SVG output path")
@@ -345,13 +338,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.func(args)
-    except (
-        SingleClassError,
-        InsufficientVehiclesError,
-        TraceFormatError,
-        ModelFormatError,
-        DimensionMismatchError,
-    ) as exc:
+    except DataError as exc:
         _err(str(exc))
         return 3
     except OSError as exc:

@@ -39,7 +39,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .svm import LabeledExample
+from .svm import DataError, LabeledExample
 from .traffic_sim import POINT_DTYPE, Trace, make_trace
 
 __all__ = [
@@ -73,11 +73,11 @@ _CHUNK = 1 << 16  # rows formatted per batch by write_trace_csv
 _STEP_MIN, _STEP_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
-class TraceFormatError(ValueError):
+class TraceFormatError(DataError):
     """A trace/label/example file does not match its documented format."""
 
 
-class InsufficientVehiclesError(ValueError):
+class InsufficientVehiclesError(DataError):
     pass
 
 
@@ -175,8 +175,7 @@ def write_trace_csv(trace: Trace, destination: str | Path) -> None:
 def read_trace_csv(source: str | Path) -> Trace:
     """Inverse of :func:`write_trace_csv`; rows are re-sorted into canonical
     (step, vehicle_id) order and validated as the module docstring says.  The
-    returned trace carries no scenario config.  The file is read line by line;
-    no copy of its text is held.
+    file is read line by line; no copy of its text is held.
     """
     ids: dict[str, int] = {}
     cols: tuple[list, ...] = tuple([] for _ in _FIELDS)

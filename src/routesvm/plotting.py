@@ -6,13 +6,14 @@ timestamps, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dataset_io import Dataset
 from .eval_pipeline import BoundaryLine, VerticalBoundary, boundary_report
-from .svm import SvmModel, UnsupportedKernelError, classify, decision_values
+from .svm import SvmModel, classify, decision_values
 
 __all__ = ["PlotSpec", "render_svg"]
 
@@ -27,19 +28,20 @@ _POINT_RADIUS = 3.0
 
 @dataclass(frozen=True)
 class PlotSpec:
-    """Figure layout: canvas size, region shading, axis ranges."""
+    """Figure layout: canvas size and axis ranges."""
 
     width: int = 640
     height: int = 480
-    shade_regions: bool = True
     x_range: tuple[float, float] | None = None
     y_range: tuple[float, float] | None = None
 
     def validate(self) -> None:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("plot dimensions must be positive")
+        if not (self.width <= sys.float_info.max and self.height <= sys.float_info.max):
+            raise ValueError("plot dimensions must be within float64 range")
         for name, rng in (("x_range", self.x_range), ("y_range", self.y_range)):
-            if rng is not None and not -np.inf < rng[0] < rng[1] < np.inf:
+            if rng is not None and not -sys.float_info.max <= rng[0] < rng[1] <= sys.float_info.max:
                 raise ValueError(f"{name} must be a finite, nonempty interval")
 
 
@@ -119,15 +121,12 @@ class _Canvas:
 def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -> str:
     """Render decision regions, boundary, and scatter to SVG text.
 
-    Region shading needs a linear-kernel model (the regions are half-planes);
-    scatter-only rendering works with any kernel.  Misclassified points get a
-    ring marker (class ``miss``).
+    The regions and the boundary are drawn when :func:`boundary_report` gives
+    the model a boundary line (a linear kernel: the regions are half-planes);
+    for any other kernel the figure is the scatter alone.  Misclassified
+    points get a ring marker (class ``miss``).
     """
     spec.validate()
-    if spec.shade_regions and model.kernel.family != "linear":
-        raise UnsupportedKernelError(
-            "region shading needs a linear kernel; rerun without shading"
-        )
     boundary = boundary_report(model)
     x_auto, y_auto = _auto_ranges(dataset, boundary)
     canvas = _Canvas(spec, spec.x_range or x_auto, spec.y_range or y_auto)
@@ -152,7 +151,7 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
         (canvas.x_hi, canvas.y_hi),
         (canvas.x_lo, canvas.y_hi),
     ]
-    if spec.shade_regions and boundary is not None:
+    if boundary is not None:
         for sign in (1.0, -1.0):
             region = _clip_halfplane(corners, _boundary_edge(boundary, sign))
             if len(region) < 3:
@@ -162,8 +161,6 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
             cls = "region-pos" if classify(model, (cx, cy)) == 1 else "region-neg"
             coords = " ".join(canvas.point(x, y) for x, y in region)
             parts.append(f'<polygon class="{cls}" points="{coords}"/>')
-
-    if boundary is not None:
         if isinstance(boundary, BoundaryLine):
             p1 = (canvas.x_lo, boundary.slope * canvas.x_lo + boundary.intercept)
             p2 = (canvas.x_hi, boundary.slope * canvas.x_hi + boundary.intercept)

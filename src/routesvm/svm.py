@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 __all__ = [
+    "DataError",
     "DimensionMismatchError",
     "SingleClassError",
     "UnsupportedKernelError",
@@ -66,11 +67,16 @@ NORM_FLOOR = 1e-12
 TAU = 1e-12
 
 
-class DimensionMismatchError(ValueError):
+class DataError(ValueError):
+    """Input data is unusable: the CLI's exit code 3.  The package's
+    data-error classes subclass it."""
+
+
+class DimensionMismatchError(DataError):
     pass
 
 
-class SingleClassError(ValueError):
+class SingleClassError(DataError):
     pass
 
 
@@ -82,7 +88,7 @@ class ZeroNormError(ValueError):
     pass
 
 
-class ModelFormatError(ValueError):
+class ModelFormatError(DataError):
     pass
 
 
@@ -101,7 +107,7 @@ class LabeledExample:
     def __post_init__(self):
         if self.label not in (1, -1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
-        if not all(math.isfinite(f) for f in self.features):
+        if not all(abs(f) <= sys.float_info.max for f in self.features):
             raise ValueError("features must be finite")
 
 
@@ -225,11 +231,11 @@ class TrainConfig:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if not (math.isfinite(self.C) and self.C > 0):
+        if not 0 < self.C <= sys.float_info.max:
             raise ValueError("C must be finite and > 0")
-        if not (math.isfinite(self.tol) and self.tol > 0):
+        if not 0 < self.tol <= sys.float_info.max:
             raise ValueError("tol must be finite and > 0")
-        if self.max_passes < 1:
+        if not self.max_passes >= 1:
             raise ValueError("max_passes must be >= 1")
 
 
@@ -519,10 +525,9 @@ def train(
     ys = np.array([e.label for e in data], dtype=float)
     kernel = kernel.resolved(xs)
     kernel.validate()
-    gram = kernel_matrix(kernel, xs, xs)
-
-    smo = _Smo(gram, ys, cfg)
-    summary = smo.run(cfg.max_passes)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        smo = _Smo(kernel_matrix(kernel, xs, xs), ys, cfg)
+        summary = smo.run(cfg.max_passes)
     if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
         raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
     keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))

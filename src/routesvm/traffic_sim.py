@@ -21,6 +21,7 @@ produces a bit-identical trace on every platform.
 from __future__ import annotations
 
 import random
+import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -76,8 +77,8 @@ class ScenarioConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigError` naming the first field that is invalid."""
-        for f in fields(self):  # unlike math.isfinite, comparisons take ints past float range
-            if not all(-np.inf < v < np.inf for v in np.ravel(getattr(self, f.name))):
+        for f in fields(self):
+            if not all(abs(v) <= sys.float_info.max for v in np.ravel(getattr(self, f.name))):
                 raise ConfigError(f.name, "must be finite")
         if self.num_vehicles < 1:
             raise ConfigError("num_vehicles", "must be >= 1")
@@ -116,14 +117,11 @@ class Trace:
 
     ``points`` is a read-only ``POINT_DTYPE`` array sorted by (step, vehicle
     id); its ``vehicle`` field indexes ``vehicle_ids``, the sorted table of
-    distinct ids, so index order is id order.  ``config`` is ``None`` for
-    ingested traces; it is carried for provenance and excluded from equality,
-    so round-trips through formats that do not persist it compare equal.
+    distinct ids, so index order is id order.
     """
 
     points: np.ndarray
     vehicle_ids: tuple[str, ...]
-    config: ScenarioConfig | None = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Trace):
@@ -140,9 +138,7 @@ class Trace:
         return rows, np.cumsum(counts) - counts, counts
 
 
-def make_trace(
-    columns: Mapping, vehicle_ids: Sequence[str], config: ScenarioConfig | None = None
-) -> Trace:
+def make_trace(columns: Mapping, vehicle_ids: Sequence[str]) -> Trace:
     """A trace from columns of rows in any order.
 
     ``columns`` maps every ``POINT_DTYPE`` field to one value per row; the
@@ -161,7 +157,7 @@ def make_trace(
     for name in ("x", "y", "speed", "route_label"):
         points[name] = np.asarray(columns[name])[order]
     points.flags.writeable = False
-    return Trace(points, tuple(vehicle_ids[i] for i in id_order), config)
+    return Trace(points, tuple(vehicle_ids[i] for i in id_order))
 
 
 def vehicle_position(
@@ -213,4 +209,4 @@ def generate_trace(config: ScenarioConfig) -> Trace:
         "speed": np.repeat(speeds, steps),
         "route_label": np.repeat(routes, steps),
     }
-    return make_trace(columns, [f"v{i:04d}" for i in range(n)], config)
+    return make_trace(columns, [f"v{i:04d}" for i in range(n)])

@@ -138,7 +138,7 @@ def reference_trace(config: ScenarioConfig) -> Trace:
             for column, value in zip(columns.values(), row):
                 column.append(value)
     ids = [f"v{i:04d}" for i in range(config.num_vehicles)]
-    return make_trace(columns, ids, config)
+    return make_trace(columns, ids)
 
 
 def trace_from_rows(rows) -> Trace:

@@ -1,3 +1,5 @@
+import warnings
+
 import pytest
 
 from routesvm.cli import main, parse_test_sizes
@@ -216,10 +218,14 @@ class TestKernelFlags:
     ])
     def test_overflowing_degree_exits_2(self, trace_path, tmp_path, capsys, degree, message):
         out = tmp_path / "m.txt"
-        code = main(["train", str(trace_path), "--train-size", "30", "--kernel", "polynomial",
-                     "--degree", str(degree), "-o", str(out)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["train", str(trace_path), "--train-size", "30", "--kernel", "polynomial",
+                         "--degree", str(degree), "-o", str(out)])
         assert code == 2
-        assert message in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1  # the error line alone
         assert not out.exists()
 
     def test_overflowing_degree_in_a_model_exits_3(self, trace_path, tmp_path, capsys):
@@ -490,7 +496,7 @@ class TestPlot:
         model_path.write_text(THREE_FEATURE_MODEL)
         out = tmp_path / "plot.svg"
         code = main(["plot", "--model", str(model_path), "--data", str(data_path),
-                     "--no-regions", "-o", str(out)])
+                     "-o", str(out)])
         assert code == 3
         assert "model has 3 features, data has 2" in capsys.readouterr().err
         assert not out.exists()
@@ -513,6 +519,8 @@ class TestPlot:
         ("--y-range=-inf:0", "y_range must be a finite, nonempty interval"),
         ("--x-range=a:b", "could not convert string to float: 'a'"),
         ("--x-range=1", "--x-range needs low:high"),
+        pytest.param(f"--width={'1' * 400}", "plot dimensions must be within float64 range",
+                     id="width-past-float64"),
     ])
     def test_bad_axis_range_exits_2(self, model_path, data_path, tmp_path, capsys, flag,
                                     message):
@@ -523,19 +531,29 @@ class TestPlot:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    def test_shading_nonlinear_exits_2(self, trace_path, tmp_path, capsys):
+    def test_nonlinear_plot_draws_the_scatter_only(self, trace_path, data_path, tmp_path):
         model_path = tmp_path / "rbf.txt"
         assert main(["train", str(trace_path), "--train-size", "30",
                      "--kernel", "rbf", "-o", str(model_path)]) == 0
-        code = main(["plot", "--model", str(model_path), "-o", str(tmp_path / "p.svg")])
-        assert code == 2
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--model", str(model_path), "--data", str(data_path),
+                     "-o", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert "<polygon" not in text and '<line class="boundary"' not in text
+        assert 'class="pt-' in text
+
+    def test_no_regions_flag_is_gone(self, model_path, tmp_path):
+        out = tmp_path / "p.svg"
+        assert main(["plot", "--model", str(model_path), "--no-regions", "-o", str(out)]) == 2
+        assert not out.exists()
 
     def test_scatter_only_nonlinear_ok(self, trace_path, tmp_path):
         model_path = tmp_path / "rbf.txt"
         assert main(["train", str(trace_path), "--train-size", "30",
                      "--kernel", "rbf", "-o", str(model_path)]) == 0
         out = tmp_path / "p.svg"
-        code = main(["plot", "--model", str(model_path), "--no-regions", "-o", str(out)])
+        code = main(["plot", "--model", str(model_path), "-o", str(out)])
         assert code == 0
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from routesvm.dataset_io import Dataset
 from routesvm.plotting import PlotSpec, render_svg
-from routesvm.svm import KernelSpec, LabeledExample, SvmModel, TrainConfig, UnsupportedKernelError, train
+from routesvm.svm import KernelSpec, LabeledExample, SvmModel, TrainConfig, train
 
 
 def sign_of_y_model() -> SvmModel:
@@ -58,13 +58,14 @@ class TestRenderSvg:
         )
         assert render_svg(model, dataset) == render_svg(model, dataset)
 
-    def test_shading_rejected_for_nonlinear_kernel(self):
-        with pytest.raises(UnsupportedKernelError):
-            render_svg(rbf_model(), dataset_of([]), PlotSpec(shade_regions=True))
+    def test_nonlinear_kernel_draws_no_regions_or_boundary(self):
+        svg = render_svg(rbf_model(), dataset_of([]), PlotSpec())
+        assert "<polygon" not in svg
+        assert '<line class="boundary"' not in svg
 
     def test_scatter_only_works_for_nonlinear_kernel(self):
         dataset = dataset_of([LabeledExample((0.5, 0.5), 1)])
-        svg = render_svg(rbf_model(), dataset, PlotSpec(shade_regions=False))
+        svg = render_svg(rbf_model(), dataset, PlotSpec())
         assert "<polygon" not in svg
         assert 'class="pt-pos"' in svg
 
@@ -97,3 +98,7 @@ class TestRenderSvg:
             PlotSpec(width=0).validate()
         with pytest.raises(ValueError):
             PlotSpec(x_range=(2.0, 1.0)).validate()
+        with pytest.raises(ValueError, match="x_range must be a finite, nonempty interval"):
+            PlotSpec(x_range=(0, 10**400)).validate()
+        with pytest.raises(ValueError, match="plot dimensions must be within float64 range"):
+            PlotSpec(height=float("nan")).validate()

@@ -5,11 +5,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from routesvm.dataset_io import InsufficientVehiclesError, TraceFormatError
 from routesvm.svm import (
+    DataError,
     DimensionMismatchError,
     KernelSpec,
     LabeledExample,
     ModelFormatError,
+    SingleClassError,
     Standardizer,
     SvmModel,
     UnsupportedKernelError,
@@ -50,11 +53,20 @@ class TestLabeledExample:
     @pytest.mark.parametrize("features, label, message", [
         ((0.0, 1.0), 0, "label must be +1 or -1, got 0"),
         ((math.nan, 1.0), 1, "features must be finite"),
+        ((10**400, 1.0), 1, "features must be finite"),
     ])
     def test_bad_label_or_feature_raises(self, features, label, message):
         with pytest.raises(ValueError) as exc_info:
             LabeledExample(features, label)
         assert str(exc_info.value) == message
+
+
+@pytest.mark.parametrize("error", [
+    DimensionMismatchError, SingleClassError, ModelFormatError, TraceFormatError,
+    InsufficientVehiclesError,
+])
+def test_data_errors_share_one_type(error):
+    assert issubclass(error, DataError)
 
 
 class TestKernels:

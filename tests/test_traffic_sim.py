@@ -34,6 +34,8 @@ class TestConfigValidation:
             ({"route2_probability": 1.5}, "route2_probability"),
             ({"spawn_spacing": 0.0}, "spawn_spacing"),
             ({"rng_seed": -1}, "rng_seed"),
+            ({"spawn_spacing": 10**400}, "spawn_spacing"),
+            ({"num_vehicles": 10**400}, "num_vehicles"),
         ],
     )
     def test_invalid_config_names_field(self, kwargs, field):
@@ -173,7 +175,7 @@ class TestGenerateTrace:
             assert steps == list(range(steps[0], steps[0] + len(steps)))
 
     def test_class_geometry_bands(self, default_trace):
-        cfg = default_trace.config
+        cfg = ScenarioConfig()
         p = default_trace.points
         mainline = p["route_label"] == 0
         assert mainline.any() and not mainline.all()

@@ -1,4 +1,5 @@
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -68,8 +69,20 @@ class TestTrainBasics:
 
     def test_kernel_overflow_raises_instead_of_a_nan_model(self):
         data = random_overlapping_examples(random.Random(0), 20)
-        with pytest.raises(ValueError, match="non-finite bias or alpha"):
-            train(data, KernelSpec.polynomial(degree=10**20, gamma=0.5))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and numpy warns of no overflow on the way
+            with pytest.raises(ValueError, match="non-finite bias or alpha"):
+                train(data, KernelSpec.polynomial(degree=10**20, gamma=0.5))
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"C": 10**400}, "C must be finite and > 0"),
+        ({"tol": 10**400}, "tol must be finite and > 0"),
+        ({"max_passes": float("nan")}, "max_passes must be >= 1"),
+    ])
+    def test_out_of_range_config_raises(self, kwargs, message):
+        with pytest.raises(ValueError) as exc_info:
+            train(TWO_POINTS, KernelSpec.linear(), TrainConfig(**kwargs))
+        assert str(exc_info.value) == message
 
     def test_gamma_default_resolved_at_training(self):
         model = train(TWO_POINTS, KernelSpec.rbf())
