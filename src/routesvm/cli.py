@@ -30,7 +30,7 @@ from .eval_pipeline import (
     sweep_with_model,
     train_position_model,
 )
-from .plotting import PlotSpec, render_svg
+from .plotting import render_svg
 from .svm import (
     KERNEL_FAMILIES,
     KERNEL_PARAMS,
@@ -48,10 +48,6 @@ __all__ = ["main", "DEFAULT_SEED", "DEFAULT_TEST_SIZES"]
 DEFAULT_SEED = 7
 DEFAULT_TEST_SIZES = "10:100:10"
 DEFAULT_TRAIN_SIZE = 400
-
-
-class _UsageError(ValueError):
-    """Bad flags; like every other ValueError that is no data error, exit 2."""
 
 
 def _err(message: str) -> None:
@@ -133,7 +129,7 @@ def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
              if getattr(args, name) is not None}
     for name in given:
         if name not in KERNEL_PARAMS[args.kernel]:
-            raise _UsageError(f"--{name} does not apply to the {args.kernel} kernel")
+            raise ValueError(f"--{name} does not apply to the {args.kernel} kernel")
     return getattr(KernelSpec, args.kernel)(**given)
 
 
@@ -150,7 +146,7 @@ def parse_test_sizes(raw: str) -> list[int]:
             return list(range(start, stop + 1, step))
         return [int(p) for p in raw.split(",")]
     except ValueError as exc:
-        raise _UsageError(f"bad --test-sizes value {raw!r}: {exc}") from exc
+        raise ValueError(f"bad --test-sizes value {raw!r}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -205,27 +201,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _plot_spec_from_args(args: argparse.Namespace) -> PlotSpec:
-    kwargs: dict = {
-        "width": args.width,
-        "height": args.height,
-    }
-    for name, raw in (("x_range", args.x_range), ("y_range", args.y_range)):
-        if raw is not None:
-            lo_hi = raw.split(":")
-            if len(lo_hi) != 2:
-                raise _UsageError(f"--{name.replace('_', '-')} needs low:high")
-            kwargs[name] = (float(lo_hi[0]), float(lo_hi[1]))
-    return PlotSpec(**kwargs)
-
-
 def _cmd_plot(args: argparse.Namespace) -> int:
     model = load_model(args.model)
     if args.data:
         dataset = read_examples_csv(args.data)
     else:
         dataset = Dataset(examples=())
-    svg = render_svg(model, dataset, _plot_spec_from_args(args))
+    svg = render_svg(model, dataset)
     Path(args.output).write_text(svg, encoding="utf-8", newline="\n")
     print(f"wrote plot to {args.output}")
     return 0
@@ -250,7 +232,7 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
     figures.update((f"test_{n}", test) for n, test in zip(test_sizes, tests) if n in (10, 100))
     for name, dataset in figures.items():
         write_examples_csv(dataset, out_dir / f"{name}.csv")
-        svg = render_svg(model, dataset, PlotSpec())
+        svg = render_svg(model, dataset)
         (out_dir / f"{name}.svg").write_text(svg, encoding="utf-8", newline="\n")
 
     print(format_report(report))
@@ -309,10 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render the scatter, and a linear model's regions, to SVG")
     p.add_argument("--model", required=True)
     p.add_argument("--data", default=None, help="examples CSV (x,y,label)")
-    p.add_argument("--width", type=int, default=PlotSpec.width)
-    p.add_argument("--height", type=int, default=PlotSpec.height)
-    p.add_argument("--x-range", default=None, help="low:high")
-    p.add_argument("--y-range", default=None, help="low:high")
     p.add_argument("-o", "--output", required=True, help="SVG output path")
     p.set_defaults(func=_cmd_plot)
 

@@ -98,8 +98,9 @@ def evaluate(model: SvmModel, test: Dataset) -> tuple[int, float]:
 
 
 def boundary_report(model: SvmModel) -> BoundaryLine | VerticalBoundary | None:
-    """Decision line of a linear-kernel model; None for nonlinear kernels."""
-    if model.kernel.family != "linear":
+    """Decision line of a linear-kernel model; None when the model has none:
+    a nonlinear kernel, no supports, or a numerically zero weight vector."""
+    if model.kernel.family != "linear" or not model.support_examples:
         return None
     w, b = extract_hyperplane(model)
     w_x, w_y = float(w[0]), float(w[1])
@@ -107,7 +108,7 @@ def boundary_report(model: SvmModel) -> BoundaryLine | VerticalBoundary | None:
         return BoundaryLine(slope=-w_x / w_y, intercept=-b / w_y)
     if abs(w_x) > W_FLOOR:
         return VerticalBoundary(x=-b / w_x)
-    raise ValueError("boundary is degenerate: weight vector is numerically zero")
+    return None
 
 
 def train_position_model(

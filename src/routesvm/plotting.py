@@ -6,17 +6,18 @@ timestamps, so identical inputs produce byte-identical files.
 
 from __future__ import annotations
 
-import sys
-from dataclasses import dataclass
+import math
 
 import numpy as np
 
 from .dataset_io import Dataset
 from .eval_pipeline import BoundaryLine, VerticalBoundary, boundary_report
-from .svm import SvmModel, classify, decision_values
+from .svm import DataError, SvmModel, classify, decision_values
 
-__all__ = ["PlotSpec", "render_svg"]
+__all__ = ["render_svg"]
 
+_WIDTH = 640
+_HEIGHT = 480
 _PAD_FRACTION = 0.05
 _POS_COLOR = "#d94f3d"  # class +1 (mainline route)
 _NEG_COLOR = "#3a6bc6"  # class -1 (off-ramp route)
@@ -24,25 +25,6 @@ _REGION_POS_COLOR = "#f6ddd9"
 _REGION_NEG_COLOR = "#dbe5f6"
 _BOUNDARY_STROKE = "#222222"
 _POINT_RADIUS = 3.0
-
-
-@dataclass(frozen=True)
-class PlotSpec:
-    """Figure layout: canvas size and axis ranges."""
-
-    width: int = 640
-    height: int = 480
-    x_range: tuple[float, float] | None = None
-    y_range: tuple[float, float] | None = None
-
-    def validate(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("plot dimensions must be positive")
-        if not (self.width <= sys.float_info.max and self.height <= sys.float_info.max):
-            raise ValueError("plot dimensions must be within float64 range")
-        for name, rng in (("x_range", self.x_range), ("y_range", self.y_range)):
-            if rng is not None and not -sys.float_info.max <= rng[0] < rng[1] <= sys.float_info.max:
-                raise ValueError(f"{name} must be a finite, nonempty interval")
 
 
 def _auto_ranges(
@@ -102,38 +84,39 @@ def _boundary_edge(boundary: BoundaryLine | VerticalBoundary, sign: float):
 class _Canvas:
     """World-to-pixel mapping over the fixed viewport."""
 
-    def __init__(self, spec: PlotSpec, x_range, y_range):
-        self.spec = spec
+    def __init__(self, x_range, y_range):
         self.x_lo, self.x_hi = x_range
         self.y_lo, self.y_hi = y_range
 
     def px(self, x: float) -> float:
-        return (x - self.x_lo) / (self.x_hi - self.x_lo) * self.spec.width
+        return (x - self.x_lo) / (self.x_hi - self.x_lo) * _WIDTH
 
     def py(self, y: float) -> float:
         # SVG y grows downward
-        return (self.y_hi - y) / (self.y_hi - self.y_lo) * self.spec.height
+        return (self.y_hi - y) / (self.y_hi - self.y_lo) * _HEIGHT
 
     def point(self, x: float, y: float) -> str:
         return f"{self.px(x):.2f},{self.py(y):.2f}"
 
 
-def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -> str:
+def render_svg(model: SvmModel, dataset: Dataset) -> str:
     """Render decision regions, boundary, and scatter to SVG text.
 
     The regions and the boundary are drawn when :func:`boundary_report` gives
     the model a boundary line (a linear kernel: the regions are half-planes);
     for any other kernel the figure is the scatter alone.  Misclassified
-    points get a ring marker (class ``miss``).
+    points get a ring marker (class ``miss``).  The frame spans the data and
+    the boundary; one too wide for float64 raises :class:`DataError`.
     """
-    spec.validate()
     boundary = boundary_report(model)
-    x_auto, y_auto = _auto_ranges(dataset, boundary)
-    canvas = _Canvas(spec, spec.x_range or x_auto, spec.y_range or y_auto)
+    x_range, y_range = _auto_ranges(dataset, boundary)
+    if not all(math.isfinite(hi - lo) for lo, hi in (x_range, y_range)):
+        raise DataError("plot frame is not finite: the data or the boundary spans past float64")
+    canvas = _Canvas(x_range, y_range)
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{spec.width}" '
-        f'height="{spec.height}" viewBox="0 0 {spec.width} {spec.height}">',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+        f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         "<style>"
         f".region-pos{{fill:{_REGION_POS_COLOR};}}"
         f".region-neg{{fill:{_REGION_NEG_COLOR};}}"
@@ -142,7 +125,7 @@ def render_svg(model: SvmModel, dataset: Dataset, spec: PlotSpec = PlotSpec()) -
         f".pt-neg{{fill:{_NEG_COLOR};}}"
         f".miss{{fill:none;stroke:#111111;stroke-width:1.2;}}"
         "</style>",
-        f'<rect x="0" y="0" width="{spec.width}" height="{spec.height}" fill="#ffffff"/>',
+        f'<rect x="0" y="0" width="{_WIDTH}" height="{_HEIGHT}" fill="#ffffff"/>',
     ]
 
     corners = [

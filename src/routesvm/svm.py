@@ -307,7 +307,8 @@ class SvmModel:
 
 
 def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
-    """Decision function over a stack of row vectors (fixed summation order)."""
+    """Decision function over a stack of row vectors (fixed summation order).
+    A kernel that overflows on the data raises DataError."""
     xs = np.asarray(xs, dtype=float)
     if xs.ndim == 1:
         xs = xs[None, :]
@@ -317,10 +318,13 @@ def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"model has {model._support_matrix.shape[1]} features, data has {xs.shape[1]}"
         )
-    if model.scaler is not None:
-        xs = model.scaler.transform(xs)
-    k = kernel_matrix(model.kernel, model._support_matrix, xs)
-    return model._coefs @ k + model.bias
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        if model.scaler is not None:
+            xs = model.scaler.transform(xs)
+        values = model._coefs @ kernel_matrix(model.kernel, model._support_matrix, xs) + model.bias
+    if not np.isfinite(values).all():
+        raise DataError("decision values are not finite: the kernel overflows on the data")
+    return values
 
 
 def decision_value(model: SvmModel, x) -> float:

@@ -14,6 +14,19 @@ THREE_FEATURE_MODEL = (
     "1 1 1 0 0\n1 -1 0 1 0\n"
 )
 
+# One support; the degree is within float64 range, but the kernel overflows on
+# any position.
+OVERFLOWING_POLY_MODEL = (
+    "routesvm-model v2 family=polynomial degree=100000000000000000000 gamma=1 coef0=1"
+    " bias=0 supports=1\n1 1 1 1\n"
+)
+
+# Linear models with no boundary line: no supports, and a zero weight vector.
+LINELESS_MODELS = {
+    "no-supports": "routesvm-model v2 family=linear bias=1 supports=0\n",
+    "zero-weight": "routesvm-model v2 family=linear bias=0 supports=2\n1 1 1 1\n1 -1 1 1\n",
+}
+
 
 @pytest.fixture()
 def trace_path(tmp_path, small_trace):
@@ -237,6 +250,19 @@ class TestKernelFlags:
         assert code == 3
         assert "within float64 range" in capsys.readouterr().err
 
+    def test_kernel_overflowing_at_prediction_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "m.txt"
+        model_path.write_text(OVERFLOWING_POLY_MODEL)
+        out = tmp_path / "r.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["sweep", str(trace_path), "--model", str(model_path),
+                         "--test-sizes", "10", "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: decision values are not finite: the kernel overflows on the data\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("family, degree", [("polynomial", 3), ("sigmoid", None)])
     def test_constructor_defaults_are_saved(self, trace_path, tmp_path, family, degree):
         out = tmp_path / "m.txt"
@@ -255,6 +281,15 @@ class TestTrain:
         captured = capsys.readouterr()
         assert "support vectors:" in captured.out
         assert "boundary: y = " in captured.out
+        assert out.exists()
+
+    def test_zero_weight_model_is_saved_without_a_boundary(self, tmp_path, capsys):
+        trace = tmp_path / "flat.csv"
+        rows = "".join(f"0,v{i},0,0,1,{i % 2}\n" for i in range(10))
+        trace.write_text("step,vehicle_id,x,y,speed,route_label\n" + rows)
+        out = tmp_path / "model.txt"
+        assert main(["train", str(trace), "--train-size", "10", "-o", str(out)]) == 0
+        assert "boundary" not in capsys.readouterr().out
         assert out.exists()
 
     def test_kernel_flags_recorded_in_model(self, trace_path, tmp_path):
@@ -414,6 +449,17 @@ class TestSweep:
         assert "alphas must be >= 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("name", LINELESS_MODELS)
+    def test_linear_model_without_a_line_prints_no_boundary(self, trace_path, tmp_path,
+                                                            capsys, name):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(LINELESS_MODELS[name])
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(tmp_path / "r.csv")])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "mean" in out and "boundary" not in out
+
     def test_model_wider_than_the_data_exits_3(self, trace_path, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         model_path.write_text(THREE_FEATURE_MODEL)
@@ -514,22 +560,35 @@ class TestPlot:
         assert main(flags + ["-o", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    @pytest.mark.parametrize("flag, message", [
-        ("--x-range=0:inf", "x_range must be a finite, nonempty interval"),
-        ("--y-range=-inf:0", "y_range must be a finite, nonempty interval"),
-        ("--x-range=a:b", "could not convert string to float: 'a'"),
-        ("--x-range=1", "--x-range needs low:high"),
-        pytest.param(f"--width={'1' * 400}", "plot dimensions must be within float64 range",
-                     id="width-past-float64"),
-    ])
-    def test_bad_axis_range_exits_2(self, model_path, data_path, tmp_path, capsys, flag,
-                                    message):
-        out = tmp_path / "plot.svg"
-        code = main(["plot", "--model", str(model_path), "--data", str(data_path), flag,
-                     "-o", str(out)])
-        assert code == 2
-        assert message in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--x-range=0:1", "--width=10"])
+    def test_layout_flags_are_gone(self, model_path, tmp_path, capsys, flag):
+        out = tmp_path / "p.svg"
+        assert main(["plot", "--model", str(model_path), flag, "-o", str(out)]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_frame_past_float64_exits_3(self, model_path, tmp_path, capsys):
+        data_path = tmp_path / "huge.csv"
+        data_path.write_text("x,y,label\n-1e308,0,1\n1e308,-2,-1\n")
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--model", str(model_path), "--data", str(data_path),
+                     "-o", str(out)])
+        assert code == 3
+        assert "plot frame is not finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", LINELESS_MODELS)
+    def test_linear_model_without_a_line_draws_the_scatter_only(self, data_path, tmp_path,
+                                                                name):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(LINELESS_MODELS[name])
+        out = tmp_path / "p.svg"
+        code = main(["plot", "--model", str(model_path), "--data", str(data_path),
+                     "-o", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert "<polygon" not in text and '<line class="boundary"' not in text
+        assert 'class="pt-' in text
 
     def test_nonlinear_plot_draws_the_scatter_only(self, trace_path, data_path, tmp_path):
         model_path = tmp_path / "rbf.txt"

@@ -98,6 +98,18 @@ class TestBoundaryReport:
         assert boundary.slope == pytest.approx(-0.5)
         assert boundary.intercept == pytest.approx(-2.0)
 
+    def test_linear_model_without_supports_has_none(self):
+        assert boundary_report(linear_model((0.0, 0.0), 1.0)) is None
+
+    def test_zero_weight_vector_has_none(self):
+        model = SvmModel(
+            kernel=KernelSpec.linear(),
+            support_examples=(LabeledExample((1.0, 1.0), 1), LabeledExample((1.0, 1.0), -1)),
+            alphas=(1.0, 1.0),
+            bias=0.0,
+        )
+        assert boundary_report(model) is None
+
     def test_nonlinear_unsupported(self):
         xor = [
             LabeledExample((0.0, 0.0), -1),

@@ -1,8 +1,8 @@
 import pytest
 
 from routesvm.dataset_io import Dataset
-from routesvm.plotting import PlotSpec, render_svg
-from routesvm.svm import KernelSpec, LabeledExample, SvmModel, TrainConfig, train
+from routesvm.plotting import render_svg
+from routesvm.svm import DataError, KernelSpec, LabeledExample, SvmModel, TrainConfig, train
 
 
 def sign_of_y_model() -> SvmModel:
@@ -59,13 +59,13 @@ class TestRenderSvg:
         assert render_svg(model, dataset) == render_svg(model, dataset)
 
     def test_nonlinear_kernel_draws_no_regions_or_boundary(self):
-        svg = render_svg(rbf_model(), dataset_of([]), PlotSpec())
+        svg = render_svg(rbf_model(), dataset_of([]))
         assert "<polygon" not in svg
         assert '<line class="boundary"' not in svg
 
     def test_scatter_only_works_for_nonlinear_kernel(self):
         dataset = dataset_of([LabeledExample((0.5, 0.5), 1)])
-        svg = render_svg(rbf_model(), dataset, PlotSpec())
+        svg = render_svg(rbf_model(), dataset)
         assert "<polygon" not in svg
         assert 'class="pt-pos"' in svg
 
@@ -88,17 +88,31 @@ class TestRenderSvg:
         svg = render_svg(model, dataset_of([]))
         assert '<line class="boundary"' in svg
 
-    def test_explicit_axis_ranges(self):
-        spec = PlotSpec(x_range=(0.0, 10.0), y_range=(-5.0, 5.0))
-        svg = render_svg(sign_of_y_model(), dataset_of([]), spec)
-        assert "<svg" in svg
+    @pytest.mark.parametrize("supports, alphas", [
+        ((), ()),
+        ((LabeledExample((1.0, 1.0), 1), LabeledExample((1.0, 1.0), -1)), (1.0, 1.0)),
+    ], ids=["no-supports", "zero-weight"])
+    def test_linear_model_without_a_line_draws_the_scatter_only(self, supports, alphas):
+        model = SvmModel(kernel=KernelSpec.linear(), support_examples=supports,
+                         alphas=alphas, bias=1.0)
+        svg = render_svg(model, dataset_of([LabeledExample((0.5, 0.5), 1)]))
+        assert "<polygon" not in svg and '<line class="boundary"' not in svg
+        assert 'class="pt-pos"' in svg
 
-    def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            PlotSpec(width=0).validate()
-        with pytest.raises(ValueError):
-            PlotSpec(x_range=(2.0, 1.0)).validate()
-        with pytest.raises(ValueError, match="x_range must be a finite, nonempty interval"):
-            PlotSpec(x_range=(0, 10**400)).validate()
-        with pytest.raises(ValueError, match="plot dimensions must be within float64 range"):
-            PlotSpec(height=float("nan")).validate()
+    def test_frame_wider_than_float64_raises(self):
+        dataset = dataset_of(
+            [LabeledExample((-1e308, 0.0), 1), LabeledExample((1e308, -2.0), -1)]
+        )
+        with pytest.raises(DataError, match="plot frame is not finite"):
+            render_svg(sign_of_y_model(), dataset)
+
+    def test_boundary_edge_past_float64_raises(self):
+        steep = SvmModel(
+            kernel=KernelSpec.linear(),
+            support_examples=(LabeledExample((1e300, 1.0), 1),),
+            alphas=(1.0,),
+            bias=0.0,  # boundary y = -1e300 x, past float64 at x = +-1e10
+        )
+        dataset = dataset_of([LabeledExample((-1e10, 0.0), 1), LabeledExample((1e10, 0.0), 1)])
+        with pytest.raises(DataError, match="plot frame is not finite"):
+            render_svg(steep, dataset)

@@ -1,5 +1,6 @@
 import math
 import random
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -149,6 +150,18 @@ class TestDecisionAndClassify:
                         scaler=Standardizer((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)))
         with pytest.raises(DimensionMismatchError, match="^model has 3 features, data has 2$"):
             decision_values(model, np.zeros((10, 2)))
+
+    def test_kernel_overflow_raises_data_error_without_a_warning(self):
+        model = SvmModel(
+            kernel=KernelSpec.polynomial(degree=10**20, gamma=1.0, coef0=1.0),
+            support_examples=(LabeledExample((1.0, 1.0), 1),),
+            alphas=(1.0,),
+            bias=0.0,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="decision values are not finite"):
+                decision_values(model, np.ones((3, 2)))
 
     def test_classify_consistent_with_decision_on_grid(self):
         rng = random.Random(11)

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from routesvm.cli import main
 from routesvm.dataset_io import write_trace_csv
 from routesvm.traffic_sim import (
     ConfigError,
@@ -143,6 +144,16 @@ class TestGenerateTrace:
         path = tmp_path / "trace.csv"
         write_trace_csv(generate_trace(ScenarioConfig(rng_seed=seed)), path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_run_paper_figure_bytes_are_pinned(self, tmp_path):
+        assert main(["run-paper", "--out-dir", str(tmp_path), "--seed", "7"]) == 0
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in ("train.svg", "test_10.svg", "test_100.svg")}
+        assert digests == {
+            "train.svg": "32594fac11efc7f95e4d9e4568f87cf2873119ca9548bea3180c02d79f663c36",
+            "test_10.svg": "be6271dbd3b822c33d972b06f0a5258a650dc72ef5fea0626b36026aca31dc5f",
+            "test_100.svg": "00d2132093ab886d17ae7452350a732a3def15c226c70018a27ac160ec967e27",
+        }
 
     def test_points_sorted_and_unique(self):
         trace = generate_trace(config_with(num_vehicles=7, num_steps=9))
