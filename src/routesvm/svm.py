@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import math
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,9 @@ NORM_FLOOR = 1e-12
 
 # Curvature used in place of a non-positive a_ij (indefinite kernels).
 TAU = 1e-12
+
+# Kernel rows the solver keeps: the most recently used, as in LIBSVM.
+_ROW_CACHE = 64
 
 
 class DataError(ValueError):
@@ -184,6 +188,19 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots
 
 
+def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray,
+                      sq_b: np.ndarray) -> np.ndarray:
+    """The family's formula on dot products a.b and squared norms |a|^2, |b|^2
+    that broadcast against them; only rbf reads the norms."""
+    if spec.family == "linear":
+        return dots
+    if spec.family == "polynomial":
+        return (spec.gamma * dots + spec.coef0) ** spec.degree
+    if spec.family == "rbf":
+        return np.exp(-spec.gamma * np.maximum((sq_a - 2.0 * dots) + sq_b, 0.0))
+    return np.tanh(spec.gamma * dots + spec.coef0)
+
+
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix K[i, j] = K(a[i], b[j]) for row-vector stacks a, b."""
     spec.validate()
@@ -193,19 +210,8 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    dots = _pairwise_dots(a, b)
-    if spec.family == "linear":
-        return dots
-    if spec.family == "polynomial":
-        return (spec.gamma * dots + spec.coef0) ** spec.degree
-    if spec.family == "rbf":
-        sq = (
-            np.sum(a * a, axis=1)[:, None]
-            - 2.0 * dots
-            + np.sum(b * b, axis=1)[None, :]
-        )
-        return np.exp(-spec.gamma * np.maximum(sq, 0.0))
-    return np.tanh(spec.gamma * dots + spec.coef0)
+    return _kernel_from_dots(spec, _pairwise_dots(a, b),
+                             np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :])
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -382,8 +388,29 @@ def extract_hyperplane(model: SvmModel) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
+def _kernel_diagonal(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
+    """The diagonal of ``kernel_matrix(spec, xs, xs)``, bit for bit, in O(n d)."""
+    dots = xs[:, 0] * xs[:, 0]
+    for k in range(1, xs.shape[1]):
+        dots += xs[:, k] * xs[:, k]
+    sq = np.sum(xs * xs, axis=1)
+    return _kernel_from_dots(spec, dots, sq, sq)
+
+
+def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray]:
+    """i -> row i of the Gram matrix K(xs, xs), computed when first asked for.
+
+    Row i is ``kernel_matrix(spec, xs[i:i+1], xs)[0]``, bit for bit the
+    matrix's row i (the rbf matrix is not bitwise symmetric, so not column
+    i).  The ``_ROW_CACHE`` most recently used rows are kept (LIBSVM's
+    kernel cache, Chang & Lin 2011, section 4).
+    """
+    return lru_cache(maxsize=_ROW_CACHE)(lambda i: kernel_matrix(spec, xs[i:i + 1], xs)[0])
+
+
 class _Smo:
-    """One optimization run over a fixed Gram matrix.
+    """One optimization run over the Gram matrix K, read a row at a time:
+    ``row(i)`` is row i and ``diag`` the diagonal.
 
     Minimizes the dual in LIBSVM form, 1/2 alpha'Q alpha - sum(alpha) with
     Q_ij = y_i y_j K_ij, keeping the gradient G = Q alpha - 1 current.
@@ -394,13 +421,14 @@ class _Smo:
     (Keerthi et al. 2001).
     """
 
-    def __init__(self, k: np.ndarray, y: np.ndarray, cfg: TrainConfig):
-        self.k = k
+    def __init__(self, row: Callable[[int], np.ndarray], diag: np.ndarray, y: np.ndarray,
+                 cfg: TrainConfig):
+        self.row = row
+        self.diag = diag
         self.y = y
         self.c = cfg.C
         self.tol = cfg.tol
         self.n = len(y)
-        self.diag = np.diag(k).copy()
         self.alpha = np.zeros(self.n)
         self.grad = -np.ones(self.n)
         self.b = 0.0
@@ -434,7 +462,7 @@ class _Smo:
             if not gap > self.tol or steps >= max_passes * self.n:  # a nan gap stops too
                 break
             b = f[i] - f
-            a = self.diag[i] + self.diag - 2.0 * self.k[i]
+            a = self.diag[i] + self.diag - 2.0 * self.row(i)
             a = np.where(a > 0.0, a, TAU)
             j = int(np.argmin(np.where(low & (b > 0.0), -(b * b) / a, np.inf)))
             self.step(i, j, b[j] / a[j])
@@ -461,7 +489,7 @@ class _Smo:
         self.alpha[i] = min(self.c, max(0.0, old_i + y_i * lam))
         self.alpha[j] = min(self.c, max(0.0, old_j - y_j * lam))
         d_i, d_j = self.alpha[i] - old_i, self.alpha[j] - old_j
-        self.grad += self.y * (y_i * d_i * self.k[i] + y_j * d_j * self.k[j])
+        self.grad += self.y * (y_i * d_i * self.row(i) + y_j * d_j * self.row(j))
 
     def finalize_bias(self) -> None:
         """Set b to the average of F_t over the unbounded support vectors.
@@ -514,6 +542,9 @@ def train(
     kernel that overflows on the data leaves a non-finite bias or alpha, and
     that raises ValueError.  ``cfg.rng_seed`` has no effect.  Examples with
     zero dual coefficient are dropped from the model.
+
+    The n x n Gram matrix is never built: the solver computes kernel rows as
+    it needs them and keeps the last 64, so memory is O(n) plus 64 rows.
     """
     cfg.validate()
     if not data:
@@ -530,7 +561,7 @@ def train(
     kernel = kernel.resolved(xs)
     kernel.validate()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        smo = _Smo(kernel_matrix(kernel, xs, xs), ys, cfg)
+        smo = _Smo(_kernel_rows(kernel, xs), _kernel_diagonal(kernel, xs), ys, cfg)
         summary = smo.run(cfg.max_passes)
     if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
         raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
