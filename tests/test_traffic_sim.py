@@ -148,8 +148,9 @@ class TestGenerateTrace:
     def test_run_paper_figure_bytes_are_pinned(self, tmp_path):
         assert main(["run-paper", "--out-dir", str(tmp_path), "--seed", "7"]) == 0
         digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                   for name in ("train.svg", "test_10.svg", "test_100.svg")}
+                   for name in ("model.txt", "train.svg", "test_10.svg", "test_100.svg")}
         assert digests == {
+            "model.txt": "b0243a19800a06daffcab6a784d29d8480ebdfed7f8376005e6ae7de33936885",
             "train.svg": "32594fac11efc7f95e4d9e4568f87cf2873119ca9548bea3180c02d79f663c36",
             "test_10.svg": "be6271dbd3b822c33d972b06f0a5258a650dc72ef5fea0626b36026aca31dc5f",
             "test_100.svg": "00d2132093ab886d17ae7452350a732a3def15c226c70018a27ac160ec967e27",

@@ -1,11 +1,18 @@
 import random
+import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from routesvm import svm
 from routesvm.dataset_io import sample_examples
 from routesvm.svm import (
+    NORM_FLOOR,
     DimensionMismatchError,
     KernelSpec,
     LabeledExample,
@@ -17,6 +24,7 @@ from routesvm.svm import (
     decision_values,
     extract_hyperplane,
     geometric_margin,
+    kernel_matrix,
     model_to_text,
     train,
 )
@@ -110,6 +118,13 @@ class TestTrainBasics:
         assert model_to_text(first) == model_to_text(second)
 
 
+def standardized_examples(trace, n, seed=7):
+    examples = sample_examples(trace, n, seed=seed).examples
+    raw = np.array([e.features for e in examples])
+    xs = Standardizer().fit(raw).transform(raw)
+    return [LabeledExample(tuple(row), e.label) for row, e in zip(xs, examples)]
+
+
 @pytest.fixture(scope="module")
 def large_trace():
     return generate_trace(ScenarioConfig(num_vehicles=2000, rng_seed=7))
@@ -165,10 +180,8 @@ class TestTrainedModelInvariants:
 
     @pytest.mark.parametrize("n", [400, 2000])
     def test_standardized_trace_examples_converge(self, large_trace, n):
-        examples = sample_examples(large_trace, n, seed=7).examples
-        raw = np.array([e.features for e in examples])
-        xs = Standardizer().fit(raw).transform(raw)
-        data = [LabeledExample(tuple(row), e.label) for row, e in zip(xs, examples)]
+        data = standardized_examples(large_trace, n)
+        xs = np.array([e.features for e in data])
         cfg = TrainConfig()
         model = train(data, KernelSpec.linear(), cfg)
         assert model.summary.converged
@@ -191,6 +204,76 @@ class TestTrainedModelInvariants:
         model = train(data, KernelSpec.linear(), TrainConfig(C=1.0))
         assert all(alpha > 0 for alpha in model.alphas)
         assert len(model.support_examples) < len(data)
+
+
+ALL_KERNELS = [KernelSpec.linear(), KernelSpec.rbf(), KernelSpec.polynomial(),
+               KernelSpec.sigmoid()]
+
+
+def gram_solve(data, kernel, cfg=TrainConfig()):
+    """What train returns, computed by _Smo over the full Gram matrix."""
+    xs = np.array([e.features for e in data], dtype=float)
+    ys = np.array([e.label for e in data], dtype=float)
+    full = kernel_matrix(kernel.resolved(xs), xs, xs)
+    smo = svm._Smo(full.__getitem__, np.diag(full).copy(), ys, cfg)
+    summary = smo.run(cfg.max_passes)
+    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
+    return ([id(data[i]) for i in keep], tuple(float(smo.alpha[i]) for i in keep), float(smo.b),
+            replace(summary, n_support=len(keep)))
+
+
+class TestKernelRows:
+    """train reads kernel rows on demand; the full Gram matrix is the reference."""
+
+    @pytest.mark.parametrize("cache", [svm._ROW_CACHE, 1], ids=["cache64", "cache1"])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS, ids=lambda k: k.family)
+    def test_train_matches_the_full_gram_solve(self, large_trace, monkeypatch, kernel, cache):
+        monkeypatch.setattr(svm, "_ROW_CACHE", cache)
+        data = standardized_examples(large_trace, 400)
+        model = train(data, kernel)
+        got = ([id(e) for e in model.support_examples], model.alphas, model.bias, model.summary)
+        assert got == gram_solve(data, kernel)
+        assert model.summary.converged
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        xs=st.integers(1, 4).flatmap(lambda d: hnp.arrays(
+            float, st.tuples(st.integers(1, 12), st.just(d)),
+            elements=st.floats(-1e3, 1e3, allow_subnormal=False))),
+        kernel=st.one_of(
+            st.just(KernelSpec.linear()),
+            st.builds(KernelSpec.rbf, st.floats(1e-3, 10.0)),
+            st.builds(KernelSpec.polynomial, st.integers(1, 4), st.floats(1e-3, 1.0),
+                      st.floats(-2.0, 2.0)),
+            st.builds(KernelSpec.sigmoid, st.floats(1e-3, 1.0), st.floats(-2.0, 2.0)),
+        ),
+    )
+    def test_rows_and_diagonal_are_the_gram_matrix_bitwise(self, xs, kernel):
+        full = kernel_matrix(kernel, xs, xs)
+        assert svm._kernel_diagonal(kernel, xs).tobytes() == np.diag(full).tobytes()
+        row = svm._kernel_rows(kernel, xs)
+        for i in [*range(len(xs)), 0]:  # the last lookup is a cache hit
+            assert row(i).tobytes() == full[i].tobytes()
+
+    def test_rbf_n3000_computes_one_row_at_a_time(self, monkeypatch):
+        trace = generate_trace(ScenarioConfig(num_vehicles=3000, num_steps=20, rng_seed=7))
+        data = standardized_examples(trace, 3000)
+        lefts = []
+
+        def recording_kernel_matrix(spec, a, b):
+            lefts.append(len(a))
+            return kernel_matrix(spec, a, b)
+
+        monkeypatch.setattr(svm, "kernel_matrix", recording_kernel_matrix)
+        tracemalloc.start()
+        try:
+            model = train(data, KernelSpec.rbf())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.summary.converged
+        assert lefts and set(lefts) == {1}
+        assert peak < 16 * 2**20  # the 3000 x 3000 Gram matrix alone is 72 MB
 
 
 class TestOracleEquivalence:
