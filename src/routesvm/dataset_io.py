@@ -18,8 +18,10 @@ Both trace readers parse their rows into columns and build the trace with
 step: every x, y and speed value must be finite, a (step, vehicle_id) pair
 occurs once and a vehicle keeps one route label.  A step must fit in a signed
 64-bit integer, and an FCD vehicle id holds no comma, CR or LF, which a trace
-CSV could not hold.  Every file is UTF-8, and the three CSV formats share one
-row reader.  Violations raise :class:`TraceFormatError`.
+CSV could not hold.  Trace CSV numbers are plain decimal (``1_0`` is not a
+number); the file is parsed a block of lines at a time by ``np.loadtxt``.  The
+label and examples CSVs share one row reader.  Every file is UTF-8.
+Violations raise :class:`TraceFormatError`.
 
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
 route 1 -> -1.  No other module converts labels.
@@ -35,6 +37,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import count, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -69,7 +72,9 @@ LabelTable = dict[str, int]
 
 _FIELDS = POINT_DTYPE.names  # step, vehicle, x, y, speed, route_label
 _FCD_ATTRS = ("id", "x", "y", "speed")
-_CHUNK = 1 << 16  # rows formatted per batch by write_trace_csv
+_CHUNK = 1 << 16  # lines per block read, and rows per batch written, by the trace CSV
+# The trace CSV columns np.loadtxt parses: every field but vehicle_id.
+_TRACE_COLUMNS = np.dtype([(f, POINT_DTYPE[f]) for f in _FIELDS if f != "vehicle"])
 _STEP_MIN, _STEP_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -106,21 +111,23 @@ def _utf8_text(source: str | Path):
         raise TraceFormatError(f"not UTF-8 text ({exc})") from None
 
 
-def _csv_rows(source: str | Path, header: str, blanks: list[int] | None = None):
+def _skip_header(lines, header: str) -> None:
+    """Read the first line of ``lines``; anything but ``header`` is an error."""
+    first = lines.readline()
+    got = first.rstrip("\n")
+    if got != header:
+        message = f"malformed header: expected {header!r}, got {got!r}"
+        raise TraceFormatError(message if first else "empty file")
+
+
+def _csv_rows(source: str | Path, header: str):
     """(line number, fields) of each non-blank line after ``header``; a file
-    with another first line, or a row with another field count, is an error.
-    ``blanks`` gets the number of rows before each blank line skipped."""
+    with another first line, or a row with another field count, is an error."""
     width = header.count(",") + 1
     with _utf8_text(source) as lines:
-        first = lines.readline()
-        got = first.rstrip("\n")
-        if got != header:
-            message = f"malformed header: expected {header!r}, got {got!r}"
-            raise TraceFormatError(message if first else "empty file")
+        _skip_header(lines, header)
         for line_no, line in enumerate(lines, start=2):
             if line == "\n":
-                if blanks is not None:
-                    blanks.append(line_no - 2 - len(blanks))
                 continue
             fields = line.rstrip("\n").split(",")
             if len(fields) != width:
@@ -160,42 +167,107 @@ def _checked_trace(columns: dict, ids: dict[str, int], where: Callable[[int], st
 
 
 def write_trace_csv(trace: Trace, destination: str | Path) -> None:
-    """Write the trace in canonical row order; see the module docstring."""
+    """Write the trace in canonical row order; see the module docstring.
+
+    Each distinct speed is formatted once.  The table is keyed on the bits,
+    not the value, so -0.0 and 0.0 keep their own text."""
     points, ids = trace.points, trace.vehicle_ids
+    bits, speed_index = np.unique(points["speed"].view(np.int64), return_inverse=True)
+    speeds = [f"{speed:.17g}" for speed in bits.view(np.float64).tolist()]
     with open(destination, "w", encoding="utf-8", newline="\n") as out:
         out.write(TRACE_HEADER + "\n")
         for lo in range(0, len(points), _CHUNK):
             chunk = points[lo : lo + _CHUNK]
             out.writelines(
-                f"{step},{ids[v]},{x:.17g},{y:.17g},{speed:.17g},{route}\n"
-                for step, v, x, y, speed, route in zip(*(chunk[f].tolist() for f in _FIELDS))
+                f"{step},{ids[v]},{x:.17g},{y:.17g},{speeds[s]},{route}\n"
+                for step, v, x, y, s, route in zip(
+                    *(chunk[f].tolist() for f in ("step", "vehicle", "x", "y")),
+                    speed_index[lo : lo + _CHUNK].tolist(), chunk["route_label"].tolist())
             )
+
+
+def _parse_trace_rows(lines: list[str]) -> np.ndarray:
+    """The numeric columns of trace CSV data lines, parsed in C."""
+    return np.loadtxt(lines, dtype=_TRACE_COLUMNS, delimiter=",", usecols=(0, 2, 3, 4, 5),
+                      comments=None, ndmin=1)
+
+
+def _trace_row_error(line: str) -> str | None:
+    """Why ``line`` is not a trace CSV data row, or None if it is one."""
+    fields = line.rstrip("\n").split(",")
+    if len(fields) != len(_FIELDS):
+        return f"expected {len(_FIELDS)} fields, got {len(fields)}"
+    try:
+        step = int(fields[0])
+        float(fields[2]), float(fields[3]), float(fields[4])
+        route_label = int(fields[5])
+    except ValueError as exc:
+        return f"non-numeric field ({exc})"
+    if not _STEP_MIN <= step <= _STEP_MAX:
+        return f"step {step} out of the int64 range"
+    if route_label not in (0, 1):
+        return "route_label must be 0 or 1"
+    try:  # what Python reads but np.loadtxt does not, such as "1_0"
+        _parse_trace_rows([line])
+    except ValueError as exc:
+        return f"non-numeric field ({exc})"
+    return None
+
+
+def _block_error(block: list[str], line_no: int) -> TraceFormatError:
+    """The error for the first bad row of a block, whose first line is file
+    line ``line_no``, that failed a whole-block check."""
+    for n, line in enumerate(block, start=line_no):
+        why = line != "\n" and _trace_row_error(line)
+        if why:
+            return TraceFormatError(f"line {n}: {why}")
+    raise AssertionError("a block that failed its checks has no bad row")
 
 
 def read_trace_csv(source: str | Path) -> Trace:
     """Inverse of :func:`write_trace_csv`; rows are re-sorted into canonical
-    (step, vehicle_id) order and validated as the module docstring says.  The
-    file is read line by line; no copy of its text is held.
+    (step, vehicle_id) order and validated as the module docstring says.
+
+    The file is read ``_CHUNK`` lines at a time; no copy of its text is held.
+    One Python pass over a block skips blank lines, checks the field count
+    and maps the vehicle ids; ``np.loadtxt`` parses the other columns.  A
+    block that fails is scanned again, row by row, to name the bad line.
     """
     ids: dict[str, int] = {}
-    cols: tuple[list, ...] = tuple([] for _ in _FIELDS)
-    blanks: list[int] = []
-    for line_no, fields in _csv_rows(source, TRACE_HEADER, blanks):
-        try:
-            step = int(fields[0])
-            x, y, speed = float(fields[2]), float(fields[3]), float(fields[4])
-            route_label = int(fields[5])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: non-numeric field ({exc})") from exc
-        if not _STEP_MIN <= step <= _STEP_MAX:
-            raise TraceFormatError(f"line {line_no}: step {step} out of the int64 range")
-        if route_label not in (0, 1):
-            raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
-        row = (step, ids.setdefault(fields[1], len(ids)), x, y, speed, route_label)
-        for c, value in zip(cols, row):
-            c.append(value)
-    columns = {f: np.array(c, dtype=POINT_DTYPE[f]) for c, f in zip(cols, _FIELDS)}
-    del cols  # free the per-row Python objects before sorting
+    blocks = [np.empty(0, dtype=_TRACE_COLUMNS)]
+    vehicles = [np.empty(0, dtype=np.int64)]
+    blanks: list[int] = []  # rows before each blank line
+    with _utf8_text(source) as text:
+        _skip_header(text, TRACE_HEADER)
+        for line_no in count(2, _CHUNK):  # the file line of the block's first line
+            block = list(islice(text, _CHUNK))
+            if not block:
+                break
+            lines = block
+            if "\n" in block:
+                for n, line in enumerate(block, start=line_no):
+                    if line == "\n":
+                        blanks.append(n - 2 - len(blanks))
+                lines = [line for line in block if line != "\n"]
+                if not lines:
+                    continue
+            if set(map(str.count, lines, repeat(","))) != {len(_FIELDS) - 1}:
+                raise _block_error(block, line_no)
+            names = [line.split(",", 2)[1] for line in lines]
+            for name in dict.fromkeys(names):
+                ids.setdefault(name, len(ids))
+            vehicles.append(np.fromiter(map(ids.__getitem__, names), np.int64, len(names)))
+            try:
+                rows = _parse_trace_rows(lines)
+            except ValueError:
+                raise _block_error(block, line_no) from None
+            route = rows["route_label"]
+            if not ((route == 0) | (route == 1)).all():
+                raise _block_error(block, line_no)
+            blocks.append(rows)
+    rows = np.concatenate(blocks)
+    del blocks
+    columns = {"vehicle": np.concatenate(vehicles), **{f: rows[f] for f in _TRACE_COLUMNS.names}}
     return _checked_trace(columns, ids, lambda row: f"line {row + 2 + bisect_right(blanks, row)}")
 
 

@@ -188,10 +188,15 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray,
-                      sq_b: np.ndarray) -> np.ndarray:
-    """The family's formula on dot products a.b and squared norms |a|^2, |b|^2
-    that broadcast against them; only rbf reads the norms."""
+def _sq_norms(xs: np.ndarray) -> np.ndarray:
+    """|x|^2 of each row."""
+    return np.sum(xs * xs, axis=1)
+
+
+def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | None = None,
+                      sq_b: np.ndarray | None = None) -> np.ndarray:
+    """The family's formula on dot products a.b; rbf also needs the squared
+    norms |a|^2 and |b|^2, broadcast against them."""
     if spec.family == "linear":
         return dots
     if spec.family == "polynomial":
@@ -210,8 +215,8 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    return _kernel_from_dots(spec, _pairwise_dots(a, b),
-                             np.sum(a * a, axis=1)[:, None], np.sum(b * b, axis=1)[None, :])
+    norms = (_sq_norms(a)[:, None], _sq_norms(b)[None, :]) if spec.family == "rbf" else ()
+    return _kernel_from_dots(spec, _pairwise_dots(a, b), *norms)
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -393,8 +398,8 @@ def _kernel_diagonal(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
     dots = xs[:, 0] * xs[:, 0]
     for k in range(1, xs.shape[1]):
         dots += xs[:, k] * xs[:, k]
-    sq = np.sum(xs * xs, axis=1)
-    return _kernel_from_dots(spec, dots, sq, sq)
+    norms = (_sq_norms(xs),) * 2 if spec.family == "rbf" else ()
+    return _kernel_from_dots(spec, dots, *norms)
 
 
 def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray]:
@@ -403,9 +408,15 @@ def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray
     Row i is ``kernel_matrix(spec, xs[i:i+1], xs)[0]``, bit for bit the
     matrix's row i (the rbf matrix is not bitwise symmetric, so not column
     i).  The ``_ROW_CACHE`` most recently used rows are kept (LIBSVM's
-    kernel cache, Chang & Lin 2011, section 4).
+    kernel cache, Chang & Lin 2011, section 4).  For rbf the squared norms
+    of ``xs`` are computed once, here, and each row takes its dot products
+    from ``kernel_matrix`` as the linear kernel.
     """
-    return lru_cache(maxsize=_ROW_CACHE)(lambda i: kernel_matrix(spec, xs[i:i + 1], xs)[0])
+    if spec.family != "rbf":
+        return lru_cache(maxsize=_ROW_CACHE)(lambda i: kernel_matrix(spec, xs[i:i + 1], xs)[0])
+    sq, linear = _sq_norms(xs), KernelSpec.linear()
+    return lru_cache(maxsize=_ROW_CACHE)(
+        lambda i: _kernel_from_dots(spec, kernel_matrix(linear, xs[i:i + 1], xs)[0], sq[i], sq))
 
 
 class _Smo:

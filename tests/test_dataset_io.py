@@ -4,6 +4,7 @@ import re
 
 import pytest
 
+from routesvm import dataset_io
 from routesvm.dataset_io import (
     Dataset,
     InsufficientVehiclesError,
@@ -150,6 +151,79 @@ class TestTraceCsv:
         )
         with pytest.raises(TraceFormatError, match="'v0001': route_label changes"):
             read_trace_csv(path)
+
+
+class TestTraceCsvBlocks:
+    """read_trace_csv parses ``_CHUNK``-line blocks; 3-line blocks put every
+    case below across block boundaries."""
+
+    HEADER = "step,vehicle_id,x,y,speed,route_label\n"
+    GOOD = [f"{step},v{v},1.5,-2.25,3.0,{v % 2}\n" for step in range(3) for v in range(3)]
+
+    @pytest.fixture(autouse=True)
+    def three_line_blocks(self, monkeypatch):
+        monkeypatch.setattr(dataset_io, "_CHUNK", 3)
+
+    def test_multi_block_round_trip_is_byte_identical(self, small_trace, tmp_path, monkeypatch):
+        reference = tmp_path / "reference.csv"
+        with monkeypatch.context() as m:
+            m.setattr(dataset_io, "_CHUNK", 1 << 16)
+            write_trace_csv(small_trace, reference)
+        trace = read_trace_csv(reference)
+        assert trace == small_trace
+        again = tmp_path / "again.csv"
+        write_trace_csv(trace, again)
+        assert again.read_bytes() == reference.read_bytes()
+
+    def test_blank_lines_across_blocks(self, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text(self.HEADER + "\n\n\n\n" + "\n".join(self.GOOD))  # a blank after each row
+        assert len(read_trace_csv(path).points) == len(self.GOOD)
+
+    @pytest.mark.parametrize("row, message", [
+        ("2,v9,nan,0,1,0", "non-finite value"),
+        ("2,v9,1,0,-inf,0", "non-finite value"),
+        ("oops,v9,1,0,1,0", r"non-numeric field \(invalid literal for int"),
+        ("9223372036854775808,v9,1,0,1,0", "step 9223372036854775808 out of the int64 range"),
+        ("2,v9,1,0,1,-1", "route_label must be 0 or 1"),
+        ("2,v9,1,0,1,2", "route_label must be 0 or 1"),
+        ("2,v9,1,0,1,300", "route_label must be 0 or 1"),
+        ("2,v9,1_0,0,1,0", "non-numeric field"),
+        ("2,v9,1,0,1,0,7", "expected 6 fields, got 7"),
+        ("2,v9,1,0,1", "expected 6 fields, got 5"),
+    ])
+    def test_error_in_a_later_block_names_its_file_line(self, tmp_path, row, message):
+        lines = [*self.GOOD[:4], "\n", "\n", *self.GOOD[4:7], "\n", row + "\n", *self.GOOD[7:]]
+        path = tmp_path / "bad.csv"
+        path.write_text(self.HEADER + "".join(lines))
+        line_no = 2 + lines.index(row + "\n")
+        assert line_no == 12  # the third line of the fourth block
+        with pytest.raises(TraceFormatError, match=f"^line {line_no}: {message}"):
+            read_trace_csv(path)
+
+    def test_first_bad_row_of_a_block_is_reported(self, tmp_path):
+        path = tmp_path / "two.csv"
+        path.write_text(self.HEADER + "0,v1,1,0,1,2\n0,v2,1,0,1,0,7\n0,v3,x,0,1,0\n")
+        with pytest.raises(TraceFormatError, match="^line 2: route_label must be 0 or 1"):
+            read_trace_csv(path)
+
+    @pytest.mark.parametrize("vehicle_id", ["#v1", '"v1', "v 1", "v x"])
+    def test_vehicle_id_round_trips_verbatim(self, tmp_path, vehicle_id):
+        trace = trace_from_rows([(0, vehicle_id, 1.0, 2.0, 3.0, 0), (0, "v2", 4.0, 5.0, 6.0, 1)])
+        path = tmp_path / "ids.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
+
+    def test_negative_and_positive_zero_speeds_keep_their_text(self, tmp_path):
+        trace = trace_from_rows([(0, "a", 1.0, 2.0, -0.0, 0), (0, "b", 1.0, 2.0, 0.0, 0),
+                                 (1, "a", 1.0, 2.0, -0.0, 0), (1, "b", 1.0, 2.0, 0.0, 0)])
+        path = tmp_path / "zeros.csv"
+        write_trace_csv(trace, path)
+        assert path.read_text().splitlines()[1:] == [
+            "0,a,1,2,-0,0", "0,b,1,2,0,0", "1,a,1,2,-0,0", "1,b,1,2,0,0"]
+        again = tmp_path / "again.csv"
+        write_trace_csv(read_trace_csv(path), again)
+        assert again.read_bytes() == path.read_bytes()
 
 
 class TestFcdXml:
