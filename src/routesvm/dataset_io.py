@@ -32,6 +32,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import warnings
 import xml.etree.ElementTree as ElementTree
 from bisect import bisect_right
 from collections.abc import Callable
@@ -169,27 +170,37 @@ def _checked_trace(columns: dict, ids: dict[str, int], where: Callable[[int], st
 def write_trace_csv(trace: Trace, destination: str | Path) -> None:
     """Write the trace in canonical row order; see the module docstring.
 
-    Each distinct speed is formatted once.  The table is keyed on the bits,
-    not the value, so -0.0 and 0.0 keep their own text."""
+    Rows are written ``_CHUNK`` at a time, and each distinct speed of a batch
+    is formatted once: a simulated vehicle keeps one speed, so speeds repeat.
+    The table is keyed on the bits, not the value, so -0.0 and 0.0 keep their
+    own text."""
     points, ids = trace.points, trace.vehicle_ids
-    bits, speed_index = np.unique(points["speed"].view(np.int64), return_inverse=True)
-    speeds = [f"{speed:.17g}" for speed in bits.view(np.float64).tolist()]
     with open(destination, "w", encoding="utf-8", newline="\n") as out:
         out.write(TRACE_HEADER + "\n")
         for lo in range(0, len(points), _CHUNK):
             chunk = points[lo : lo + _CHUNK]
+            bits, speed_index = np.unique(chunk["speed"].view(np.int64), return_inverse=True)
+            speeds = [f"{speed:.17g}" for speed in bits.view(np.float64).tolist()]
             out.writelines(
                 f"{step},{ids[v]},{x:.17g},{y:.17g},{speeds[s]},{route}\n"
                 for step, v, x, y, s, route in zip(
                     *(chunk[f].tolist() for f in ("step", "vehicle", "x", "y")),
-                    speed_index[lo : lo + _CHUNK].tolist(), chunk["route_label"].tolist())
+                    speed_index.tolist(), chunk["route_label"].tolist())
             )
 
 
 def _parse_trace_rows(lines: list[str]) -> np.ndarray:
-    """The numeric columns of trace CSV data lines, parsed in C."""
-    return np.loadtxt(lines, dtype=_TRACE_COLUMNS, delimiter=",", usecols=(0, 2, 3, 4, 5),
-                      comments=None, ndmin=1)
+    """The numeric columns of trace CSV data lines, parsed in C.
+
+    NumPy releases that still parse an integer field such as ``1.5`` via a
+    float only warn, with a DeprecationWarning; that is a ValueError here."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            return np.loadtxt(lines, dtype=_TRACE_COLUMNS, delimiter=",",
+                              usecols=(0, 2, 3, 4, 5), comments=None, ndmin=1)
+        except DeprecationWarning as exc:
+            raise ValueError(str(exc)) from None
 
 
 def _trace_row_error(line: str) -> str | None:

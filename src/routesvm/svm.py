@@ -409,14 +409,17 @@ def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray
     matrix's row i (the rbf matrix is not bitwise symmetric, so not column
     i).  The ``_ROW_CACHE`` most recently used rows are kept (LIBSVM's
     kernel cache, Chang & Lin 2011, section 4).  For rbf the squared norms
-    of ``xs`` are computed once, here, and each row takes its dot products
-    from ``kernel_matrix`` as the linear kernel.
+    of ``xs`` are computed once, here; every family takes each row's dot
+    products from ``kernel_matrix`` as the linear kernel.
     """
-    if spec.family != "rbf":
-        return lru_cache(maxsize=_ROW_CACHE)(lambda i: kernel_matrix(spec, xs[i:i + 1], xs)[0])
-    sq, linear = _sq_norms(xs), KernelSpec.linear()
-    return lru_cache(maxsize=_ROW_CACHE)(
-        lambda i: _kernel_from_dots(spec, kernel_matrix(linear, xs[i:i + 1], xs)[0], sq[i], sq))
+    sq = _sq_norms(xs) if spec.family == "rbf" else None
+    linear = KernelSpec.linear()
+
+    def row(i: int) -> np.ndarray:
+        norms = (sq[i], sq) if sq is not None else ()
+        return _kernel_from_dots(spec, kernel_matrix(linear, xs[i:i + 1], xs)[0], *norms)
+
+    return lru_cache(maxsize=_ROW_CACHE)(row)
 
 
 class _Smo:

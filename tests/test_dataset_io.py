@@ -1,7 +1,9 @@
 import logging
 import random
 import re
+import warnings
 
+import numpy as np
 import pytest
 
 from routesvm import dataset_io
@@ -189,6 +191,10 @@ class TestTraceCsvBlocks:
         ("2,v9,1,0,1,2", "route_label must be 0 or 1"),
         ("2,v9,1,0,1,300", "route_label must be 0 or 1"),
         ("2,v9,1_0,0,1,0", "non-numeric field"),
+        ("1.5,v9,1,0,1,0", r"non-numeric field \(invalid literal for int"),
+        ("1e3,v9,1,0,1,0", r"non-numeric field \(invalid literal for int"),
+        ("2,v9,1,0,1,1.0", r"non-numeric field \(invalid literal for int"),
+        ("2,v9,1,0,1,256", "route_label must be 0 or 1"),
         ("2,v9,1,0,1,0,7", "expected 6 fields, got 7"),
         ("2,v9,1,0,1", "expected 6 fields, got 5"),
     ])
@@ -199,6 +205,22 @@ class TestTraceCsvBlocks:
         line_no = 2 + lines.index(row + "\n")
         assert line_no == 12  # the third line of the fourth block
         with pytest.raises(TraceFormatError, match=f"^line {line_no}: {message}"):
+            read_trace_csv(path)
+
+    def test_integer_parsed_via_a_float_is_an_error(self, tmp_path, monkeypatch):
+        """Older NumPy releases parse an integer field such as 1.5 via a float,
+        truncate it and only warn; this stand-in for np.loadtxt does the same."""
+        loadtxt = np.loadtxt
+
+        def warning_loadtxt(lines, **kwargs):
+            if any(line.startswith("1.5,") for line in lines):
+                warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return loadtxt([line.replace("1.5,", "1,", 1) for line in lines], **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+        path = tmp_path / "float_step.csv"
+        path.write_text(self.HEADER + "".join(self.GOOD[:4]) + "1.5,v9,1,0,1,0\n")
+        with pytest.raises(TraceFormatError, match=r"^line 6: non-numeric field \(invalid literal"):
             read_trace_csv(path)
 
     def test_first_bad_row_of_a_block_is_reported(self, tmp_path):
