@@ -403,14 +403,13 @@ def _kernel_diagonal(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
 
 
 def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray]:
-    """i -> row i of the Gram matrix K(xs, xs), computed when first asked for.
+    """i -> row i of the Gram matrix K(xs, xs), computed on each call.
 
     Row i is ``kernel_matrix(spec, xs[i:i+1], xs)[0]``, bit for bit the
     matrix's row i (the rbf matrix is not bitwise symmetric, so not column
-    i).  The ``_ROW_CACHE`` most recently used rows are kept (LIBSVM's
-    kernel cache, Chang & Lin 2011, section 4).  For rbf the squared norms
-    of ``xs`` are computed once, here; every family takes each row's dot
-    products from ``kernel_matrix`` as the linear kernel.
+    i).  For rbf the squared norms of ``xs`` are computed once, here; every
+    family takes each row's dot products from ``kernel_matrix`` as the linear
+    kernel.  ``_Smo`` keeps the rows it used last.
     """
     sq = _sq_norms(xs) if spec.family == "rbf" else None
     linear = KernelSpec.linear()
@@ -419,7 +418,7 @@ def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray
         norms = (sq[i], sq) if sq is not None else ()
         return _kernel_from_dots(spec, kernel_matrix(linear, xs[i:i + 1], xs)[0], *norms)
 
-    return lru_cache(maxsize=_ROW_CACHE)(row)
+    return row
 
 
 class _Smo:
@@ -427,25 +426,44 @@ class _Smo:
     ``row(i)`` is row i and ``diag`` the diagonal.
 
     Minimizes the dual in LIBSVM form, 1/2 alpha'Q alpha - sum(alpha) with
-    Q_ij = y_i y_j K_ij, keeping the gradient G = Q alpha - 1 current.
-    F_t = -y_t G_t is the bias that puts example t exactly on its margin.
-    I_up holds the t whose y_t * alpha_t can grow, I_low those whose
-    y_t * alpha_t can shrink.  alpha is optimal iff m = max F over I_up is at
-    most M = min F over I_low; the gap m - M certifies how close it is
-    (Keerthi et al. 2001).
+    Q_ij = y_i y_j K_ij and gradient G = Q alpha - 1.  F_t = -y_t G_t is the
+    bias that puts example t exactly on its margin.  I_up holds the t whose
+    y_t * alpha_t can grow, I_low those whose y_t * alpha_t can shrink.  alpha
+    is optimal iff m = max F over I_up is at most M = min F over I_low; the
+    gap m - M certifies how close it is (Keerthi et al. 2001).
+
+    A pair step moves alpha_i and alpha_j only, so the run keeps as state
+    what the step changes, as LIBSVM does (Chang & Lin 2011, section 4):
+    ``f`` (F, moved by two scaled kernel rows) and the ``up`` and ``low``
+    masks of I_up and I_low (set at i and j).  G is derived from F where it
+    is read.  The ``_ROW_CACHE`` most recently used kernel rows are kept
+    (LIBSVM's kernel cache), each with its curvature vector (see ``run``).
     """
 
     def __init__(self, row: Callable[[int], np.ndarray], diag: np.ndarray, y: np.ndarray,
                  cfg: TrainConfig):
-        self.row = row
-        self.diag = diag
         self.y = y
-        self.c = cfg.C
+        self.labels = y.tolist()
+        self.c = float(cfg.C)
         self.tol = cfg.tol
         self.n = len(y)
         self.alpha = np.zeros(self.n)
-        self.grad = -np.ones(self.n)
+        self.f = y.copy()  # G = -1 at alpha = 0
+        self.up, self.low = self.movable()
         self.b = 0.0
+
+        def row_and_curvature(i: int) -> tuple[np.ndarray, np.ndarray]:
+            k = row(i)
+            a = diag[i] + diag - 2.0 * k
+            return k, np.where(a > 0.0, a, TAU)
+
+        self.rows = lru_cache(maxsize=_ROW_CACHE)(row_and_curvature)
+
+    @property
+    def grad(self) -> np.ndarray:
+        """G = -y * F.  Adding 0.0 turns an exact zero into +0.0, so F and G
+        carry the zero signs they would if G were kept and F derived."""
+        return -self.y * self.f + 0.0
 
     def movable(self, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
         """Masks of I_up and I_low; alpha within ``floor`` of a bound counts as on it."""
@@ -466,20 +484,18 @@ class _Smo:
         Fan, Chen & Lin 2005).  A pass is n steps; the objective is recorded
         after each pass, the last one possibly partial.
         """
+        f, up, low = self.f, self.up, self.low
         objectives, steps = [], 0
         while True:
-            f = -self.y * self.grad
-            up, low = self.movable()
             f_up = np.where(up, f, -np.inf)
             i = int(np.argmax(f_up))
-            gap = float(f_up[i] - np.min(np.where(low, f, np.inf)))
+            gap = f_up.item(i) - float(np.min(np.where(low, f, np.inf)))
             if not gap > self.tol or steps >= max_passes * self.n:  # a nan gap stops too
                 break
-            b = f[i] - f
-            a = self.diag[i] + self.diag - 2.0 * self.row(i)
-            a = np.where(a > 0.0, a, TAU)
+            k_i, a = self.rows(i)
+            b = f.item(i) - f
             j = int(np.argmin(np.where(low & (b > 0.0), -(b * b) / a, np.inf)))
-            self.step(i, j, b[j] / a[j])
+            self.step(i, j, b.item(j) / a.item(j), k_i)
             steps += 1
             if steps % self.n == 0:
                 objectives.append(self.objective())
@@ -492,18 +508,21 @@ class _Smo:
             dual_objectives=tuple(objectives),
         )
 
-    def step(self, i: int, j: int, lam: float) -> None:
+    def step(self, i: int, j: int, lam: float, k_i: np.ndarray) -> None:
         """alpha_i += y_i * lam and alpha_j -= y_j * lam, which keeps
-        sum(alpha * y), with lam clipped to the box."""
-        y_i, y_j = self.y[i], self.y[j]
-        old_i, old_j = self.alpha[i], self.alpha[j]
-        room_i = self.c - old_i if y_i > 0 else old_i
-        room_j = old_j if y_j > 0 else self.c - old_j
+        sum(alpha * y), with lam clipped to the box; ``k_i`` is row i."""
+        c, y_i, y_j = self.c, self.labels[i], self.labels[j]
+        old_i, old_j = self.alpha.item(i), self.alpha.item(j)
+        room_i = c - old_i if y_i > 0 else old_i
+        room_j = old_j if y_j > 0 else c - old_j
         lam = min(lam, room_i, room_j)
-        self.alpha[i] = min(self.c, max(0.0, old_i + y_i * lam))
-        self.alpha[j] = min(self.c, max(0.0, old_j - y_j * lam))
-        d_i, d_j = self.alpha[i] - old_i, self.alpha[j] - old_j
-        self.grad += self.y * (y_i * d_i * self.row(i) + y_j * d_j * self.row(j))
+        new_i = min(c, max(0.0, old_i + y_i * lam))
+        new_j = min(c, max(0.0, old_j - y_j * lam))
+        self.alpha[i], self.alpha[j] = new_i, new_j
+        self.f -= y_i * (new_i - old_i) * k_i + y_j * (new_j - old_j) * self.rows(j)[0]
+        for t, y_t, new in ((i, y_i, new_i), (j, y_j, new_j)):
+            above, below = new > 0.0, new < c
+            self.up[t], self.low[t] = (below, above) if y_t > 0 else (above, below)
 
     def finalize_bias(self) -> None:
         """Set b to the average of F_t over the unbounded support vectors.
@@ -513,7 +532,7 @@ class _Smo:
         min F over I_low]; the midpoint keeps every example's KKT deviation
         within half the optimality gap.
         """
-        f = -self.y * self.grad
+        f = -self.y * self.grad  # the zero signs of `grad`, so b = 0.0 has one sign
         up, low = self.movable(NORM_FLOOR * max(1.0, self.c))
         unbound = up & low
         if unbound.any():
@@ -563,15 +582,13 @@ def train(
     cfg.validate()
     if not data:
         raise ValueError("training data is empty")
-    labels = {e.label for e in data}
-    if labels != {1, -1}:
-        raise SingleClassError(f"training data needs both classes, got labels {sorted(labels)}")
-    dim = len(data[0].features)
-    if any(len(e.features) != dim for e in data):
-        raise DimensionMismatchError("training examples have inconsistent dimensions")
-
-    xs = np.array([e.features for e in data], dtype=float)
     ys = np.array([e.label for e in data], dtype=float)
+    if np.all(ys == ys[0]):
+        raise SingleClassError(f"training data needs both classes, got labels {[int(ys[0])]}")
+    try:
+        xs = np.array([e.features for e in data], dtype=float)
+    except ValueError:  # features of different lengths
+        raise DimensionMismatchError("training examples have inconsistent dimensions") from None
     kernel = kernel.resolved(xs)
     kernel.validate()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -676,6 +693,9 @@ def model_from_text(text: str) -> SvmModel:
             examples.append(LabeledExample(features=features, label=label))
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc
+        if len(features) != len(examples[0].features):
+            raise ModelFormatError(f"line {line_no}: {len(features)} features, line {body[0][0]}"
+                                   f" has {len(examples[0].features)}")
     if not all(map(math.isfinite, (bias, *alphas))):
         raise ModelFormatError("bias and alphas must be finite")
     if min(alphas, default=0.0) < 0.0:

@@ -21,6 +21,9 @@ OVERFLOWING_POLY_MODEL = (
     " bias=0 supports=1\n1 1 1 1\n"
 )
 
+# Support lines of 2 and 3 features, with no scaler to catch it.
+RAGGED_MODEL = "routesvm-model v1 family=linear bias=0.5 supports=2\n1 1 0 1\n1 -1 0 1 2\n"
+
 # Linear models with no boundary line: no supports, and a zero weight vector.
 LINELESS_MODELS = {
     "no-supports": "routesvm-model v2 family=linear bias=1 supports=0\n",
@@ -470,6 +473,17 @@ class TestSweep:
         assert "model has 3 features, data has 2" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_ragged_model_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(RAGGED_MODEL)
+        out = tmp_path / "r.csv"
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 3: 3 features, line 2 has 2"]
+        assert not out.exists()
+
     def test_missing_trace_exits_1(self, tmp_path):
         code = main(["sweep", str(tmp_path / "nope.csv"), "--test-sizes", "10",
                      "-o", str(tmp_path / "r.csv")])
@@ -545,6 +559,18 @@ class TestPlot:
                      "-o", str(out)])
         assert code == 3
         assert "model has 3 features, data has 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("with_data", [True, False], ids=["data", "no-data"])
+    def test_ragged_model_exits_3(self, data_path, tmp_path, capsys, with_data):
+        model_path = tmp_path / "ragged.txt"
+        model_path.write_text(RAGGED_MODEL)
+        out = tmp_path / "plot.svg"
+        data = ["--data", str(data_path)] if with_data else []
+        code = main(["plot", "--model", str(model_path), *data, "-o", str(out)])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "error: line 3: 3 features, line 2 has 2"]
         assert not out.exists()
 
     def test_plot_empty_dataset(self, model_path, tmp_path):

@@ -372,6 +372,14 @@ class TestSerialization:
         model = SvmModel(KernelSpec.polynomial(degree=10**20, gamma=0.5), (), (), 1.0)
         assert model_from_text(model_to_text(model)) == model
 
+    @pytest.mark.parametrize("version, scaler", [("v1", ""), ("v2", " mean=0,0 scale=1,1")])
+    def test_ragged_support_lines_name_the_first_odd_line(self, version, scaler):
+        text = (f"routesvm-model {version} family=linear bias=0.5 supports=3{scaler}\n"
+                "1 1 0 1\n\n1 -1 0 1 2\n1 1 0\n")
+        with pytest.raises(ModelFormatError) as exc_info:
+            model_from_text(text)
+        assert str(exc_info.value) == "line 4: 3 features, line 2 has 2"
+
     def test_bad_support_line_is_named_by_its_file_line(self):
         with pytest.raises(ModelFormatError, match="^line 4: "):
             model_from_text(BAD_LINE_AFTER_BLANK)

@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -74,6 +74,19 @@ class TestTrainBasics:
         with pytest.raises(DimensionMismatchError):
             train([LabeledExample((0.0,), 1), LabeledExample((1.0, 1.0), -1)],
                   KernelSpec.linear())
+
+    @pytest.mark.parametrize("label", [1, -1])
+    def test_single_class_is_reported_before_ragged_features(self, label):
+        data = [LabeledExample((0.0,), label), LabeledExample((1.0, 1.0), label)]
+        with pytest.raises(SingleClassError) as exc_info:
+            train(data, KernelSpec.linear())
+        assert str(exc_info.value) == f"training data needs both classes, got labels [{label}]"
+
+    def test_ragged_features_message(self):
+        with pytest.raises(DimensionMismatchError) as exc_info:
+            train([LabeledExample((0.0, 1.0), 1), LabeledExample((1.0,), -1)],
+                  KernelSpec.linear())
+        assert str(exc_info.value) == "training examples have inconsistent dimensions"
 
     def test_kernel_overflow_raises_instead_of_a_nan_model(self):
         data = random_overlapping_examples(random.Random(0), 20)
@@ -252,7 +265,7 @@ class TestKernelRows:
         full = kernel_matrix(kernel, xs, xs)
         assert svm._kernel_diagonal(kernel, xs).tobytes() == np.diag(full).tobytes()
         row = svm._kernel_rows(kernel, xs)
-        for i in [*range(len(xs)), 0]:  # the last lookup is a cache hit
+        for i in [*range(len(xs)), 0]:  # a second call gives the same bits
             assert row(i).tobytes() == full[i].tobytes()
 
     def test_rbf_n3000_computes_one_row_at_a_time(self, monkeypatch):
@@ -274,6 +287,147 @@ class TestKernelRows:
         assert model.summary.converged
         assert lefts and set(lefts) == {1}
         assert peak < 16 * 2**20  # the 3000 x 3000 Gram matrix alone is 72 MB
+
+
+class ReferenceSmo:
+    """The pair-step loop with no incremental bookkeeping: it keeps only alpha
+    and G, and derives F, the I_up/I_low masks and the curvature vector from
+    them afresh at every step.  ``svm._Smo`` keeps those current instead and
+    must take the same steps bit for bit."""
+
+    def __init__(self, row, diag, y, cfg):
+        self.row, self.diag, self.y = row, diag, y
+        self.c, self.tol, self.n = cfg.C, cfg.tol, len(y)
+        self.alpha = np.zeros(self.n)
+        self.grad = -np.ones(self.n)
+        self.b = 0.0
+
+    def movable(self, floor=0.0):
+        above, below = self.alpha > floor, self.alpha < self.c - floor
+        pos = self.y > 0
+        return np.where(pos, below, above), np.where(pos, above, below)
+
+    def objective(self):
+        return float(0.5 * np.sum(self.alpha * (1.0 - self.grad)))
+
+    def run(self, max_passes):
+        objectives, steps = [], 0
+        while True:
+            f = -self.y * self.grad
+            up, low = self.movable()
+            f_up = np.where(up, f, -np.inf)
+            i = int(np.argmax(f_up))
+            gap = float(f_up[i] - np.min(np.where(low, f, np.inf)))
+            if not gap > self.tol or steps >= max_passes * self.n:
+                break
+            b = f[i] - f
+            a = self.diag[i] + self.diag - 2.0 * self.row(i)
+            a = np.where(a > 0.0, a, svm.TAU)
+            j = int(np.argmin(np.where(low & (b > 0.0), -(b * b) / a, np.inf)))
+            self.step(i, j, b[j] / a[j])
+            steps += 1
+            if steps % self.n == 0:
+                objectives.append(self.objective())
+        if steps % self.n:
+            objectives.append(self.objective())
+        self.finalize_bias()
+        return svm.TrainSummary(
+            passes=-(-steps // self.n),
+            converged=gap <= self.tol and self.final_violations() == 0,
+            dual_objectives=tuple(objectives),
+        )
+
+    def step(self, i, j, lam):
+        y_i, y_j = self.y[i], self.y[j]
+        old_i, old_j = self.alpha[i], self.alpha[j]
+        room_i = self.c - old_i if y_i > 0 else old_i
+        room_j = old_j if y_j > 0 else self.c - old_j
+        lam = min(lam, room_i, room_j)
+        self.alpha[i] = min(self.c, max(0.0, old_i + y_i * lam))
+        self.alpha[j] = min(self.c, max(0.0, old_j - y_j * lam))
+        d_i, d_j = self.alpha[i] - old_i, self.alpha[j] - old_j
+        self.grad += self.y * (y_i * d_i * self.row(i) + y_j * d_j * self.row(j))
+
+    def finalize_bias(self):
+        f = -self.y * self.grad
+        up, low = self.movable(NORM_FLOOR * max(1.0, self.c))
+        unbound = up & low
+        if unbound.any():
+            self.b = float(np.mean(f[unbound]))
+        elif up.any() and low.any():
+            self.b = 0.5 * float(f[up].max() + f[low].min())
+
+    def final_violations(self):
+        floor = NORM_FLOOR * max(1.0, self.c)
+        margin = self.grad + 1.0 + self.y * self.b
+        at_zero, at_c = self.alpha <= floor, self.alpha >= self.c - floor
+        bad = (
+            (at_zero & (margin < 1.0 - self.tol))
+            | (~at_zero & ~at_c & (np.abs(margin - 1.0) > self.tol))
+            | (at_c & (margin > 1.0 + self.tol))
+        )
+        return int(bad.sum())
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+small_sets = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.tuples(
+        st.tuples(*[st.one_of(st.integers(-2, 2).map(float), st.floats(-3.0, 3.0))] * d),
+        st.sampled_from([1, -1]),
+    ),
+    min_size=2, max_size=12,
+).filter(lambda rows: {label for _, label in rows} == {1, -1}))
+
+
+class TestReferenceLoop:
+    """train against ReferenceSmo on the full Gram matrix, bit for bit."""
+
+    # No explain phase: on a failure it re-runs the test many times over.
+    @settings(max_examples=200, deadline=None, database=None,
+              phases=[p for p in Phase if p is not Phase.explain])
+    @given(
+        rows=small_sets,
+        c_value=st.one_of(st.floats(1e-3, 1.0), st.floats(1.0, 100.0)),
+        kernel=st.one_of(
+            st.just(KernelSpec.linear()),
+            st.builds(KernelSpec.rbf, st.floats(1e-2, 10.0)),
+            st.builds(KernelSpec.polynomial, st.integers(1, 3), st.floats(1e-2, 1.0),
+                      st.floats(-2.0, 2.0)),
+            st.builds(KernelSpec.sigmoid, st.floats(1e-2, 1.0), st.floats(-2.0, 2.0)),
+        ),
+    )
+    # Its bias is an average of exact zeros, which the reference makes -0.0.
+    @example(rows=[((-2.0,), 1), ((-2.0,), 1), ((-1.0,), -1)], c_value=0.5,
+             kernel=KernelSpec.linear())
+    def test_train_matches_the_reference_loop_bitwise(self, rows, c_value, kernel):
+        data = [LabeledExample(x, label) for x, label in rows]
+        cfg = TrainConfig(C=c_value)
+        xs = np.array([e.features for e in data])
+        ys = np.array([e.label for e in data], dtype=float)
+        full = kernel_matrix(kernel, xs, xs)
+        ref = ReferenceSmo(full.__getitem__, np.diag(full).copy(), ys, cfg)
+        summary = ref.run(cfg.max_passes)
+        keep = np.flatnonzero(ref.alpha > NORM_FLOOR * max(1.0, c_value))
+
+        model = train(data, kernel, cfg)
+        assert [id(e) for e in model.support_examples] == [id(data[i]) for i in keep]
+        assert _bits(model.alphas) == _bits(ref.alpha[keep])
+        assert _bits(model.bias) == _bits(ref.b)
+        got = model.summary
+        assert (got.passes, got.converged, got.n_support) == (
+            summary.passes, summary.converged, len(keep))
+        assert _bits(got.dual_objectives) == _bits(summary.dual_objectives)
+
+        smo = svm._Smo(svm._kernel_rows(kernel, xs), svm._kernel_diagonal(kernel, xs), ys, cfg)
+        smo.run(cfg.max_passes)
+        up, low = smo.movable()
+        assert np.array_equal(smo.up, up) and np.array_equal(smo.low, low)
+        assert smo.grad.tobytes() == ref.grad.tobytes()
+        # F is kept by subtraction, so an exact zero may carry either sign.
+        assert (smo.f + 0.0).tobytes() == (-ys * ref.grad + 0.0).tobytes()
 
 
 class TestOracleEquivalence:
