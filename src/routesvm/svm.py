@@ -532,7 +532,7 @@ class _Smo:
         min F over I_low]; the midpoint keeps every example's KKT deviation
         within half the optimality gap.
         """
-        f = -self.y * self.grad  # the zero signs of `grad`, so b = 0.0 has one sign
+        f = -self.y * self.grad  # as ``f``, but an exact zero's sign set by the class
         up, low = self.movable(NORM_FLOOR * max(1.0, self.c))
         unbound = up & low
         if unbound.any():
@@ -577,7 +577,8 @@ def train(
     zero dual coefficient are dropped from the model.
 
     The n x n Gram matrix is never built: the solver computes kernel rows as
-    it needs them and keeps the last 64, so memory is O(n) plus 64 rows.
+    it needs them and keeps the last 64, each with its curvature vector, so
+    memory is O(n) plus 128 vectors of length n.
     """
     cfg.validate()
     if not data:
