@@ -461,8 +461,8 @@ class _Smo:
 
     @property
     def grad(self) -> np.ndarray:
-        """G = -y * F.  Adding 0.0 turns an exact zero into +0.0, so F and G
-        carry the zero signs they would if G were kept and F derived."""
+        """G = -y * F.  An exact zero comes out +0.0, as in a G updated by
+        additions from -1, so F derived back from G has one zero sign per class."""
         return -self.y * self.f + 0.0
 
     def movable(self, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
