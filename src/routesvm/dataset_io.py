@@ -73,7 +73,8 @@ LabelTable = dict[str, int]
 
 _FIELDS = POINT_DTYPE.names  # step, vehicle, x, y, speed, route_label
 _FCD_ATTRS = ("id", "x", "y", "speed")
-_CHUNK = 1 << 16  # lines per block read, and rows per batch written, by the trace CSV
+_CHUNK = 1 << 16  # lines per block read by the trace CSV reader
+_WRITE_BATCH = 8192  # rows per trace CSV write batch; fewer if an id exceeds 64 bytes
 # The trace CSV columns np.loadtxt parses: every field but vehicle_id.
 _TRACE_COLUMNS = np.dtype([(f, POINT_DTYPE[f]) for f in _FIELDS if f != "vehicle"])
 _STEP_MIN, _STEP_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -167,26 +168,103 @@ def _checked_trace(columns: dict, ids: dict[str, int], where: Callable[[int], st
 # ---------------------------------------------------------------------------
 
 
+def _byte_table(items: list[bytes], width: int | None = None) -> np.ndarray:
+    """``items`` left-aligned in a ``uint8`` matrix, padded with 0xFF."""
+    lengths = np.fromiter(map(len, items), np.int64, len(items))
+    keep = np.arange(lengths.max(initial=0) if width is None else width) < lengths[:, None]
+    data = np.full(keep.shape, 0xFF, np.uint8)
+    data[keep] = np.frombuffer(b"".join(items), np.uint8)
+    return data
+
+
+def _int_text(column: np.ndarray, end: bytes) -> np.ndarray:
+    """Each integer's decimal text and ``end``; each distinct value is formatted once."""
+    values, inverse = np.unique(column, return_inverse=True)
+    return _byte_table([b"%d%s" % (v, end) for v in values.tolist()])[inverse]
+
+
+def _two_prod(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(hi, lo) with hi = fl(a·b) and hi + lo = a·b exactly: Dekker's two-product
+    (1971); each operation is its own ufunc call, so none is fused."""
+    big = [x * 134217729.0 for x in (a, b)]  # 2**27 + 1: x = high + low, 26 bits each
+    ah, bh = (c - (c - x) for c, x in zip(big, (a, b)))
+    al, bl, hi = a - ah, b - bh, a * b
+    return hi, (((ah * bh - hi) + ah * bl) + al * bh) + al * bl
+
+
+def _drop_table() -> np.ndarray:
+    """0xFF on a float field's bytes not shown, by (exponent k, significant digits)."""
+    k, digits = np.divmod(np.arange(-4 * 18, 17 * 18)[:, None], 18)
+    i = np.arange(17)
+    slots = np.stack([i < np.maximum(digits, k + 1), (i == 16) | (i == k) & (k < digits - 1)], -1)
+    keep = np.hstack([0 * k, np.array([1, 1, 2, 3, 4]) <= -k, slots.reshape(-1, 34)])
+    return np.where(keep, 0, 0xFF).astype(np.uint8).view(np.uint64)
+
+
+# A float field as 40 bytes: "-0.000", each of the 17 digits and a slot for a
+# point after it, the last holding the comma; the bytes not shown become 0xFF.
+# _HEAD holds the first 8 bytes by leading digit, _GROUP the next 8 by 4-digit
+# group, and _LAST a group's digits before its trailing zeros.
+_HEAD = np.array([[*b"-0.000", 48 + d, 46] for d in range(10)], np.uint8).view(np.uint64)[:, 0]
+_GROUP = np.ascontiguousarray(np.insert(np.indices((10,) * 4, np.uint8).reshape(4, -1).T + 48,
+                                        [1, 2, 3, 4], 46, axis=1)).view(np.uint64)[:, 0]
+_LAST = 4 - sum(np.arange(10000) % 10**p == 0 for p in range(1, 5))
+_DROP = _drop_table()
+_POW10 = 10.0 ** np.arange(21)  # exact in float64
+_DECADES = np.array([float(f"1e{m}") for m in range(-4, 17)])  # the floats nearest 1e-4 .. 1e16
+
+
+def _float_text(v: np.ndarray) -> np.ndarray:
+    """``format(x, ".17g")`` and a comma per float, in 40-byte rows padded with 0xFF.
+
+    For 1e-4 <= |x| < 1e16: k = floor(log10|x|) by exact comparisons with
+    _DECADES; |x|·10^(16-k) = hi + lo exactly, hi an integer in [1e16, 1e17];
+    and hi plus lo rounded half to even is the 17-digit integer, which never
+    carries to 10^17.  The tests check both facts about powers of ten."""
+    a = np.abs(v)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    k = np.searchsorted(_DECADES, a, side="right") - 5
+    hi, lo = _two_prod(a, _POW10[16 - k])
+    whole = np.floor(lo)
+    d = hi.astype(np.int64) + whole.astype(np.int64)
+    d += (lo > whole + 0.5) | ((lo == whole + 0.5) & (d & 1 == 1))
+    data = np.empty((len(v), 5), np.uint64)
+    digits = np.ones(len(v), np.int64)  # significant digits: up to the last nonzero group's
+    for j in range(4, 0, -1):
+        d, group = np.divmod(d, 10000)
+        data[:, j] = _GROUP[group]
+        digits = np.where((digits == 1) & (group != 0), 4 * j - 3 + _LAST[group], digits)
+    data[:, 0] = _HEAD[d]
+    data.view(np.uint8)[:, -1] = ord(",")
+    data |= _DROP[(k + 4) * 18 + digits]
+    data.view(np.uint8)[:, 0] = np.where(np.signbit(v), ord("-"), 0xFF)
+    text = [b"%s," % format(x, ".17g").encode() for x in v[~fast].tolist()]
+    data[~fast] = _byte_table(text, 40).view(np.uint64)
+    return data.view(np.uint8)
+
+
 def write_trace_csv(trace: Trace, destination: str | Path) -> None:
     """Write the trace in canonical row order; see the module docstring.
 
-    Rows are written ``_CHUNK`` at a time, and each distinct speed of a batch
-    is formatted once: a simulated vehicle keeps one speed, so speeds repeat.
-    The table is keyed on the bits, not the value, so -0.0 and 0.0 keep their
-    own text."""
-    points, ids = trace.points, trace.vehicle_ids
-    with open(destination, "w", encoding="utf-8", newline="\n") as out:
-        out.write(TRACE_HEADER + "\n")
-        for lo in range(0, len(points), _CHUNK):
-            chunk = points[lo : lo + _CHUNK]
-            bits, speed_index = np.unique(chunk["speed"].view(np.int64), return_inverse=True)
-            speeds = [f"{speed:.17g}" for speed in bits.view(np.float64).tolist()]
-            out.writelines(
-                f"{step},{ids[v]},{x:.17g},{y:.17g},{speeds[s]},{route}\n"
-                for step, v, x, y, s, route in zip(
-                    *(chunk[f].tolist() for f in ("step", "vehicle", "x", "y")),
-                    speed_index.tolist(), chunk["route_label"].tolist())
-            )
+    Each row is ``f"{step},{id},{x:.17g},{y:.17g},{speed:.17g},{route}\\n"``,
+    built a batch of rows at a time as one byte matrix whose unused bytes
+    are 0xFF, which UTF-8 never holds, and written without them.  Ids come
+    from a UTF-8 table and each distinct step and label of a batch is
+    formatted once.  x, y and speed get exact digits by array arithmetic for
+    1e-4 <= |v| < 1e16 (:func:`_float_text`); other values (±0, exponent
+    form, subnormals, huge) are formatted one by one."""
+    ids = _byte_table([vid.encode() + b"," for vid in trace.vehicle_ids])
+    batch = max(1, _WRITE_BATCH * 64 // max(ids.shape[1], 64))
+    with open(destination, "wb") as out:
+        out.write(TRACE_HEADER.encode() + b"\n")
+        for lo in range(0, len(trace.points), batch):
+            chunk = trace.points[lo : lo + batch]
+            rows = np.concatenate([
+                _int_text(chunk["step"], b","), ids[chunk["vehicle"]],
+                *(_float_text(chunk[f]) for f in ("x", "y", "speed")),
+                _int_text(chunk["route_label"], b"\n")], axis=1)
+            out.write(rows.tobytes().translate(None, b"\xff"))
 
 
 def _parse_trace_rows(lines: list[str]) -> np.ndarray:

@@ -111,6 +111,7 @@ class LabeledExample:
     def __post_init__(self):
         if self.label not in (1, -1):
             raise ValueError(f"label must be +1 or -1, got {self.label}")
+        object.__setattr__(self, "label", int(self.label))  # 1.0 or True is saved as 1
         if not all(abs(f) <= sys.float_info.max for f in self.features):
             raise ValueError("features must be finite")
 

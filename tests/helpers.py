@@ -171,6 +171,15 @@ def rows_of(trace: Trace) -> list[tuple]:
     return list(zip(p["step"].tolist(), ids, *rest))
 
 
+def reference_trace_csv(trace: Trace, destination: str | Path) -> None:
+    """The trace CSV written one f-string per row: an oracle for
+    ``write_trace_csv``, which must match it byte for byte."""
+    lines = ["step,vehicle_id,x,y,speed,route_label\n"]
+    for step, vid, x, y, speed, route in rows_of(trace):
+        lines.append(f"{step},{vid},{x:.17g},{y:.17g},{speed:.17g},{route}\n")
+    Path(destination).write_bytes("".join(lines).encode("utf-8"))
+
+
 def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5) -> None:
     """Export a trace in the floating-car-data XML shape.
 

@@ -1,7 +1,10 @@
 import logging
+import math
 import random
 import re
+import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,13 +25,43 @@ from routesvm.dataset_io import (
 )
 from routesvm.eval_pipeline import split_examples
 from routesvm.svm import LabeledExample
-from routesvm.traffic_sim import Trace
+from routesvm.traffic_sim import Trace, make_trace
 
-from helpers import label_table_of, random_trace, rows_of, trace_from_rows, write_fcd_xml
+from helpers import (
+    label_table_of,
+    random_trace,
+    reference_trace_csv,
+    rows_of,
+    trace_from_rows,
+    write_fcd_xml,
+)
 
 
 def one_point_trace() -> Trace:
     return trace_from_rows([(0, "v0001", 1.5, -0.25, 2.0, 1)])
+
+
+def largest_float_below(value: Fraction) -> float:
+    x = float(value)
+    return x if Fraction(x) < value else math.nextafter(x, 0)
+
+
+# The floats just below the powers of ten within write_trace_csv's exact
+# digit kernel (1e-4 <= |x| < 1e16): the only ones whose 17 digits could
+# round up to 10**17.
+BELOW_POWERS_OF_TEN = [largest_float_below(Fraction(10) ** m) for m in range(-3, 17)]
+EDGE_FLOATS = [
+    1234567890123456.75, 1234567890123456.25,  # 17th-digit ties, odd and even
+    *(math.nextafter(x, to) for x in (1e-4, 1e-6, 1e16, 1e17) for to in (0, math.inf)),
+    1e-4, 1e-6, 1e16, 1e17, 0.0, 5e-324, sys.float_info.max, 0.1, 2.5, 1000.0,
+    *BELOW_POWERS_OF_TEN,
+]
+
+
+def assert_matches_reference(trace: Trace, folder) -> None:
+    write_trace_csv(trace, folder / "trace.csv")
+    reference_trace_csv(trace, folder / "reference.csv")
+    assert (folder / "trace.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
 
 class TestTraceCsv:
@@ -59,6 +92,40 @@ class TestTraceCsv:
         path = tmp_path / "gen.csv"
         write_trace_csv(small_trace, path)
         assert read_trace_csv(path) == small_trace
+
+    def test_the_digit_kernel_facts_about_powers_of_ten(self):
+        """What the writer's digit kernel relies on: each float below a power
+        of ten is more than half a unit of its 17th digit away from it (no
+        carry), and the float nearest each power in the range is at or above
+        it (its decade is found by comparing floats)."""
+        for m, below in enumerate(BELOW_POWERS_OF_TEN, start=-3):
+            assert Fraction(10) ** m - Fraction(below) > Fraction(10) ** (m - 17) / 2
+        for m, nearest in enumerate(dataset_io._DECADES.tolist(), start=-4):
+            assert Fraction(nearest) >= Fraction(10) ** m > Fraction(math.nextafter(nearest, 0))
+
+    @pytest.mark.parametrize("batch", [7, 8192])
+    def test_edge_values_match_the_per_row_reference(self, tmp_path, monkeypatch, batch):
+        monkeypatch.setattr(dataset_io, "_WRITE_BATCH", batch)
+        values = [sign * x for x in EDGE_FLOATS for sign in (1.0, -1.0)]
+        # NUL, UTF-8 of 2, 3 and 4 bytes, and an id long enough to shrink the batch
+        ids = ["v1", "\x00", "\xff\u20ac\U0001f600", "v" * 300]
+        n = len(values)
+        trace = trace_from_rows(
+            (i - n // 2, ids[i % 4], x, values[-1 - i], values[7 * i % n], 0)
+            for i, x in enumerate(values)
+        )
+        assert_matches_reference(trace, tmp_path)
+
+    @pytest.mark.parametrize("batch", [7, 8192])
+    def test_speed_per_row_matches_the_per_row_reference(
+        self, small_trace, tmp_path, monkeypatch, batch
+    ):
+        monkeypatch.setattr(dataset_io, "_WRITE_BATCH", batch)
+        points = small_trace.points.copy()
+        points["speed"] += np.random.default_rng(1).uniform(-0.5, 0.5, len(points))
+        assert len(np.unique(points["speed"])) == len(points)
+        trace = make_trace({f: points[f] for f in points.dtype.names}, small_trace.vehicle_ids)
+        assert_matches_reference(trace, tmp_path)
 
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "h.csv"

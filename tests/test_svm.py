@@ -27,6 +27,7 @@ from routesvm.svm import (
     kernel_eval,
     model_from_text,
     model_to_text,
+    train,
     weight_norm,
 )
 
@@ -60,6 +61,13 @@ class TestLabeledExample:
         with pytest.raises(ValueError) as exc_info:
             LabeledExample(features, label)
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("label", [1.0, True, np.int64(-1)])
+    def test_label_of_another_type_is_stored_as_int(self, label):
+        examples = [LabeledExample((0, 1), label), LabeledExample((0, -1), -label)]
+        assert [type(e.label) for e in examples] == [int, int]
+        text = model_to_text(train(examples, KernelSpec.linear()))
+        assert model_to_text(model_from_text(text)) == text
 
 
 @pytest.mark.parametrize("error", [

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from routesvm.dataset_io import (
@@ -19,9 +19,17 @@ from routesvm.dataset_io import (
 )
 from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace
 
-from helpers import label_table_of, reference_trace, trace_from_rows, write_fcd_xml
+from helpers import (
+    label_table_of,
+    reference_trace,
+    reference_trace_csv,
+    trace_from_rows,
+    write_fcd_xml,
+)
 
-SETTINGS = settings(max_examples=200, deadline=None, database=None)
+# No explain phase: on a failure it re-runs the test many times over.
+SETTINGS = settings(max_examples=200, deadline=None, database=None,
+                    phases=[p for p in Phase if p is not Phase.explain])
 
 # Ids that are not zero-padded, so string order differs from numeric order,
 # plus arbitrary text without the CSV separator or line breaks.
@@ -93,6 +101,15 @@ def test_trace_csv_round_trips(tmp_path_factory, trace):
     assert restored.points.tobytes() == trace.points.tobytes()  # keeps -0.0 and subnormals
     write_trace_csv(restored, path)
     assert path.read_bytes() == text
+
+
+@SETTINGS
+@given(trace=traces())
+def test_trace_csv_bytes_match_the_per_row_reference(tmp_path_factory, trace):
+    folder = tmp_path_factory.mktemp("reference")
+    write_trace_csv(trace, folder / "trace.csv")
+    reference_trace_csv(trace, folder / "reference.csv")
+    assert (folder / "trace.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
 
 def check_valid(trace: Trace) -> None:

@@ -241,7 +241,8 @@ class TestKernelRows:
         assert got == gram_solve(data, kernel)
         assert model.summary.converged
 
-    @settings(max_examples=200, deadline=None, database=None)
+    @settings(max_examples=200, deadline=None, database=None,
+              phases=[p for p in Phase if p is not Phase.explain])
     @given(
         xs=st.integers(1, 4).flatmap(lambda d: hnp.arrays(
             float, st.tuples(st.integers(1, 12), st.just(d)),
