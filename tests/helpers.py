@@ -8,6 +8,7 @@ from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
+from routesvm.dataset_io import write_trace_csv
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
 from routesvm.traffic_sim import LANE_COUNT, ScenarioConfig, Trace, make_trace
 
@@ -178,6 +179,12 @@ def reference_trace_csv(trace: Trace, destination: str | Path) -> None:
     for step, vid, x, y, speed, route in rows_of(trace):
         lines.append(f"{step},{vid},{x:.17g},{y:.17g},{speed:.17g},{route}\n")
     Path(destination).write_bytes("".join(lines).encode("utf-8"))
+
+
+def assert_writes_reference_bytes(trace: Trace, folder: Path) -> None:
+    write_trace_csv(trace, folder / "trace.csv")
+    reference_trace_csv(trace, folder / "reference.csv")
+    assert (folder / "trace.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
 
 def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5) -> None:

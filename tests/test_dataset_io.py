@@ -28,9 +28,9 @@ from routesvm.svm import LabeledExample
 from routesvm.traffic_sim import Trace, make_trace
 
 from helpers import (
+    assert_writes_reference_bytes,
     label_table_of,
     random_trace,
-    reference_trace_csv,
     rows_of,
     trace_from_rows,
     write_fcd_xml,
@@ -56,12 +56,6 @@ EDGE_FLOATS = [
     1e-4, 1e-6, 1e16, 1e17, 0.0, 5e-324, sys.float_info.max, 0.1, 2.5, 1000.0,
     *BELOW_POWERS_OF_TEN,
 ]
-
-
-def assert_matches_reference(trace: Trace, folder) -> None:
-    write_trace_csv(trace, folder / "trace.csv")
-    reference_trace_csv(trace, folder / "reference.csv")
-    assert (folder / "trace.csv").read_bytes() == (folder / "reference.csv").read_bytes()
 
 
 class TestTraceCsv:
@@ -114,7 +108,7 @@ class TestTraceCsv:
             (i - n // 2, ids[i % 4], x, values[-1 - i], values[7 * i % n], 0)
             for i, x in enumerate(values)
         )
-        assert_matches_reference(trace, tmp_path)
+        assert_writes_reference_bytes(trace, tmp_path)
 
     @pytest.mark.parametrize("batch", [7, 8192])
     def test_speed_per_row_matches_the_per_row_reference(
@@ -125,7 +119,7 @@ class TestTraceCsv:
         points["speed"] += np.random.default_rng(1).uniform(-0.5, 0.5, len(points))
         assert len(np.unique(points["speed"])) == len(points)
         trace = make_trace({f: points[f] for f in points.dtype.names}, small_trace.vehicle_ids)
-        assert_matches_reference(trace, tmp_path)
+        assert_writes_reference_bytes(trace, tmp_path)
 
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "h.csv"

@@ -20,9 +20,9 @@ from routesvm.dataset_io import (
 from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace
 
 from helpers import (
+    assert_writes_reference_bytes,
     label_table_of,
     reference_trace,
-    reference_trace_csv,
     trace_from_rows,
     write_fcd_xml,
 )
@@ -106,10 +106,7 @@ def test_trace_csv_round_trips(tmp_path_factory, trace):
 @SETTINGS
 @given(trace=traces())
 def test_trace_csv_bytes_match_the_per_row_reference(tmp_path_factory, trace):
-    folder = tmp_path_factory.mktemp("reference")
-    write_trace_csv(trace, folder / "trace.csv")
-    reference_trace_csv(trace, folder / "reference.csv")
-    assert (folder / "trace.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+    assert_writes_reference_bytes(trace, tmp_path_factory.mktemp("reference"))
 
 
 def check_valid(trace: Trace) -> None:
