@@ -13,14 +13,15 @@ Label sidecar  CSV with header ``vehicle_id,route_label`` mapping each
                vehicle to its route outcome (0 or 1).
 Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 
-Both trace readers parse their rows into columns and build the trace with
-:func:`~routesvm.traffic_sim.make_trace`, then validate the whole trace in one
-step: every x, y and speed value must be finite, a (step, vehicle_id) pair
-occurs once and a vehicle keeps one route label.  A step must fit in a signed
-64-bit integer, and an FCD vehicle id holds no comma, CR or LF, which a trace
-CSV could not hold.  Trace CSV numbers are plain decimal (``1_0`` is not a
-number); the file is parsed a block of lines at a time by ``np.loadtxt``.  The
-label and examples CSVs share one row reader.  Every file is UTF-8.
+Both trace readers fill one ``POINT_DTYPE`` array with their rows in file
+order, validate it, and hand it to :func:`~routesvm.traffic_sim.make_trace`:
+every x, y and speed value must be finite, a (step, vehicle_id) pair occurs
+once and a vehicle keeps one route label.  A step must fit in a signed 64-bit
+integer, and an FCD vehicle id holds no comma, CR or LF, which a trace CSV
+could not hold.  Trace CSV numbers are plain decimal (``1_0`` is not a
+number); the file is parsed a block of lines at a time by ``np.loadtxt``,
+and no block outlives its copy into the points.  The label and examples CSVs
+share one row reader.  Every file is UTF-8.
 Violations raise :class:`TraceFormatError`.
 
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
@@ -138,17 +139,18 @@ def _csv_rows(source: str | Path, header: str):
             yield line_no, fields
 
 
-def _checked_trace(columns: dict, ids: dict[str, int], where: Callable[[int], str]) -> Trace:
+def _checked_trace(points: np.ndarray, ids: dict[str, int], where: Callable) -> Trace:
     """The readers' one validation step, over the whole trace at once.
 
-    ``columns`` holds the rows in file order, ``ids`` maps each vehicle id to
-    its ``vehicle`` index, and ``where(row)`` names a row for the non-finite
-    error.  A repeated (step, vehicle_id) or a route label that differs from
-    the vehicle's first is reported for its first row in canonical order."""
-    finite = np.isfinite(columns["x"]) & np.isfinite(columns["y"]) & np.isfinite(columns["speed"])
+    ``points`` holds the rows in file order and becomes the trace's points,
+    ``ids`` maps each vehicle id to its ``vehicle`` index, and ``where(row)``
+    names a row for the non-finite error.  A repeated (step, vehicle_id) or a
+    route label that differs from the vehicle's first is reported for its
+    first row in canonical order."""
+    finite = np.isfinite(points["x"]) & np.isfinite(points["y"]) & np.isfinite(points["speed"])
     if not finite.all():
         raise TraceFormatError(f"{where(int(np.argmin(finite)))}: non-finite value")
-    trace = make_trace(columns, list(ids))
+    trace = make_trace(points, list(ids))
     step, vehicle, route = (trace.points[f] for f in ("step", "vehicle", "route_label"))
     rows, starts, _ = trace.rows_by_vehicle
     duplicate = np.zeros(len(step), dtype=bool)
@@ -313,6 +315,18 @@ def _block_error(block: list[str], line_no: int) -> TraceFormatError:
     raise AssertionError("a block that failed its checks has no bad row")
 
 
+def _row_bound(source: str | Path) -> int:
+    """At least the data rows of a trace CSV that passes the reader's checks:
+    each holds five commas, as the header does.  Blank lines and line ends
+    of any kind count for nothing, so the bound is exact for a file with no
+    other commas, such as every file :func:`write_trace_csv` writes."""
+    commas = 0
+    with open(source, "rb") as raw:
+        for chunk in iter(lambda: raw.read(1 << 20), b""):
+            commas += np.count_nonzero(np.frombuffer(chunk, np.uint8) == ord(","))
+    return max(0, commas // (len(_FIELDS) - 1) - 1)
+
+
 def read_trace_csv(source: str | Path) -> Trace:
     """Inverse of :func:`write_trace_csv`; rows are re-sorted into canonical
     (step, vehicle_id) order and validated as the module docstring says.
@@ -321,10 +335,12 @@ def read_trace_csv(source: str | Path) -> Trace:
     One Python pass over a block skips blank lines, checks the field count
     and maps the vehicle ids; ``np.loadtxt`` parses the other columns.  A
     block that fails is scanned again, row by row, to name the bad line.
+    Each block is copied into one points array, sized up front by
+    :func:`_row_bound`, and freed; the array is trimmed to the rows read.
     """
+    points = np.empty(_row_bound(source), dtype=POINT_DTYPE)
+    end = 0
     ids: dict[str, int] = {}
-    blocks = [np.empty(0, dtype=_TRACE_COLUMNS)]
-    vehicles = [np.empty(0, dtype=np.int64)]
     blanks: list[int] = []  # rows before each blank line
     with _utf8_text(source) as text:
         _skip_header(text, TRACE_HEADER)
@@ -345,7 +361,10 @@ def read_trace_csv(source: str | Path) -> Trace:
             names = [line.split(",", 2)[1] for line in lines]
             for name in dict.fromkeys(names):
                 ids.setdefault(name, len(ids))
-            vehicles.append(np.fromiter(map(ids.__getitem__, names), np.int64, len(names)))
+            stop = end + len(lines)
+            if stop > len(points):  # the file grew after it was counted
+                points.resize(stop, refcheck=False)  # no view of points outlives a statement
+            points["vehicle"][end:stop] = np.fromiter(map(ids.__getitem__, names), np.int64)
             try:
                 rows = _parse_trace_rows(lines)
             except ValueError:
@@ -353,11 +372,12 @@ def read_trace_csv(source: str | Path) -> Trace:
             route = rows["route_label"]
             if not ((route == 0) | (route == 1)).all():
                 raise _block_error(block, line_no)
-            blocks.append(rows)
-    rows = np.concatenate(blocks)
-    del blocks
-    columns = {"vehicle": np.concatenate(vehicles), **{f: rows[f] for f in _TRACE_COLUMNS.names}}
-    return _checked_trace(columns, ids, lambda row: f"line {row + 2 + bisect_right(blanks, row)}")
+            for name in _TRACE_COLUMNS.names:
+                points[name][end:stop] = rows[name]
+            end = stop
+            del block, lines, names, rows, route  # one block of work at a time
+    points.resize(end, refcheck=False)
+    return _checked_trace(points, ids, lambda row: f"line {row + 2 + bisect_right(blanks, row)}")
 
 
 # ---------------------------------------------------------------------------
@@ -390,7 +410,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
         ) from exc
 
     ids: dict[str, int] = {}
-    cols: tuple[list, ...] = tuple([] for _ in _FIELDS)
+    rows: list[tuple] = []
     skipped = 0
     step = -1
     for timestep in root.iter("timestep"):
@@ -411,8 +431,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
             except ValueError as exc:
                 raise TraceFormatError(f"vehicle {vehicle_id!r}: {exc}") from exc
             index = ids.setdefault(vehicle_id, len(ids))
-            for c, value in zip(cols, (step, index, x, y, speed, labels[vehicle_id])):
-                c.append(value)
+            rows.append((step, index, x, y, speed, labels[vehicle_id]))
     if skipped:
         log.warning("skipped %d vehicle observations with no route label", skipped)
     names = list(ids)
@@ -420,7 +439,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
         if any(c in vehicle_id for c in ",\r\n"):
             raise TraceFormatError(f"vehicle {vehicle_id!r}: a trace CSV id holds no ',', CR, LF")
     return _checked_trace(
-        dict(zip(_FIELDS, cols)), ids, lambda row: f"vehicle {names[cols[1][row]]!r}"
+        np.array(rows, dtype=POINT_DTYPE), ids, lambda row: f"vehicle {names[rows[row][1]]!r}"
     )
 
 

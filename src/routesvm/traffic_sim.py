@@ -7,9 +7,11 @@ continuing straight.  The simulator emits one position sample per vehicle per
 time step, labeled with the vehicle's route choice.
 
 A :class:`Trace` holds those samples as numpy columns (step, vehicle index,
-x, y, speed, route_label) in one structured array, plus the sorted table of
-vehicle ids the index points into.  :func:`make_trace` is the one place that
-builds a trace from columns; the simulator and both file readers use it.
+x, y, speed, route_label) in one structured ``POINT_DTYPE`` array, plus the
+sorted table of vehicle ids the index points into.  Every builder fills one
+such array and hands it to :func:`make_trace`, which puts it in canonical
+order in place; the simulator fills it a block of steps at a time, already in
+that order, so no builder holds more than the array and one block of work.
 
 All randomness comes from one ``random.Random(rng_seed)`` stream, drawn in
 this order: per vehicle, in index order, a route draw, a lane draw, a speed
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import random
 import sys
-from collections.abc import Mapping, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 
@@ -39,6 +41,7 @@ __all__ = [
 ]
 
 LANE_COUNT = 3
+_BLOCK = 1 << 16  # rows generate_trace fills at a time: whole steps, at least one
 
 
 class ConfigError(ValueError):
@@ -132,30 +135,33 @@ class Trace:
     def rows_by_vehicle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, starts, counts): row indices grouped by vehicle index, each
         vehicle's rows in step order; vehicle ``v`` owns
-        ``rows[starts[v]:starts[v] + counts[v]]``.  Computed once per trace."""
-        rows = np.lexsort((self.points["step"], self.points["vehicle"]))
+        ``rows[starts[v]:starts[v] + counts[v]]``.  Computed once per trace,
+        by a stable sort on vehicle alone, as the rows are in step order."""
+        rows = np.argsort(self.points["vehicle"], kind="stable")
         counts = np.bincount(self.points["vehicle"], minlength=len(self.vehicle_ids))
         return rows, np.cumsum(counts) - counts, counts
 
 
-def make_trace(columns: Mapping, vehicle_ids: Sequence[str]) -> Trace:
-    """A trace from columns of rows in any order.
+def make_trace(points: np.ndarray, vehicle_ids: Sequence[str]) -> Trace:
+    """A trace from a ``POINT_DTYPE`` array of rows in any order.
 
-    ``columns`` maps every ``POINT_DTYPE`` field to one value per row; the
-    ``vehicle`` values index ``vehicle_ids``, distinct ids in any order, each
-    with a row.  The id table is sorted, the indices remapped to it and the
-    rows put in (step, vehicle id) order with one stable ``np.lexsort``.
-    Nothing is validated here; the file readers validate what they ingest.
+    Takes ownership of ``points``: it is changed in place and becomes the
+    trace's read-only ``points``.  Its ``vehicle`` values index
+    ``vehicle_ids``, distinct ids in any order, each with a row.  The id table
+    is sorted and the indices remapped to it; rows are put in (step, vehicle
+    id) order with one stable ``np.lexsort``, one field at a time, only if an
+    O(n) check finds them out of that order.  Nothing is validated here; the
+    file readers validate what they ingest.
     """
     id_order = sorted(range(len(vehicle_ids)), key=vehicle_ids.__getitem__)
-    rank = np.argsort(np.array(id_order, dtype=np.int64))  # given index -> sorted position
-    vehicle = rank[np.asarray(columns["vehicle"], dtype=np.int64)]
-    step = np.asarray(columns["step"], dtype=np.int64)
-    order = np.lexsort((vehicle, step))
-    points = np.empty(len(order), dtype=POINT_DTYPE)
-    points["step"], points["vehicle"] = step[order], vehicle[order]
-    for name in ("x", "y", "speed", "route_label"):
-        points[name] = np.asarray(columns[name])[order]
+    if id_order != list(range(len(id_order))):
+        rank = np.argsort(np.array(id_order, dtype=np.int64))  # given index -> sorted position
+        points["vehicle"] = rank[points["vehicle"]]
+    step, vehicle = points["step"], points["vehicle"]
+    if ((step[1:] < step[:-1]) | ((step[1:] == step[:-1]) & (vehicle[1:] < vehicle[:-1]))).any():
+        order = np.lexsort((vehicle, step))
+        for name in POINT_DTYPE.names:
+            points[name] = points[name][order]
     points.flags.writeable = False
     return Trace(points, tuple(vehicle_ids[i] for i in id_order))
 
@@ -187,7 +193,10 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     """Simulate the configured scenario and return its labeled trace.
 
     Vehicle ``i`` is ``v{i:04d}``; row ``i`` of the draws holds its route,
-    lane and speed draws, then its y-jitter draws, in stream order.
+    lane and speed draws, then its y-jitter draws, in stream order.  The
+    per-vehicle values are permuted into id order (past 10000 vehicles
+    ``v10000`` sorts before ``v1001``) and the points are filled ``_BLOCK``
+    rows of whole steps at a time, in canonical order, so nothing is sorted.
 
     Raises :class:`ConfigError` for configs violating invariants.
     """
@@ -195,18 +204,21 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     rng = random.Random(config.rng_seed)
     n, steps = config.num_vehicles, config.num_steps
     u = np.fromiter(iter(rng.random, None), float, count=n * (3 + steps)).reshape(n, -1)
+    ids = [f"v{i:04d}" for i in range(n)]
+    by_id = np.array(sorted(range(n), key=ids.__getitem__))
     lo, hi = config.speed_range
-    routes = (u[:, :1] < config.route2_probability).astype(np.int8)  # (n, 1) columns
-    lanes = np.minimum((u[:, 1:2] * LANE_COUNT).astype(np.int64), LANE_COUNT - 1)
-    speeds = lo + (hi - lo) * u[:, 2:3]
-    spawn_x = config.spawn_spacing * np.arange(n)[:, None]
-    x, y = vehicle_position(config, routes, lanes, speeds, np.arange(steps), spawn_x)
-    columns = {
-        "step": np.tile(np.arange(steps), n),
-        "vehicle": np.repeat(np.arange(n), steps),
-        "x": x.ravel(),
-        "y": (y + (2.0 * u[:, 3:] - 1.0) * config.lane_noise).ravel(),
-        "speed": np.repeat(speeds, steps),
-        "route_label": np.repeat(routes, steps),
-    }
-    return make_trace(columns, [f"v{i:04d}" for i in range(n)])
+    routes = (u[by_id, 0] < config.route2_probability).astype(np.int8)
+    lanes = np.minimum((u[by_id, 1] * LANE_COUNT).astype(np.int64), LANE_COUNT - 1)
+    speeds = lo + (hi - lo) * u[by_id, 2]
+    spawn_x = config.spawn_spacing * by_id
+    points = np.empty(n * steps, dtype=POINT_DTYPE)
+    per_block = max(1, _BLOCK // n)
+    for first in range(0, steps, per_block):
+        last = min(first + per_block, steps)
+        step = np.arange(first, last)[:, None]
+        block = points[first * n : last * n].reshape(-1, n)
+        block["step"], block["vehicle"] = step, np.arange(n)
+        block["speed"], block["route_label"] = speeds, routes
+        block["x"], block["y"] = vehicle_position(config, routes, lanes, speeds, step, spawn_x)
+        block["y"] += (2.0 * u[by_id, 3 + first : 3 + last].T - 1.0) * config.lane_noise
+    return make_trace(points, [ids[i] for i in by_id])

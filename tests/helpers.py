@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
@@ -10,7 +12,19 @@ import numpy as np
 
 from routesvm.dataset_io import write_trace_csv
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
-from routesvm.traffic_sim import LANE_COUNT, ScenarioConfig, Trace, make_trace
+from routesvm.traffic_sim import LANE_COUNT, POINT_DTYPE, ScenarioConfig, Trace, make_trace
+
+
+def peak_allocation(function, *args):
+    """(result, peak bytes allocated) of ``function(*args)``, by tracemalloc,
+    which sees numpy's buffers as well as Python's objects."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = function(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def hard_margin_oracle(points, labels):
@@ -122,7 +136,7 @@ def reference_trace(config: ScenarioConfig) -> Trace:
     lo, hi = config.speed_range
     x0 = config.junction_x
     x1, y1 = config.ramp_end
-    columns = {name: [] for name in ("step", "vehicle", "x", "y", "speed", "route_label")}
+    rows = []
     for i in range(config.num_vehicles):
         route = 1 if rng.random() < config.route2_probability else 0
         lane_y = config.lane_y[min(int(rng.random() * LANE_COUNT), LANE_COUNT - 1)]
@@ -135,21 +149,17 @@ def reference_trace(config: ScenarioConfig) -> Trace:
             elif route == 1 and x > x0:
                 s = (x - x0) / (x1 - x0)
                 y = lane_y + (y1 - lane_y) * (3.0 * s * s - 2.0 * s ** 3)
-            row = (step, i, x, y + (2.0 * rng.random() - 1.0) * config.lane_noise, speed, route)
-            for column, value in zip(columns.values(), row):
-                column.append(value)
+            rows.append(
+                (step, i, x, y + (2.0 * rng.random() - 1.0) * config.lane_noise, speed, route))
     ids = [f"v{i:04d}" for i in range(config.num_vehicles)]
-    return make_trace(columns, ids)
+    return make_trace(np.array(rows, dtype=POINT_DTYPE), ids)
 
 
 def trace_from_rows(rows) -> Trace:
     """A trace from (step, vehicle_id, x, y, speed, route_label) rows in any order."""
     ids: dict[str, int] = {}
-    columns = {name: [] for name in ("step", "vehicle", "x", "y", "speed", "route_label")}
-    for step, vid, *rest in rows:
-        for column, value in zip(columns.values(), (step, ids.setdefault(vid, len(ids)), *rest)):
-            column.append(value)
-    return make_trace(columns, list(ids))
+    points = [(step, ids.setdefault(vid, len(ids)), *rest) for step, vid, *rest in rows]
+    return make_trace(np.array(points, dtype=POINT_DTYPE), list(ids))
 
 
 def random_trace(rng: random.Random, n_vehicles: int = 5, n_steps: int = 4) -> Trace:

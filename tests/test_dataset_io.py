@@ -25,11 +25,12 @@ from routesvm.dataset_io import (
 )
 from routesvm.eval_pipeline import split_examples
 from routesvm.svm import LabeledExample
-from routesvm.traffic_sim import Trace, make_trace
+from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace, make_trace
 
 from helpers import (
     assert_writes_reference_bytes,
     label_table_of,
+    peak_allocation,
     random_trace,
     rows_of,
     trace_from_rows,
@@ -118,7 +119,7 @@ class TestTraceCsv:
         points = small_trace.points.copy()
         points["speed"] += np.random.default_rng(1).uniform(-0.5, 0.5, len(points))
         assert len(np.unique(points["speed"])) == len(points)
-        trace = make_trace({f: points[f] for f in points.dtype.names}, small_trace.vehicle_ids)
+        trace = make_trace(points, small_trace.vehicle_ids)
         assert_writes_reference_bytes(trace, tmp_path)
 
     def test_header_only_reads_empty(self, tmp_path):
@@ -238,6 +239,18 @@ class TestTraceCsvBlocks:
         write_trace_csv(trace, again)
         assert again.read_bytes() == reference.read_bytes()
 
+    def test_rows_past_the_counted_bound_still_read(self, small_trace, tmp_path, monkeypatch):
+        """A file that grew after its rows were counted."""
+        monkeypatch.setattr(dataset_io, "_row_bound", lambda source: 1)
+        write_trace_csv(small_trace, tmp_path / "trace.csv")
+        assert read_trace_csv(tmp_path / "trace.csv") == small_trace
+
+    @pytest.mark.parametrize("text", ["", "\n\n", "\r\n\r\n", "\r\r", ",,,,,\n"])
+    def test_row_bound_counts_rows_not_line_ends(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(f"{self.HEADER}{self.GOOD[0]}{text}{self.GOOD[1]}".encode())
+        assert dataset_io._row_bound(path) == 2 + (text == ",,,,,\n")
+
     def test_blank_lines_across_blocks(self, tmp_path):
         path = tmp_path / "blank.csv"
         path.write_text(self.HEADER + "\n\n\n\n" + "\n".join(self.GOOD))  # a blank after each row
@@ -307,6 +320,16 @@ class TestTraceCsvBlocks:
         again = tmp_path / "again.csv"
         write_trace_csv(read_trace_csv(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+
+def test_read_peak_allocation_is_the_points_and_one_block(tmp_path, monkeypatch):
+    trace = generate_trace(ScenarioConfig(num_vehicles=2000))
+    write_trace_csv(trace, tmp_path / "trace.csv")
+    monkeypatch.setattr(dataset_io, "_CHUNK", 8192)
+    restored, peak = peak_allocation(read_trace_csv, tmp_path / "trace.csv")
+    assert restored == trace
+    ratio = peak / trace.points.nbytes
+    assert ratio <= 2.4
 
 
 class TestFcdXml:

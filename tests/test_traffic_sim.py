@@ -4,16 +4,18 @@ import math
 import numpy as np
 import pytest
 
+from routesvm import traffic_sim
 from routesvm.cli import main
 from routesvm.dataset_io import write_trace_csv
 from routesvm.traffic_sim import (
     ConfigError,
     ScenarioConfig,
     generate_trace,
+    make_trace,
     vehicle_position,
 )
 
-from helpers import label_table_of, rows_of
+from helpers import label_table_of, peak_allocation, reference_trace, rows_of
 
 
 def config_with(**kwargs) -> ScenarioConfig:
@@ -171,6 +173,22 @@ class TestGenerateTrace:
         assert ids.index("v10000") < ids.index("v1001")
         assert list(trace.vehicle_ids) == ids
 
+    @pytest.mark.parametrize("block", [1, 20, 1 << 16])
+    @pytest.mark.parametrize("vehicles, steps", [(7, 9), (10001, 2)])
+    def test_matches_the_reference_in_any_block_size(self, monkeypatch, vehicles, steps, block):
+        """Blocks of whole steps, the last one short; past 10000 vehicles id
+        order is not index order."""
+        monkeypatch.setattr(traffic_sim, "_BLOCK", block)
+        config = ScenarioConfig(num_vehicles=vehicles, num_steps=steps)
+        trace, reference = generate_trace(config), reference_trace(config)
+        assert trace.vehicle_ids == reference.vehicle_ids
+        assert trace.points.tobytes() == reference.points.tobytes()
+
+    def test_peak_allocation_is_the_points_and_one_block(self):
+        trace, peak = peak_allocation(generate_trace, ScenarioConfig(num_vehicles=2000))
+        ratio = peak / trace.points.nbytes
+        assert ratio <= 1.6
+
     def test_points_are_read_only(self):
         trace = generate_trace(config_with())
         with pytest.raises(ValueError):
@@ -209,3 +227,39 @@ class TestGenerateTrace:
             speed = speeds.pop()
             assert lo <= speed <= hi
             assert math.isfinite(speed)
+
+
+class TestMakeTrace:
+    @staticmethod
+    def shuffled(trace, seed):
+        """The trace's rows and id table, each in a random order."""
+        rng = np.random.default_rng(seed)
+        points = trace.points[rng.permutation(len(trace.points))]
+        given = rng.permutation(len(trace.vehicle_ids))  # given index -> canonical index
+        points["vehicle"] = np.argsort(given)[points["vehicle"]]
+        return points, [trace.vehicle_ids[i] for i in given]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_shuffled_rows_give_the_canonical_trace(self, seed):
+        trace = generate_trace(config_with(num_vehicles=12, num_steps=7))
+        shuffled = make_trace(*self.shuffled(trace, seed))
+        assert shuffled == trace
+        assert shuffled.points.tobytes() == trace.points.tobytes()
+
+    def test_canonical_input_is_used_in_place(self):
+        generated = generate_trace(config_with())
+        points = generated.points.copy()
+        trace = make_trace(points, generated.vehicle_ids)
+        assert trace == generated
+        assert np.shares_memory(trace.points, points)
+        assert not points.flags.writeable
+
+    def test_shuffled_input_is_sorted_in_place(self):
+        points, ids = self.shuffled(generate_trace(config_with()), 0)
+        assert np.shares_memory(make_trace(points, ids).points, points)
+
+    def test_rows_with_equal_keys_keep_their_order(self):
+        points = np.zeros(4, dtype=traffic_sim.POINT_DTYPE)
+        points["step"] = [1, 0, 1, 0]
+        points["x"] = [0.0, 1.0, 2.0, 3.0]
+        assert make_trace(points, ["a"]).points["x"].tolist() == [1.0, 3.0, 0.0, 2.0]
