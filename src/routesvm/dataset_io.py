@@ -13,16 +13,16 @@ Label sidecar  CSV with header ``vehicle_id,route_label`` mapping each
                vehicle to its route outcome (0 or 1).
 Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 
-Both trace readers fill one ``POINT_DTYPE`` array with their rows in file
-order, validate it, and hand it to :func:`~routesvm.traffic_sim.make_trace`:
-every x, y and speed value must be finite, a (step, vehicle_id) pair occurs
-once and a vehicle keeps one route label.  A step must fit in a signed 64-bit
-integer, and an FCD vehicle id holds no comma, CR or LF, which a trace CSV
-could not hold.  Trace CSV numbers are plain decimal (``1_0`` is not a
-number); the file is parsed a block of lines at a time by ``np.loadtxt``,
-and no block outlives its copy into the points.  The label and examples CSVs
-share one row reader.  Every file is UTF-8.
-Violations raise :class:`TraceFormatError`.
+Both trace readers check each row where they parse it, so an error names
+the first bad row in file order: x, y and speed must be finite, a step must
+fit in a signed 64-bit integer, and an FCD vehicle id holds no comma, CR or
+LF, which a trace CSV could not hold.  Trace CSV numbers are plain decimal
+(``1_0`` is not a number), parsed a block of lines at a time by ``np.loadtxt``.
+The rows fill one ``POINT_DTYPE`` array, handed to
+:func:`~routesvm.traffic_sim.make_trace`, and the checks that span rows run
+once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
+label.  The label and examples CSVs share one row reader.  Every file is
+UTF-8.  Violations raise :class:`TraceFormatError`.
 
 Route labels are mapped to classes exactly once, here: route 0 -> +1,
 route 1 -> -1.  No other module converts labels.
@@ -35,8 +35,6 @@ import math
 import random
 import warnings
 import xml.etree.ElementTree as ElementTree
-from bisect import bisect_right
-from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import count, islice, repeat
@@ -139,17 +137,12 @@ def _csv_rows(source: str | Path, header: str):
             yield line_no, fields
 
 
-def _checked_trace(points: np.ndarray, ids: dict[str, int], where: Callable) -> Trace:
-    """The readers' one validation step, over the whole trace at once.
+def _checked_trace(points: np.ndarray, ids: dict[str, int]) -> Trace:
+    """The readers' checks that span rows; each row was checked at parse.
 
-    ``points`` holds the rows in file order and becomes the trace's points,
-    ``ids`` maps each vehicle id to its ``vehicle`` index, and ``where(row)``
-    names a row for the non-finite error.  A repeated (step, vehicle_id) or a
-    route label that differs from the vehicle's first is reported for its
-    first row in canonical order."""
-    finite = np.isfinite(points["x"]) & np.isfinite(points["y"]) & np.isfinite(points["speed"])
-    if not finite.all():
-        raise TraceFormatError(f"{where(int(np.argmin(finite)))}: non-finite value")
+    ``points``, the rows in file order, becomes the trace's points; ``ids`` maps
+    each vehicle id to its ``vehicle`` index.  A repeated (step, vehicle_id) or
+    a changed route label is reported for its first row in canonical order."""
     trace = make_trace(points, list(ids))
     step, vehicle, route = (trace.points[f] for f in ("step", "vehicle", "route_label"))
     rows, starts, _ = trace.rows_by_vehicle
@@ -290,7 +283,7 @@ def _trace_row_error(line: str) -> str | None:
         return f"expected {len(_FIELDS)} fields, got {len(fields)}"
     try:
         step = int(fields[0])
-        float(fields[2]), float(fields[3]), float(fields[4])
+        values = float(fields[2]), float(fields[3]), float(fields[4])
         route_label = int(fields[5])
     except ValueError as exc:
         return f"non-numeric field ({exc})"
@@ -302,7 +295,7 @@ def _trace_row_error(line: str) -> str | None:
         _parse_trace_rows([line])
     except ValueError as exc:
         return f"non-numeric field ({exc})"
-    return None
+    return None if all(map(math.isfinite, values)) else "non-finite value"
 
 
 def _block_error(block: list[str], line_no: int) -> TraceFormatError:
@@ -333,29 +326,24 @@ def read_trace_csv(source: str | Path) -> Trace:
 
     The file is read ``_CHUNK`` lines at a time; no copy of its text is held.
     One Python pass over a block skips blank lines, checks the field count
-    and maps the vehicle ids; ``np.loadtxt`` parses the other columns.  A
-    block that fails is scanned again, row by row, to name the bad line.
-    Each block is copied into one points array, sized up front by
-    :func:`_row_bound`, and freed; the array is trimmed to the rows read.
+    and maps the vehicle ids; ``np.loadtxt`` parses the other columns, checked
+    a block at a time.  A block that fails is scanned again, row by row, to
+    name its first bad line.  Each block is copied into one points array,
+    sized up front by :func:`_row_bound`, and freed; then the checks that span
+    rows run once.
     """
     points = np.empty(_row_bound(source), dtype=POINT_DTYPE)
     end = 0
     ids: dict[str, int] = {}
-    blanks: list[int] = []  # rows before each blank line
     with _utf8_text(source) as text:
         _skip_header(text, TRACE_HEADER)
         for line_no in count(2, _CHUNK):  # the file line of the block's first line
             block = list(islice(text, _CHUNK))
             if not block:
                 break
-            lines = block
-            if "\n" in block:
-                for n, line in enumerate(block, start=line_no):
-                    if line == "\n":
-                        blanks.append(n - 2 - len(blanks))
-                lines = [line for line in block if line != "\n"]
-                if not lines:
-                    continue
+            lines = [line for line in block if line != "\n"] if "\n" in block else block
+            if not lines:
+                continue
             if set(map(str.count, lines, repeat(","))) != {len(_FIELDS) - 1}:
                 raise _block_error(block, line_no)
             names = [line.split(",", 2)[1] for line in lines]
@@ -363,21 +351,23 @@ def read_trace_csv(source: str | Path) -> Trace:
                 ids.setdefault(name, len(ids))
             stop = end + len(lines)
             if stop > len(points):  # the file grew after it was counted
-                points.resize(stop, refcheck=False)  # no view of points outlives a statement
+                points = np.concatenate([points, np.empty(stop - len(points), POINT_DTYPE)])
             points["vehicle"][end:stop] = np.fromiter(map(ids.__getitem__, names), np.int64)
             try:
                 rows = _parse_trace_rows(lines)
             except ValueError:
                 raise _block_error(block, line_no) from None
             route = rows["route_label"]
-            if not ((route == 0) | (route == 1)).all():
+            finite = np.isfinite(rows["x"]) & np.isfinite(rows["y"]) & np.isfinite(rows["speed"])
+            if not (((route == 0) | (route == 1)) & finite).all():
                 raise _block_error(block, line_no)
             for name in _TRACE_COLUMNS.names:
                 points[name][end:stop] = rows[name]
             end = stop
-            del block, lines, names, rows, route  # one block of work at a time
-    points.resize(end, refcheck=False)
-    return _checked_trace(points, ids, lambda row: f"line {row + 2 + bisect_right(blanks, row)}")
+            del block, lines, names, rows, route, finite  # one block of work at a time
+    if end < len(points):  # the file shrank after it was counted
+        points = points[:end].copy()
+    return _checked_trace(points, ids)  # the array itself: a view would keep its base alive
 
 
 # ---------------------------------------------------------------------------
@@ -386,8 +376,8 @@ def read_trace_csv(source: str | Path) -> Trace:
 
 
 def _byte_offset(text: str, line: int, column: int) -> int:
-    head = "".join(ln + "\n" for ln in text.splitlines()[: line - 1])
-    return len(head.encode("utf-8")) + column
+    head = text.split("\n", line - 1)[: line - 1]  # expat ends a line at LF only
+    return sum(len(ln.encode("utf-8")) + 1 for ln in head) + column
 
 
 def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
@@ -430,17 +420,16 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
                 x, y, speed = map(float, values[1:])
             except ValueError as exc:
                 raise TraceFormatError(f"vehicle {vehicle_id!r}: {exc}") from exc
+            if vehicle_id not in ids and any(c in vehicle_id for c in ",\r\n"):
+                raise TraceFormatError(
+                    f"vehicle {vehicle_id!r}: a trace CSV id holds no ',', CR, LF")
+            if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(speed)):
+                raise TraceFormatError(f"vehicle {vehicle_id!r}: non-finite value")
             index = ids.setdefault(vehicle_id, len(ids))
             rows.append((step, index, x, y, speed, labels[vehicle_id]))
     if skipped:
         log.warning("skipped %d vehicle observations with no route label", skipped)
-    names = list(ids)
-    for vehicle_id in names:
-        if any(c in vehicle_id for c in ",\r\n"):
-            raise TraceFormatError(f"vehicle {vehicle_id!r}: a trace CSV id holds no ',', CR, LF")
-    return _checked_trace(
-        np.array(rows, dtype=POINT_DTYPE), ids, lambda row: f"vehicle {names[rows[row][1]]!r}"
-    )
+    return _checked_trace(np.array(rows, dtype=POINT_DTYPE), ids)
 
 
 def read_label_csv(source: str | Path) -> LabelTable:

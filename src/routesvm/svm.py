@@ -656,6 +656,8 @@ def model_from_text(text: str) -> SvmModel:
         if "=" not in token:
             raise ModelFormatError(f"malformed header token {token!r}")
         key, value = token.split("=", 1)
+        if key in fields:
+            raise ModelFormatError(f"repeated header field {key!r}")
         fields[key] = value
     try:
         family = fields.pop("family")

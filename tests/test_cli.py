@@ -427,6 +427,14 @@ class TestSweep:
         assert code == 3
         assert "not UTF-8 text" in capsys.readouterr().err
 
+    def test_repeated_model_header_field_exits_3(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text("routesvm-model v2 family=linear bias=0 bias=1 supports=0\n")
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(tmp_path / "r.csv")])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == ["error: repeated header field 'bias'"]
+
     def test_non_finite_model_bias_exits_3(self, trace_path, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model_path)]) == 0

@@ -245,6 +245,21 @@ class TestTraceCsvBlocks:
         write_trace_csv(small_trace, tmp_path / "trace.csv")
         assert read_trace_csv(tmp_path / "trace.csv") == small_trace
 
+    def test_rows_short_of_the_counted_bound_are_trimmed(self, small_trace, tmp_path, monkeypatch):
+        """A file that shrank after its rows were counted."""
+        bound = dataset_io._row_bound
+        monkeypatch.setattr(dataset_io, "_row_bound", lambda source: bound(source) + 5)
+        write_trace_csv(small_trace, tmp_path / "trace.csv")
+        assert read_trace_csv(tmp_path / "trace.csv") == small_trace
+
+    def test_an_exactly_counted_read_keeps_its_array(self, small_trace, tmp_path):
+        """The trace owns the array the rows were parsed into, not a view that
+        would keep a larger buffer alive."""
+        write_trace_csv(small_trace, tmp_path / "trace.csv")
+        trace = read_trace_csv(tmp_path / "trace.csv")
+        assert trace == small_trace
+        assert trace.points.base is None
+
     @pytest.mark.parametrize("text", ["", "\n\n", "\r\n\r\n", "\r\r", ",,,,,\n"])
     def test_row_bound_counts_rows_not_line_ends(self, tmp_path, text):
         path = tmp_path / "trace.csv"
@@ -301,6 +316,15 @@ class TestTraceCsvBlocks:
         path = tmp_path / "two.csv"
         path.write_text(self.HEADER + "0,v1,1,0,1,2\n0,v2,1,0,1,0,7\n0,v3,x,0,1,0\n")
         with pytest.raises(TraceFormatError, match="^line 2: route_label must be 0 or 1"):
+            read_trace_csv(path)
+
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        """A non-finite value in the first block beats a parse error in the second."""
+        lines = [self.GOOD[0], "0,v9,nan,0,1,0\n", *self.GOOD[1:3], "oops,v9,1,0,1,0\n",
+                 *self.GOOD[3:]]
+        path = tmp_path / "two.csv"
+        path.write_text(self.HEADER + "".join(lines))
+        with pytest.raises(TraceFormatError, match="^line 3: non-finite value$"):
             read_trace_csv(path)
 
     @pytest.mark.parametrize("vehicle_id", ["#v1", '"v1', "v 1", "v x"])
@@ -393,6 +417,17 @@ class TestFcdXml:
         with pytest.raises(TraceFormatError, match="'v': non-finite"):
             read_fcd_xml(path, {"v": 0})
 
+    def test_first_bad_row_in_file_order_is_reported(self, tmp_path):
+        path = tmp_path / "two.xml"
+        path.write_text(
+            '<fcd-export><timestep time="0">'
+            '<vehicle id="v" x="1" y="nan" speed="3"/>'
+            '<vehicle id="a,b" x="1" y="2" speed="3"/>'
+            "</timestep></fcd-export>\n"
+        )
+        with pytest.raises(TraceFormatError, match="^vehicle 'v': non-finite value$"):
+            read_fcd_xml(path, {"v": 0, "a,b": 1})
+
     def test_duplicate_vehicle_in_timestep_rejected(self, tmp_path):
         path = tmp_path / "dup.xml"
         path.write_text(
@@ -408,6 +443,17 @@ class TestFcdXml:
         path = tmp_path / "bad.xml"
         path.write_text("<fcd-export>\n  <timestep\n")
         with pytest.raises(TraceFormatError, match="byte offset"):
+            read_fcd_xml(path, {})
+
+    @pytest.mark.parametrize("separator", ["\u2028", "\x85"])
+    def test_syntax_error_byte_offset_counts_lf_alone_as_a_line_end(self, tmp_path, separator):
+        """str.splitlines() also ends a line at U+2028 or NEL; expat does not."""
+        text = (f'<fcd-export>\n<timestep time="0"><vehicle id="a{separator}b" x="1" y="2"'
+                ' speed="3"/></timestep>\n<timestep time="1">\n<bad')
+        path = tmp_path / "bad.xml"
+        path.write_text(text, encoding="utf-8")
+        offset = text.encode().index(b"<bad")
+        with pytest.raises(TraceFormatError, match=rf"byte offset {offset} \(line 4, column 0\)"):
             read_fcd_xml(path, {})
 
 

@@ -364,6 +364,7 @@ class TestSerialization:
     @pytest.mark.parametrize("header, message", [
         ("family=rbf bias=0", "bad model header: 'gamma'"),
         ("family=rbf degree=2 gamma=1 bias=0", "unknown header fields ['degree']"),
+        ("family=linear bias=0 bias=1", "repeated header field 'bias'"),
     ])
     def test_bad_header_messages(self, header, message):
         with pytest.raises(ModelFormatError) as exc_info:
