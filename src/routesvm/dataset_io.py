@@ -33,6 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 import warnings
 import xml.etree.ElementTree as ElementTree
 from contextlib import contextmanager
@@ -103,10 +104,10 @@ def label_to_class(route_label: int) -> int:
 
 
 @contextmanager
-def _utf8_text(source: str | Path):
+def _utf8_text(source: str | Path, newline: str | None = None):
     """``source`` opened as text; bytes that are not UTF-8 raise TraceFormatError."""
     try:
-        with open(source, encoding="utf-8") as text:
+        with open(source, encoding="utf-8", newline=newline) as text:
             yield text
     except UnicodeDecodeError as exc:
         raise TraceFormatError(f"not UTF-8 text ({exc})") from None
@@ -376,8 +377,10 @@ def read_trace_csv(source: str | Path) -> Trace:
 
 
 def _byte_offset(text: str, line: int, column: int) -> int:
-    head = text.split("\n", line - 1)[: line - 1]  # expat ends a line at LF only
-    return sum(len(ln.encode("utf-8")) + 1 for ln in head) + column
+    """File offset of expat's (line, column) in ``text`` as read, line ends
+    untranslated: expat ends a line at CRLF, CR or LF and counts characters."""
+    start = max((m.end() for m in islice(re.finditer("\r\n|\r|\n", text), line - 1)), default=0)
+    return len(text[: start + column].encode("utf-8"))
 
 
 def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
@@ -388,7 +391,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
     warning with the skip count is logged.  A vehicle listed twice in one
     timestep raises :class:`TraceFormatError`.
     """
-    with _utf8_text(source) as file:
+    with _utf8_text(source, newline="") as file:
         text = file.read()
     try:
         root = ElementTree.fromstring(text)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -114,6 +114,23 @@ class LabeledExample:
         object.__setattr__(self, "label", int(self.label))  # 1.0 or True is saved as 1
         if not all(abs(f) <= sys.float_info.max for f in self.features):
             raise ValueError("features must be finite")
+
+
+class _ExampleRows(Sequence):
+    """Rows of a feature matrix ``xs`` with labels ``ys`` as LabeledExamples.
+    :func:`train` reads the arrays; an example is built on first access and
+    kept, so each access gives the same object."""
+
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
+        self.xs, self.ys, self._made = xs, ys, [None] * len(ys)
+
+    def __len__(self) -> int:
+        return len(self._made)
+
+    def __getitem__(self, t: int) -> LabeledExample:
+        if self._made[t] is None:
+            self._made[t] = LabeledExample(tuple(self.xs[t].tolist()), self.ys[t].item())
+        return self._made[t]
 
 
 @dataclass(frozen=True)
@@ -434,11 +451,13 @@ class _Smo:
     gap m - M certifies how close it is (Keerthi et al. 2001).
 
     A pair step moves alpha_i and alpha_j only, so the run keeps as state
-    what the step changes, as LIBSVM does (Chang & Lin 2011, section 4):
-    ``f`` (F, moved by two scaled kernel rows) and the ``up`` and ``low``
-    masks of I_up and I_low (set at i and j).  G is derived from F where it
-    is read.  The ``_ROW_CACHE`` most recently used kernel rows are kept
-    (LIBSVM's kernel cache), each with its curvature vector (see ``run``).
+    what the step changes, as LIBSVM does (Chang & Lin 2011, section 4): the
+    ``up`` and ``low`` masks (set at i and j) and F as two views, ``f_up``
+    (F on I_up, -inf elsewhere) and ``f_low`` (F on I_low, +inf elsewhere),
+    both moved in place by two scaled kernel rows.  Every t is in I_up or
+    I_low, so ``f`` and G derive from them.  The ``_ROW_CACHE`` most recently
+    used kernel rows are kept (LIBSVM's kernel cache), each with its negated
+    curvature vector (see ``run``); a cached row is never written.
     """
 
     def __init__(self, row: Callable[[int], np.ndarray], diag: np.ndarray, y: np.ndarray,
@@ -449,16 +468,21 @@ class _Smo:
         self.tol = cfg.tol
         self.n = len(y)
         self.alpha = np.zeros(self.n)
-        self.f = y.copy()  # G = -1 at alpha = 0
         self.up, self.low = self.movable()
+        self.f_up, self.f_low = np.where(self.up, y, -np.inf), np.where(self.low, y, np.inf)
         self.b = 0.0
+        self.work = np.empty((2, self.n))  # the step's update vector and a scratch row
 
         def row_and_curvature(i: int) -> tuple[np.ndarray, np.ndarray]:
             k = row(i)
             a = diag[i] + diag - 2.0 * k
-            return k, np.where(a > 0.0, a, TAU)
+            return k, np.where(a > 0.0, -a, -TAU)
 
         self.rows = lru_cache(maxsize=_ROW_CACHE)(row_and_curvature)
+
+    @property
+    def f(self) -> np.ndarray:
+        return np.where(self.up, self.f_up, self.f_low)
 
     @property
     def grad(self) -> np.ndarray:
@@ -482,21 +506,25 @@ class _Smo:
         Each step takes i = argmax F over I_up and, among the t in I_low with
         b_t = F_i - F_t > 0, the j minimizing -b_t^2 / a_t, where
         a_t = K_ii + K_tt - 2 K_it, or TAU when that is not positive (WSS2,
-        Fan, Chen & Lin 2005).  A pass is n steps; the objective is recorded
-        after each pass, the last one possibly partial.
+        Fan, Chen & Lin 2005).  b = F_i - ``f_low`` is -inf outside I_low, and
+        b_t^2 / (-a_t) is -b_t^2 / a_t bit for bit.  A pass is n steps; the
+        objective is recorded after each pass, the last one possibly partial.
         """
-        f, up, low = self.f, self.up, self.low
+        f_up, f_low = self.f_up, self.f_low
+        b, score, rest = np.empty(self.n), np.empty(self.n), np.empty(self.n, dtype=bool)
         objectives, steps = [], 0
         while True:
-            f_up = np.where(up, f, -np.inf)
-            i = int(np.argmax(f_up))
-            gap = f_up.item(i) - float(np.min(np.where(low, f, np.inf)))
+            i = int(f_up.argmax())
+            f_i = f_up.item(i)
+            gap = f_i - f_low.item(int(f_low.argmin()))
             if not gap > self.tol or steps >= max_passes * self.n:  # a nan gap stops too
                 break
-            k_i, a = self.rows(i)
-            b = f.item(i) - f
-            j = int(np.argmin(np.where(low & (b > 0.0), -(b * b) / a, np.inf)))
-            self.step(i, j, b.item(j) / a.item(j), k_i)
+            k_i, neg_a = self.rows(i)
+            np.multiply(np.subtract(f_i, f_low, out=b), b, out=score)
+            np.divide(score, neg_a, out=score)
+            np.putmask(score, np.logical_not(np.greater(b, 0.0, out=rest), out=rest), np.inf)
+            j = int(score.argmin())
+            self.step(i, j, b.item(j) / -neg_a.item(j), k_i)
             steps += 1
             if steps % self.n == 0:
                 objectives.append(self.objective())
@@ -520,10 +548,16 @@ class _Smo:
         new_i = min(c, max(0.0, old_i + y_i * lam))
         new_j = min(c, max(0.0, old_j - y_j * lam))
         self.alpha[i], self.alpha[j] = new_i, new_j
-        self.f -= y_i * (new_i - old_i) * k_i + y_j * (new_j - old_j) * self.rows(j)[0]
+        update, scratch = self.work
+        np.multiply(k_i, y_i * (new_i - old_i), out=update)
+        update += np.multiply(self.rows(j)[0], y_j * (new_j - old_j), out=scratch)
+        self.f_up -= update
+        self.f_low -= update
         for t, y_t, new in ((i, y_i, new_i), (j, y_j, new_j)):
+            f_t = self.f_up.item(t) if self.up[t] else self.f_low.item(t)
             above, below = new > 0.0, new < c
-            self.up[t], self.low[t] = (below, above) if y_t > 0 else (above, below)
+            up, low = self.up[t], self.low[t] = (below, above) if y_t > 0 else (above, below)
+            self.f_up[t], self.f_low[t] = f_t if up else -np.inf, f_t if low else np.inf
 
     def finalize_bias(self) -> None:
         """Set b to the average of F_t over the unbounded support vectors.
@@ -560,8 +594,38 @@ class _Smo:
         return int(bad.sum())
 
 
+def _train_arrays(xs: np.ndarray, ys: np.ndarray, kernel: KernelSpec, cfg: TrainConfig,
+                  examples: Sequence[LabeledExample]) -> SvmModel:
+    """:func:`train` on the rows of ``xs`` (n x d floats) with labels ``ys``
+    (+1.0 or -1.0); ``examples[t]`` is row t as a support example."""
+    cfg.validate()
+    if not len(ys):
+        raise ValueError("training data is empty")
+    if np.all(ys == ys[0]):
+        raise SingleClassError(f"training data needs both classes, got labels {[int(ys[0])]}")
+    if xs.ndim != 2:
+        raise DimensionMismatchError("training examples have inconsistent dimensions")
+    if not np.isfinite(xs).all():
+        raise ValueError("features must be finite")
+    kernel = kernel.resolved(xs)
+    kernel.validate()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        smo = _Smo(_kernel_rows(kernel, xs), _kernel_diagonal(kernel, xs), ys, cfg)
+        summary = smo.run(cfg.max_passes)
+    if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
+        raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
+    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
+    return SvmModel(
+        kernel=kernel,
+        support_examples=tuple(examples[t] for t in keep.tolist()),
+        alphas=tuple(smo.alpha[keep].tolist()),
+        bias=float(smo.b),
+        summary=replace(summary, n_support=len(keep)),
+    )
+
+
 def train(
-    data: list[LabeledExample] | tuple[LabeledExample, ...],
+    data: Sequence[LabeledExample],
     kernel: KernelSpec,
     cfg: TrainConfig = TrainConfig(),
 ) -> SvmModel:
@@ -575,37 +639,20 @@ def train(
     finds no violation; non-convergence is reported there, not raised.  A
     kernel that overflows on the data leaves a non-finite bias or alpha, and
     that raises ValueError.  ``cfg.rng_seed`` has no effect.  Examples with
-    zero dual coefficient are dropped from the model.
+    zero dual coefficient are dropped; the others are the model's support
+    examples, the very objects of ``data``.
 
     The n x n Gram matrix is never built: the solver computes kernel rows as
     it needs them and keeps the last 64, each with its curvature vector, so
     memory is O(n) plus 128 vectors of length n.
     """
-    cfg.validate()
-    if not data:
-        raise ValueError("training data is empty")
-    ys = np.array([e.label for e in data], dtype=float)
-    if np.all(ys == ys[0]):
-        raise SingleClassError(f"training data needs both classes, got labels {[int(ys[0])]}")
+    if isinstance(data, _ExampleRows):
+        return _train_arrays(data.xs, data.ys, kernel, cfg, data)
     try:
         xs = np.array([e.features for e in data], dtype=float)
-    except ValueError:  # features of different lengths
-        raise DimensionMismatchError("training examples have inconsistent dimensions") from None
-    kernel = kernel.resolved(xs)
-    kernel.validate()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        smo = _Smo(_kernel_rows(kernel, xs), _kernel_diagonal(kernel, xs), ys, cfg)
-        summary = smo.run(cfg.max_passes)
-    if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
-        raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
-    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
-    return SvmModel(
-        kernel=kernel,
-        support_examples=tuple(data[int(i)] for i in keep),
-        alphas=tuple(float(smo.alpha[int(i)]) for i in keep),
-        bias=float(smo.b),
-        summary=replace(summary, n_support=len(keep)),
-    )
+    except ValueError:  # features of different lengths, reported after the labels
+        xs = np.empty(0)
+    return _train_arrays(xs, np.array([e.label for e in data], dtype=float), kernel, cfg, data)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import warnings
 
 import pytest
@@ -383,6 +384,25 @@ class TestTrain:
         code = main(["train", str(trace_path), "--gamma", "0.5",
                      "-o", str(tmp_path / "m.txt")])
         assert code == 2
+
+    # A large C takes many passes: 29 for linear and 54 for polynomial.
+    @pytest.mark.parametrize("family, c_value, digest", [
+        ("linear", "1", "b0243a19800a06daffcab6a784d29d8480ebdfed7f8376005e6ae7de33936885"),
+        ("linear", "100", "cce689068a546df2ff8f952fbba25cc90507933a29ad5a489df5a436ff3a8d29"),
+        ("rbf", "1", "50718c9bebf0f6a83a92982aa9c24d58fd20f47069da3ad479674eb7de417815"),
+        ("rbf", "100", "214eb8e1e6eea1f7ab4c3cd865295b4893a92f0049b0008a1d6b5819eb08fda0"),
+        ("polynomial", "1", "fe868e6700d274440e9c9c98e7ce16dde8971e22246fbc3b0a8a027ed3c9e3d3"),
+        ("polynomial", "100", "8c4a100dd0d34477cc4b87c19ab83fc4b27ceb64dcb7c3fc93950ab7505f6517"),
+        ("sigmoid", "1", "287a18bbb048c8c3c7292f99179e6037ca2f10a8708448d2b865c209d78a0b92"),
+        ("sigmoid", "100", "f1688acd78703dd85b5075b9c5a32f47529067787170a8121da90aa8757013f4"),
+    ])
+    def test_model_bytes_on_the_run_paper_trace_are_pinned(self, default_trace, tmp_path,
+                                                           family, c_value, digest):
+        trace, model = tmp_path / "trace.csv", tmp_path / "model.txt"
+        write_trace_csv(default_trace, trace)
+        assert main(["train", str(trace), "--kernel", family, "--C", c_value,
+                     "-o", str(model)]) == 0
+        assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
 
     def test_deterministic_model_file(self, trace_path, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"

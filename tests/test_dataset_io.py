@@ -456,6 +456,22 @@ class TestFcdXml:
         with pytest.raises(TraceFormatError, match=rf"byte offset {offset} \(line 4, column 0\)"):
             read_fcd_xml(path, {})
 
+    @pytest.mark.parametrize("text", [
+        '<fcd-export>\r\n<timestep time="0">\r\n<bad',
+        '<fcd-export>\r<timestep time="0">\r<bad',
+        '<fcd-export>\r\n<timestep time="0">\n<bad',
+        '<bad',
+        '<fcd-export>\r\n<timestep time="\u00e9\u2028"> <bad',
+    ], ids=["crlf", "cr", "mixed", "first-line", "non-ascii-column"])
+    def test_syntax_error_byte_offset_counts_the_bytes_of_the_file(self, tmp_path, text):
+        """Line ends count as written (CRLF is two bytes) and columns count
+        characters, so the offset is where the error is in the file."""
+        path = tmp_path / "bad.xml"
+        path.write_bytes(text.encode("utf-8"))
+        offset = text.encode("utf-8").index(b"<bad")
+        with pytest.raises(TraceFormatError, match=rf"byte offset {offset} \("):
+            read_fcd_xml(path, {})
+
 
 @pytest.mark.parametrize("reader, header", [
     (read_trace_csv, b"step,vehicle_id,x,y,speed,route_label\n0,v\xff,1,2,3,0\n"),

@@ -397,31 +397,44 @@ class TestReferenceLoop:
     @example(rows=[((-2.0,), 1), ((-2.0,), 1), ((-1.0,), -1)], c_value=0.5,
              kernel=KernelSpec.linear())
     def test_train_matches_the_reference_loop_bitwise(self, rows, c_value, kernel):
-        data = [LabeledExample(x, label) for x, label in rows]
-        cfg = TrainConfig(C=c_value)
-        xs = np.array([e.features for e in data])
-        ys = np.array([e.label for e in data], dtype=float)
-        full = kernel_matrix(kernel, xs, xs)
-        ref = ReferenceSmo(full.__getitem__, np.diag(full).copy(), ys, cfg)
-        summary = ref.run(cfg.max_passes)
-        keep = np.flatnonzero(ref.alpha > NORM_FLOOR * max(1.0, c_value))
+        assert_matches_reference([LabeledExample(x, label) for x, label in rows], kernel,
+                                 TrainConfig(C=c_value))
 
-        model = train(data, kernel, cfg)
-        assert [id(e) for e in model.support_examples] == [id(data[i]) for i in keep]
-        assert _bits(model.alphas) == _bits(ref.alpha[keep])
-        assert _bits(model.bias) == _bits(ref.b)
-        got = model.summary
-        assert (got.passes, got.converged, got.n_support) == (
-            summary.passes, summary.converged, len(keep))
-        assert _bits(got.dual_objectives) == _bits(summary.dual_objectives)
+    def test_linear_c100_at_n400_matches_the_reference_loop_bitwise(self, default_trace):
+        """Thousands of steps that move alpha off and back onto the box."""
+        summary = assert_matches_reference(standardized_examples(default_trace, 400),
+                                           KernelSpec.linear(), TrainConfig(C=100.0))
+        assert (summary.passes, summary.converged) == (29, True)
 
-        smo = svm._Smo(svm._kernel_rows(kernel, xs), svm._kernel_diagonal(kernel, xs), ys, cfg)
-        smo.run(cfg.max_passes)
-        up, low = smo.movable()
-        assert np.array_equal(smo.up, up) and np.array_equal(smo.low, low)
-        assert smo.grad.tobytes() == ref.grad.tobytes()
-        # F is kept by subtraction, so an exact zero may carry either sign.
-        assert (smo.f + 0.0).tobytes() == (-ys * ref.grad + 0.0).tobytes()
+
+def assert_matches_reference(data, kernel, cfg):
+    """train, and _Smo's state after its run, equal ReferenceSmo's bit for bit;
+    returns the reference's summary."""
+    xs = np.array([e.features for e in data])
+    ys = np.array([e.label for e in data], dtype=float)
+    full = kernel_matrix(kernel.resolved(xs), xs, xs)
+    ref = ReferenceSmo(full.__getitem__, np.diag(full).copy(), ys, cfg)
+    summary = ref.run(cfg.max_passes)
+    keep = np.flatnonzero(ref.alpha > NORM_FLOOR * max(1.0, cfg.C))
+
+    model = train(data, kernel, cfg)
+    assert [id(e) for e in model.support_examples] == [id(data[i]) for i in keep]
+    assert _bits(model.alphas) == _bits(ref.alpha[keep])
+    assert _bits(model.bias) == _bits(ref.b)
+    got = model.summary
+    assert (got.passes, got.converged, got.n_support) == (
+        summary.passes, summary.converged, len(keep))
+    assert _bits(got.dual_objectives) == _bits(summary.dual_objectives)
+
+    smo = svm._Smo(svm._kernel_rows(model.kernel, xs), svm._kernel_diagonal(model.kernel, xs),
+                   ys, cfg)
+    smo.run(cfg.max_passes)
+    up, low = smo.movable()
+    assert np.array_equal(smo.up, up) and np.array_equal(smo.low, low)
+    assert smo.grad.tobytes() == ref.grad.tobytes()
+    # F is kept by subtraction, so an exact zero may carry either sign.
+    assert (smo.f + 0.0).tobytes() == (-ys * ref.grad + 0.0).tobytes()
+    return summary
 
 
 class TestOracleEquivalence:
