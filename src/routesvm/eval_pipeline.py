@@ -22,7 +22,6 @@ from .svm import (
     Standardizer,
     SvmModel,
     TrainConfig,
-    _ExampleRows,
     extract_hyperplane,
     decision_values,
     train,
@@ -129,9 +128,12 @@ def train_position_model(
     if not data:
         raise ValueError("training data is empty")
     xs = np.array([e.features for e in data], dtype=float)
-    ys = np.array([e.label for e in data], dtype=float)
     scaler = Standardizer().fit(xs)
-    return replace(train(_ExampleRows(scaler.transform(xs), ys), kernel, cfg), scaler=scaler)
+    scaled = [
+        LabeledExample(tuple(row), e.label)
+        for row, e in zip(scaler.transform(xs).tolist(), data)
+    ]
+    return replace(train(scaled, kernel, cfg), scaler=scaler)
 
 
 def split_examples(

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -114,23 +114,6 @@ class LabeledExample:
         object.__setattr__(self, "label", int(self.label))  # 1.0 or True is saved as 1
         if not all(abs(f) <= sys.float_info.max for f in self.features):
             raise ValueError("features must be finite")
-
-
-class _ExampleRows(Sequence):
-    """Rows of a feature matrix ``xs`` with labels ``ys`` as LabeledExamples.
-    :func:`train` reads the arrays; an example is built on first access and
-    kept, so each access gives the same object."""
-
-    def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.xs, self.ys, self._made = xs, ys, [None] * len(ys)
-
-    def __len__(self) -> int:
-        return len(self._made)
-
-    def __getitem__(self, t: int) -> LabeledExample:
-        if self._made[t] is None:
-            self._made[t] = LabeledExample(tuple(self.xs[t].tolist()), self.ys[t].item())
-        return self._made[t]
 
 
 @dataclass(frozen=True)
@@ -500,6 +483,12 @@ class _Smo:
         """sum(alpha) - 1/2 alpha'Q alpha, read off G in O(n)."""
         return float(0.5 * np.sum(self.alpha * (1.0 - self.grad)))
 
+    def top(self) -> tuple[int, float, float]:
+        """i = argmax F over I_up, F_i and the gap m - M."""
+        i = int(self.f_up.argmax())
+        f_i = self.f_up.item(i)
+        return i, f_i, f_i - self.f_low.item(int(self.f_low.argmin()))
+
     def run(self, max_passes: int) -> TrainSummary:
         """Pair steps until m - M <= tol or max_passes * n steps.
 
@@ -514,9 +503,11 @@ class _Smo:
         b, score, rest = np.empty(self.n), np.empty(self.n), np.empty(self.n, dtype=bool)
         objectives, steps = [], 0
         while True:
-            i = int(f_up.argmax())
-            f_i = f_up.item(i)
-            gap = f_i - f_low.item(int(f_low.argmin()))
+            i, f_i, gap = self.top()
+            if gap != gap:  # an infinite update can make a sentinel inf - inf: re-set them
+                np.putmask(f_up, ~self.up, -np.inf)
+                np.putmask(f_low, ~self.low, np.inf)
+                i, f_i, gap = self.top()
             if not gap > self.tol or steps >= max_passes * self.n:  # a nan gap stops too
                 break
             k_i, neg_a = self.rows(i)
@@ -594,38 +585,8 @@ class _Smo:
         return int(bad.sum())
 
 
-def _train_arrays(xs: np.ndarray, ys: np.ndarray, kernel: KernelSpec, cfg: TrainConfig,
-                  examples: Sequence[LabeledExample]) -> SvmModel:
-    """:func:`train` on the rows of ``xs`` (n x d floats) with labels ``ys``
-    (+1.0 or -1.0); ``examples[t]`` is row t as a support example."""
-    cfg.validate()
-    if not len(ys):
-        raise ValueError("training data is empty")
-    if np.all(ys == ys[0]):
-        raise SingleClassError(f"training data needs both classes, got labels {[int(ys[0])]}")
-    if xs.ndim != 2:
-        raise DimensionMismatchError("training examples have inconsistent dimensions")
-    if not np.isfinite(xs).all():
-        raise ValueError("features must be finite")
-    kernel = kernel.resolved(xs)
-    kernel.validate()
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        smo = _Smo(_kernel_rows(kernel, xs), _kernel_diagonal(kernel, xs), ys, cfg)
-        summary = smo.run(cfg.max_passes)
-    if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
-        raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
-    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
-    return SvmModel(
-        kernel=kernel,
-        support_examples=tuple(examples[t] for t in keep.tolist()),
-        alphas=tuple(smo.alpha[keep].tolist()),
-        bias=float(smo.b),
-        summary=replace(summary, n_support=len(keep)),
-    )
-
-
 def train(
-    data: Sequence[LabeledExample],
+    data: list[LabeledExample] | tuple[LabeledExample, ...],
     kernel: KernelSpec,
     cfg: TrainConfig = TrainConfig(),
 ) -> SvmModel:
@@ -639,20 +600,37 @@ def train(
     finds no violation; non-convergence is reported there, not raised.  A
     kernel that overflows on the data leaves a non-finite bias or alpha, and
     that raises ValueError.  ``cfg.rng_seed`` has no effect.  Examples with
-    zero dual coefficient are dropped; the others are the model's support
-    examples, the very objects of ``data``.
+    zero dual coefficient are dropped from the model.
 
     The n x n Gram matrix is never built: the solver computes kernel rows as
     it needs them and keeps the last 64, each with its curvature vector, so
     memory is O(n) plus 128 vectors of length n.
     """
-    if isinstance(data, _ExampleRows):
-        return _train_arrays(data.xs, data.ys, kernel, cfg, data)
+    cfg.validate()
+    if not data:
+        raise ValueError("training data is empty")
+    ys = np.array([e.label for e in data], dtype=float)
+    if np.all(ys == ys[0]):
+        raise SingleClassError(f"training data needs both classes, got labels {[int(ys[0])]}")
     try:
         xs = np.array([e.features for e in data], dtype=float)
-    except ValueError:  # features of different lengths, reported after the labels
-        xs = np.empty(0)
-    return _train_arrays(xs, np.array([e.label for e in data], dtype=float), kernel, cfg, data)
+    except ValueError:  # features of different lengths
+        raise DimensionMismatchError("training examples have inconsistent dimensions") from None
+    kernel = kernel.resolved(xs)
+    kernel.validate()
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        smo = _Smo(_kernel_rows(kernel, xs), _kernel_diagonal(kernel, xs), ys, cfg)
+        summary = smo.run(cfg.max_passes)
+    if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
+        raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
+    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
+    return SvmModel(
+        kernel=kernel,
+        support_examples=tuple(data[int(i)] for i in keep),
+        alphas=tuple(float(smo.alpha[int(i)]) for i in keep),
+        bias=float(smo.b),
+        summary=replace(summary, n_support=len(keep)),
+    )
 
 
 # ---------------------------------------------------------------------------
