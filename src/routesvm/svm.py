@@ -161,7 +161,8 @@ class KernelSpec:
             if kind is None:
                 if value is not None:
                     raise ValueError(f"{self.family} kernel takes no {name}")
-            elif not (isinstance(value, (kind, int)) and abs(value) <= sys.float_info.max):
+            elif isinstance(value, bool) or not (isinstance(value, (kind, int))
+                                                 and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}"
                                  " within float64 range")
         if "gamma" in params and not self.gamma > 0:
@@ -196,15 +197,20 @@ def _sq_norms(xs: np.ndarray) -> np.ndarray:
 
 def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | None = None,
                       sq_b: np.ndarray | None = None) -> np.ndarray:
-    """The family's formula on dot products a.b; rbf also needs the squared
-    norms |a|^2 and |b|^2, broadcast against them."""
+    """The family's formula on dot products a.b, in place on a fresh ``dots``
+    and in ``KernelSpec``'s operation order; rbf also needs the squared norms
+    |a|^2 and |b|^2, broadcast against them."""
+    if spec.family == "rbf":  # exp(-gamma * max((|a|^2 - 2 a.b) + |b|^2, 0))
+        np.subtract(sq_a, np.multiply(dots, 2.0, out=dots), out=dots)
+        np.maximum(np.add(dots, sq_b, out=dots), 0.0, out=dots)
+        return np.exp(np.multiply(dots, -spec.gamma, out=dots), out=dots)
     if spec.family == "linear":
         return dots
-    if spec.family == "polynomial":
-        return (spec.gamma * dots + spec.coef0) ** spec.degree
-    if spec.family == "rbf":
-        return np.exp(-spec.gamma * np.maximum((sq_a - 2.0 * dots) + sq_b, 0.0))
-    return np.tanh(spec.gamma * dots + spec.coef0)
+    np.add(np.multiply(dots, spec.gamma, out=dots), spec.coef0, out=dots)
+    if spec.family == "sigmoid":
+        return np.tanh(dots, out=dots)
+    dots **= spec.degree
+    return dots
 
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -410,14 +416,15 @@ def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray
     matrix's row i (the rbf matrix is not bitwise symmetric, so not column
     i).  For rbf the squared norms of ``xs`` are computed once, here; every
     family takes each row's dot products from ``kernel_matrix`` as the linear
-    kernel.  ``_Smo`` keeps the rows it used last.
+    kernel, on a Fortran-ordered copy of ``xs``.  ``_Smo`` keeps the rows it
+    used last.
     """
     sq = _sq_norms(xs) if spec.family == "rbf" else None
-    linear = KernelSpec.linear()
+    cols, linear = np.asfortranarray(xs), KernelSpec.linear()
 
     def row(i: int) -> np.ndarray:
         norms = (sq[i], sq) if sq is not None else ()
-        return _kernel_from_dots(spec, kernel_matrix(linear, xs[i:i + 1], xs)[0], *norms)
+        return _kernel_from_dots(spec, kernel_matrix(linear, cols[i:i + 1], cols)[0], *norms)
 
     return row
 
@@ -438,30 +445,31 @@ class _Smo:
     ``up`` and ``low`` masks (set at i and j) and F as two views, ``f_up``
     (F on I_up, -inf elsewhere) and ``f_low`` (F on I_low, +inf elsewhere),
     both moved in place by two scaled kernel rows.  Every t is in I_up or
-    I_low, so ``f`` and G derive from them.  The ``_ROW_CACHE`` most recently
-    used kernel rows are kept (LIBSVM's kernel cache), each with its negated
-    curvature vector (see ``run``); a cached row is never written.
+    I_low, so ``f`` and G derive from them.  ``rows`` keeps the ``_ROW_CACHE``
+    most recently used kernel rows (LIBSVM's kernel cache) and ``curvature``
+    as many negated curvature vectors (see ``run``), made only for the rows
+    taken as i: at most 128 vectors of length n, none of them ever written.
     """
 
     def __init__(self, row: Callable[[int], np.ndarray], diag: np.ndarray, y: np.ndarray,
                  cfg: TrainConfig):
-        self.y = y
-        self.labels = y.tolist()
-        self.c = float(cfg.C)
-        self.tol = cfg.tol
-        self.n = len(y)
+        self.y, self.labels, self.c, self.tol, self.n = y, y.tolist(), float(cfg.C), cfg.tol, len(y)
         self.alpha = np.zeros(self.n)
         self.up, self.low = self.movable()
         self.f_up, self.f_low = np.where(self.up, y, -np.inf), np.where(self.low, y, np.inf)
         self.b = 0.0
         self.work = np.empty((2, self.n))  # the step's update vector and a scratch row
+        self.rows = rows = lru_cache(maxsize=_ROW_CACHE)(row)
+        sums, mask = np.empty(self.n), np.empty(self.n, dtype=bool)
 
-        def row_and_curvature(i: int) -> tuple[np.ndarray, np.ndarray]:
-            k = row(i)
-            a = diag[i] + diag - 2.0 * k
-            return k, np.where(a > 0.0, -a, -TAU)
+        def neg_curvature(i: int) -> np.ndarray:  # no ``self`` here: a run frees without gc
+            """-a = 2 K_i - (K_ii + diag), as x - y is -(y - x) bit for bit; -TAU unless a > 0."""
+            neg_a = np.multiply(rows(i), 2.0)
+            neg_a -= np.add(diag[i], diag, out=sums)
+            np.putmask(neg_a, np.logical_not(np.less(neg_a, 0.0, out=mask), out=mask), -TAU)
+            return neg_a
 
-        self.rows = lru_cache(maxsize=_ROW_CACHE)(row_and_curvature)
+        self.curvature = lru_cache(maxsize=_ROW_CACHE)(neg_curvature)
 
     @property
     def f(self) -> np.ndarray:
@@ -496,59 +504,61 @@ class _Smo:
         b_t = F_i - F_t > 0, the j minimizing -b_t^2 / a_t, where
         a_t = K_ii + K_tt - 2 K_it, or TAU when that is not positive (WSS2,
         Fan, Chen & Lin 2005).  b = F_i - ``f_low`` is -inf outside I_low, and
-        b_t^2 / (-a_t) is -b_t^2 / a_t bit for bit.  A pass is n steps; the
-        objective is recorded after each pass, the last one possibly partial.
+        b_t^2 / (-a_t) is -b_t^2 / a_t bit for bit.  The step adds y_i * lam to
+        alpha_i and -y_j * lam to alpha_j, lam = b_j / a_j clipped to the box.
+        A pass is n steps; the objective is recorded after each pass, the last
+        one possibly partial.
         """
-        f_up, f_low = self.f_up, self.f_low
-        b, score, rest = np.empty(self.n), np.empty(self.n), np.empty(self.n, dtype=bool)
+        n, c, tol, labels, limit = self.n, self.c, self.tol, self.labels, max_passes * self.n
+        alpha, up, low, f_up, f_low = self.alpha, self.up, self.low, self.f_up, self.f_low
+        rows, curvature, (update, scratch) = self.rows, self.curvature, self.work
+        up_max, up_item, low_min, low_item = f_up.argmax, f_up.item, f_low.argmin, f_low.item
+        multiply, subtract, divide, putmask, greater, logical_not, inf = (
+            np.multiply, np.subtract, np.divide, np.putmask, np.greater, np.logical_not, np.inf)
+        b, score, rest = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
         objectives, steps = [], 0
         while True:
-            i, f_i, gap = self.top()
+            i = int(up_max())
+            f_i = up_item(i)
+            gap = f_i - low_item(int(low_min()))
             if gap != gap:  # an infinite update can make a sentinel inf - inf: re-set them
-                np.putmask(f_up, ~self.up, -np.inf)
-                np.putmask(f_low, ~self.low, np.inf)
+                putmask(f_up, ~up, -inf)
+                putmask(f_low, ~low, inf)
                 i, f_i, gap = self.top()
-            if not gap > self.tol or steps >= max_passes * self.n:  # a nan gap stops too
+            if not gap > tol or steps >= limit:  # a nan gap stops too
                 break
-            k_i, neg_a = self.rows(i)
-            np.multiply(np.subtract(f_i, f_low, out=b), b, out=score)
-            np.divide(score, neg_a, out=score)
-            np.putmask(score, np.logical_not(np.greater(b, 0.0, out=rest), out=rest), np.inf)
+            k_i, neg_a = rows(i), curvature(i)
+            multiply(subtract(f_i, f_low, out=b), b, out=score)
+            divide(score, neg_a, out=score)
+            putmask(score, logical_not(greater(b, 0.0, out=rest), out=rest), inf)
             j = int(score.argmin())
-            self.step(i, j, b.item(j) / -neg_a.item(j), k_i)
+            y_i, y_j = labels[i], labels[j]
+            old_i, old_j = alpha.item(i), alpha.item(j)
+            lam = min(b.item(j) / -neg_a.item(j), c - old_i if y_i > 0 else old_i,
+                      old_j if y_j > 0 else c - old_j)
+            new_i = min(c, max(0.0, old_i + y_i * lam))
+            new_j = min(c, max(0.0, old_j - y_j * lam))
+            alpha[i], alpha[j] = new_i, new_j
+            multiply(k_i, y_i * (new_i - old_i), out=update)
+            update += multiply(rows(j), y_j * (new_j - old_j), out=scratch)
+            f_up -= update
+            f_low -= update
+            for t, y_t, new in ((i, y_i, new_i), (j, y_j, new_j)):
+                f_t = up_item(t) if up[t] else low_item(t)
+                above, below = new > 0.0, new < c
+                up_t, low_t = up[t], low[t] = (below, above) if y_t > 0 else (above, below)
+                f_up[t], f_low[t] = f_t if up_t else -inf, f_t if low_t else inf
             steps += 1
-            if steps % self.n == 0:
+            if steps % n == 0:
                 objectives.append(self.objective())
-        if steps % self.n:
+        if steps % n:
             objectives.append(self.objective())
         self.finalize_bias()
         return TrainSummary(
-            passes=-(-steps // self.n),
-            converged=gap <= self.tol and self.final_violations() == 0,
+            passes=-(-steps // n),
+            converged=gap <= tol and self.final_violations() == 0,
             dual_objectives=tuple(objectives),
         )
-
-    def step(self, i: int, j: int, lam: float, k_i: np.ndarray) -> None:
-        """alpha_i += y_i * lam and alpha_j -= y_j * lam, which keeps
-        sum(alpha * y), with lam clipped to the box; ``k_i`` is row i."""
-        c, y_i, y_j = self.c, self.labels[i], self.labels[j]
-        old_i, old_j = self.alpha.item(i), self.alpha.item(j)
-        room_i = c - old_i if y_i > 0 else old_i
-        room_j = old_j if y_j > 0 else c - old_j
-        lam = min(lam, room_i, room_j)
-        new_i = min(c, max(0.0, old_i + y_i * lam))
-        new_j = min(c, max(0.0, old_j - y_j * lam))
-        self.alpha[i], self.alpha[j] = new_i, new_j
-        update, scratch = self.work
-        np.multiply(k_i, y_i * (new_i - old_i), out=update)
-        update += np.multiply(self.rows(j)[0], y_j * (new_j - old_j), out=scratch)
-        self.f_up -= update
-        self.f_low -= update
-        for t, y_t, new in ((i, y_i, new_i), (j, y_j, new_j)):
-            f_t = self.f_up.item(t) if self.up[t] else self.f_low.item(t)
-            above, below = new > 0.0, new < c
-            up, low = self.up[t], self.low[t] = (below, above) if y_t > 0 else (above, below)
-            self.f_up[t], self.f_low[t] = f_t if up else -np.inf, f_t if low else np.inf
 
     def finalize_bias(self) -> None:
         """Set b to the average of F_t over the unbounded support vectors.
@@ -603,8 +613,8 @@ def train(
     zero dual coefficient are dropped from the model.
 
     The n x n Gram matrix is never built: the solver computes kernel rows as
-    it needs them and keeps the last 64, each with its curvature vector, so
-    memory is O(n) plus 128 vectors of length n.
+    it needs them and keeps the last 64, plus the curvature vectors of the
+    last 64 rows taken as i, so memory is O(n) plus 128 vectors of length n.
     """
     cfg.validate()
     if not data:

@@ -137,6 +137,21 @@ class TestKernels:
         with pytest.raises((ValueError, UnsupportedKernelError)):
             spec.validate()
 
+    @pytest.mark.parametrize("spec, message", [
+        (KernelSpec.polynomial(degree=True, gamma=1.0),
+         "polynomial kernel needs a finite int degree"),
+        (KernelSpec.polynomial(gamma=True), "polynomial kernel needs a finite float gamma"),
+        (KernelSpec.polynomial(gamma=1.0, coef0=False),
+         "polynomial kernel needs a finite float coef0"),
+        (KernelSpec.rbf(gamma=True), "rbf kernel needs a finite float gamma"),
+        (KernelSpec.sigmoid(gamma=0.5, coef0=True), "sigmoid kernel needs a finite float coef0"),
+    ])
+    def test_bool_parameters_are_refused(self, spec, message):
+        # A bool is an int to isinstance, but model_to_text would write it as
+        # "True", which model_from_text cannot read back.
+        with pytest.raises(ValueError, match=f"^{message} within float64 range$"):
+            train([LabeledExample((0.0,), 1), LabeledExample((1.0,), -1)], spec)
+
 
 class TestDecisionAndClassify:
     def test_empty_model_returns_bias(self):

@@ -1,6 +1,8 @@
+import gc
 import random
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -281,6 +283,35 @@ class TestKernelRows:
         assert model.summary.converged
         assert lefts and set(lefts) == {1}
         assert peak < 16 * 2**20  # the 3000 x 3000 Gram matrix alone is 72 MB
+
+    def test_curvature_is_computed_only_for_rows_taken_as_i(self, large_trace):
+        data = standardized_examples(large_trace, 2000)
+        xs = np.array([e.features for e in data])
+        ys = np.array([e.label for e in data], dtype=float)
+        kernel = KernelSpec.rbf().resolved(xs)
+        smo = svm._Smo(svm._kernel_rows(kernel, xs), svm._kernel_diagonal(kernel, xs), ys,
+                       TrainConfig())
+        curvature, taken = smo.curvature, []
+        smo.curvature = lambda i: taken.append(i) or curvature(i)
+        assert smo.run(TrainConfig().max_passes).converged
+        computed = curvature.cache_info().misses
+        assert computed == len(set(taken)) < svm._ROW_CACHE  # no curvature entry was evicted
+        assert computed < smo.rows.cache_info().misses
+
+    def test_a_finished_run_is_freed_without_the_cyclic_collector(self, large_trace):
+        data = standardized_examples(large_trace, 400)
+        xs = np.array([e.features for e in data])
+        kernel = KernelSpec.rbf().resolved(xs)
+        gc.disable()
+        try:
+            smo = svm._Smo(svm._kernel_rows(kernel, xs), svm._kernel_diagonal(kernel, xs),
+                           np.array([e.label for e in data], dtype=float), TrainConfig())
+            smo.run(TrainConfig().max_passes)
+            freed = weakref.ref(smo)
+            del smo
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class ReferenceSmo:
