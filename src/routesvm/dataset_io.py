@@ -44,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .svm import DataError, LabeledExample
-from .traffic_sim import POINT_DTYPE, Trace, make_trace
+from .traffic_sim import POINT_DTYPE, Trace, make_trace, uniform_draws
 
 __all__ = [
     "TraceFormatError",
@@ -490,21 +490,6 @@ def read_examples_csv(source: str | Path) -> Dataset:
 # ---------------------------------------------------------------------------
 
 
-def _choose(items: list, n: int, rng: random.Random) -> list:
-    """First n entries of a seeded partial Fisher-Yates shuffle.
-
-    Implemented with raw ``rng.random()`` draws only, so the selection is
-    reproducible across platforms and Python versions.
-    """
-    pool = list(items)
-    picked = []
-    for i in range(n):
-        j = i + min(int(rng.random() * (len(pool) - i)), len(pool) - i - 1)
-        pool[i], pool[j] = pool[j], pool[i]
-        picked.append(pool[i])
-    return picked
-
-
 def sample_examples(
     trace: Trace,
     n: int,
@@ -514,22 +499,31 @@ def sample_examples(
     """Draw one (x, y) example from each of ``n`` distinct vehicles.
 
     Vehicles are chosen uniformly without replacement from the trace (minus
-    ``exclude_vehicles``); each contributes its position at one uniformly
-    random step.  Deterministic in (trace, n, seed): the ``n`` vehicle draws
-    come first, then one step draw per chosen vehicle, in choice order.
+    ``exclude_vehicles``) by a partial Fisher-Yates shuffle; each contributes
+    its position at one uniformly random step.  Deterministic in (trace, n,
+    seed): the ``n`` vehicle draws of ``random.Random(seed).random()`` come
+    first, then one step draw per chosen vehicle in choice order, all taken by
+    :func:`~routesvm.traffic_sim.uniform_draws`, whose reliance on
+    ``getrandbits``' word order a tier-1 test pins on every Python version.
+    A negative seed, which ``random.Random`` takes as its absolute value, is refused.
     """
     if n < 0:
         raise ValueError(f"sample size must be at least 0, got {n}")
+    if seed < 0:
+        raise ValueError(f"sample seed must be at least 0, got {seed}")
     excluded = set(exclude_vehicles)
     pool = [v for v, vid in enumerate(trace.vehicle_ids) if vid not in excluded]
     if len(pool) < n:
         raise InsufficientVehiclesError(f"need {n} distinct vehicles, trace provides {len(pool)}")
-    rng = random.Random(seed)
-    chosen = np.array(_choose(pool, n, rng), dtype=np.int64)
-    draws = np.array([rng.random() for _ in range(n)])
+    u = uniform_draws(random.Random(seed), 2 * n)
+    left = len(pool) - np.arange(n)  # entries not yet fixed at shuffle step i
+    swaps = np.arange(n) + np.minimum((u[:n] * left).astype(np.int64), left - 1)
+    for i, j in enumerate(swaps.tolist()):
+        pool[i], pool[j] = pool[j], pool[i]
+    chosen = np.array(pool[:n], dtype=np.int64)
     rows, starts, counts = trace.rows_by_vehicle
     count = counts[chosen]
-    k = np.minimum((draws * count).astype(np.int64), count - 1)
+    k = np.minimum((u[n:] * count).astype(np.int64), count - 1)
     picked = trace.points[rows[starts[chosen] + k]]
     examples = tuple(
         LabeledExample(features=(x, y), label=label_to_class(route))

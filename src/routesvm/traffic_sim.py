@@ -13,11 +13,11 @@ such array and hands it to :func:`make_trace`, which puts it in canonical
 order in place; the simulator fills it a block of steps at a time, already in
 that order, so no builder holds more than the array and one block of work.
 
-All randomness comes from one ``random.Random(rng_seed)`` stream, drawn in
-this order: per vehicle, in index order, a route draw, a lane draw, a speed
-draw, then one y-jitter draw per time step.  Positions are elementwise
-float64 arithmetic in a fixed order, so a given ``ScenarioConfig`` always
-produces a bit-identical trace on every platform.
+All randomness is ``random.Random(rng_seed).random()``, drawn in bulk by
+:func:`uniform_draws` in this order: per vehicle, in index order, a route, a
+lane and a speed draw, then one y-jitter draw per time step.  Positions are
+elementwise float64 arithmetic in a fixed order, so a given
+``ScenarioConfig`` always produces a bit-identical trace on every platform.
 """
 
 from __future__ import annotations
@@ -37,11 +37,12 @@ __all__ = [
     "Trace",
     "make_trace",
     "generate_trace",
+    "uniform_draws",
     "vehicle_position",
 ]
 
 LANE_COUNT = 3
-_BLOCK = 1 << 16  # rows generate_trace fills at a time: whole steps, at least one
+_BLOCK = 1 << 16  # rows generate_trace fills, and draws uniform_draws makes, at a time
 
 
 class ConfigError(ValueError):
@@ -83,6 +84,9 @@ class ScenarioConfig:
         for f in fields(self):
             if not all(abs(v) <= sys.float_info.max for v in np.ravel(getattr(self, f.name))):
                 raise ConfigError(f.name, "must be finite")
+        for name in ("num_vehicles", "num_steps", "rng_seed"):
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
+                raise ConfigError(name, "must be an integer")
         if self.num_vehicles < 1:
             raise ConfigError("num_vehicles", "must be >= 1")
         if self.num_steps < 1:
@@ -183,10 +187,27 @@ def vehicle_position(
     lane_y = np.asarray(config.lane_y, dtype=float)[lane_index]
     x0 = config.junction_x
     x1, y1 = config.ramp_end
-    s = (x - x0) / (x1 - x0)  # float_power is C pow, as Python's s ** 3; numpy's ** is not
-    ramp_y = np.where(x <= x0, lane_y, np.where(
-        x >= x1, y1, lane_y + (y1 - lane_y) * (3.0 * s * s - 2.0 * np.float_power(s, 3))))
-    return x, np.where(np.asarray(route) == 0, lane_y, ramp_y)
+    ramp = np.asarray(route) != 0
+    y = np.where(ramp & (x >= x1), y1, lane_y)
+    blend = np.broadcast_to(ramp & ~(x <= x0) & ~(x >= x1), y.shape)  # a nan x blends to nan
+    x_on, lane_on = (np.broadcast_to(a, y.shape)[blend] for a in (x, lane_y))
+    s = (x_on - x0) / (x1 - x0)  # float_power is C pow, as Python's s ** 3; numpy's ** is not
+    y[blend] = lane_on + (y1 - lane_on) * (3.0 * s * s - 2.0 * np.float_power(s, 3))
+    return x, y
+
+
+def uniform_draws(rng: random.Random, n: int) -> np.ndarray:
+    """The next ``n`` values of ``rng.random()``, leaving ``rng`` where n calls would.
+
+    Each is CPython's ``((a >> 5) * 2**26 + (b >> 6)) / 2**53`` on two MT19937
+    outputs, which ``getrandbits`` yields low word first, ``_BLOCK`` values at a time.
+    """
+    u = np.empty(n)
+    for first in range(0, n, _BLOCK):
+        m = min(_BLOCK, n - first)
+        w = np.frombuffer(rng.getrandbits(64 * m).to_bytes(8 * m, "little"), "<u8")
+        u[first : first + m] = (((w & 0xFFFFFFFF) >> 5) * 67108864.0 + (w >> 38)) / 2.0**53
+    return u
 
 
 def generate_trace(config: ScenarioConfig) -> Trace:
@@ -201,9 +222,9 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     Raises :class:`ConfigError` for configs violating invariants.
     """
     config.validate()
-    rng = random.Random(config.rng_seed)
+    rng = random.Random(int(config.rng_seed))  # a numpy integer is not a seed type
     n, steps = config.num_vehicles, config.num_steps
-    u = np.fromiter(iter(rng.random, None), float, count=n * (3 + steps)).reshape(n, -1)
+    u = uniform_draws(rng, n * (3 + steps)).reshape(n, -1)
     ids = [f"v{i:04d}" for i in range(n)]
     by_id = np.array(sorted(range(n), key=ids.__getitem__))
     lo, hi = config.speed_range

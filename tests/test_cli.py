@@ -413,6 +413,24 @@ class TestTrain:
 
 
 class TestSweep:
+    @pytest.mark.parametrize("command, flags", [
+        ("train", []), ("sweep", ["--test-sizes", "10"]),
+        ("sweep", ["--test-sizes", "10", "--model"]),
+    ])
+    def test_negative_seed_exits_2(self, trace_path, tmp_path, capsys, command, flags):
+        """random.Random(-3) is random.Random(3), so the seed is refused."""
+        if "--model" in flags:
+            model = tmp_path / "model.txt"
+            assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model)]) == 0
+            flags = [*flags, str(model)]
+            capsys.readouterr()
+        out = tmp_path / "out.txt"
+        code = main([command, str(trace_path), "--train-size", "30", "--seed", "-3",
+                     *flags, "-o", str(out)])
+        assert code == 2
+        assert "sample seed must be at least 0, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_single_test_size(self, trace_path, tmp_path, capsys):
         out = tmp_path / "report.csv"
         code = main(["sweep", str(trace_path), "--train-size", "30",

@@ -584,6 +584,12 @@ class TestSampling:
         with pytest.raises(ValueError, match="sample size must be at least 0, got -1"):
             sample_examples(small_trace, -1, seed=0)
 
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_negative_seed_rejected(self, small_trace, n):
+        # random.Random(-3) is random.Random(3): the seed would alias
+        with pytest.raises(ValueError, match="sample seed must be at least 0, got -3"):
+            sample_examples(small_trace, n, seed=-3)
+
     @pytest.mark.parametrize("n,seed,banned", [(60, 1, 0), (25, 9, 30), (0, 2, 0), (400, 7, 150)])
     def test_matches_per_vehicle_reference(self, small_trace, default_trace, n, seed, banned):
         trace = default_trace if n > 60 else small_trace

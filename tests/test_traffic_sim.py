@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from routesvm.traffic_sim import (
     ScenarioConfig,
     generate_trace,
     make_trace,
+    uniform_draws,
     vehicle_position,
 )
 
@@ -39,6 +41,12 @@ class TestConfigValidation:
             ({"rng_seed": -1}, "rng_seed"),
             ({"spawn_spacing": 10**400}, "spawn_spacing"),
             ({"num_vehicles": 10**400}, "num_vehicles"),
+            ({"num_vehicles": 3.0}, "num_vehicles"),
+            ({"num_vehicles": True}, "num_vehicles"),
+            ({"num_steps": 2.5}, "num_steps"),
+            ({"num_steps": np.float64(3.0)}, "num_steps"),
+            ({"rng_seed": 1.5}, "rng_seed"),
+            ({"rng_seed": True}, "rng_seed"),
         ],
     )
     def test_invalid_config_names_field(self, kwargs, field):
@@ -46,6 +54,17 @@ class TestConfigValidation:
             generate_trace(config_with(**kwargs))
         assert exc_info.value.field == field
         assert field in str(exc_info.value)
+
+    @pytest.mark.parametrize("field", ["num_vehicles", "num_steps", "rng_seed"])
+    @pytest.mark.parametrize("bad", [2.0, False])
+    def test_a_non_integer_count_or_seed_is_not_an_integer(self, field, bad):
+        with pytest.raises(ConfigError, match=f"^{field}: must be an integer$"):
+            config_with(**{field: bad}).validate()
+
+    def test_numpy_integer_counts_and_seeds_are_accepted(self):
+        config = config_with(num_vehicles=np.int64(10), num_steps=np.int32(20),
+                             rng_seed=np.uint64(7))
+        assert generate_trace(config) == generate_trace(config_with())
 
     def test_default_config_is_valid(self):
         ScenarioConfig().validate()
@@ -107,6 +126,46 @@ class TestVehiclePosition:
                 one = vehicle_position(cfg, int(routes[v, 0]), int(lanes[v, 0]),
                                        float(speeds[v, 0]), t, float(spawn[v, 0]))
                 assert (x[v, t], y[v, t]) == one
+
+    @staticmethod
+    def all_points_position(config, route, lane_index, speed, step, spawn_x=0.0):
+        """vehicle_position as it was: the ramp blend at every point, then
+        selected by np.where."""
+        x = spawn_x + speed * np.asarray(step)
+        lane_y = np.asarray(config.lane_y, dtype=float)[lane_index]
+        x0 = config.junction_x
+        x1, y1 = config.ramp_end
+        s = (x - x0) / (x1 - x0)
+        ramp_y = np.where(x <= x0, lane_y, np.where(
+            x >= x1, y1, lane_y + (y1 - lane_y) * (3.0 * s * s - 2.0 * np.float_power(s, 3))))
+        return x, np.where(np.asarray(route) == 0, lane_y, ramp_y)
+
+    @pytest.mark.parametrize("route, lane, speed, step, spawn_x", [
+        # x exactly at the junction and at the ramp end, and either side of each
+        (1, 2, 1.0, 0, np.array([np.nextafter(200.0, 0), 200.0, np.nextafter(200.0, 300), 230.0,
+                                 np.nextafter(260.0, 0), 260.0, np.nextafter(260.0, 300)])),
+        (np.array([0, 1, 2]), np.array([0, 1, 2]), 2.0, np.arange(140)[:, None], 0.0),
+        # scalars, which give 0-d results: before, on and past the ramp
+        (1, 0, 2.5, 60, 0.0), (1, 0, 2.5, 90, 0.0), (1, 1, 2.5, 104, 0.0),
+        (1, 0, 2.5, 80, 0.0), (1, 2, 2.0, 130, 0.0), (0, 1, 2.5, 90, 0.0),
+        (1, 0, 2, 105, 0), (1, 0, 2.5, 0, np.nan),
+        # a route array broadcasting wider than x, and one lane per route
+        (np.array([[0], [1], [3]]), 1, 2.0, np.arange(0, 150, 7), 0.0),
+        (np.array([[1], [0], [1]]), np.array([[2], [0], [1]]), 1.5, np.arange(0, 200, 9), 10.0),
+    ])
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(),
+        # lane -0.7 blends to -2.9000000000000004 at the ramp end, not -2.9
+        ScenarioConfig(lane_y=(0.1, -0.7, -1.3), ramp_end=(260.0, -2.9)),
+    ])
+    def test_the_blend_at_ramp_points_only_matches_all_points_bitwise(
+            self, cfg, route, lane, speed, step, spawn_x):
+        got = vehicle_position(cfg, route, lane, speed, step, spawn_x)
+        want = self.all_points_position(cfg, route, lane, speed, step, spawn_x)
+        for a, b in zip(got, want):
+            assert (type(a), np.shape(a), np.asarray(a).dtype) == \
+                (type(b), np.shape(b), np.asarray(b).dtype)
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
 
     def test_x_strictly_increasing(self):
         cfg = ScenarioConfig()
@@ -227,6 +286,19 @@ class TestGenerateTrace:
             speed = speeds.pop()
             assert lo <= speed <= hi
             assert math.isfinite(speed)
+
+
+class TestUniformDraws:
+    @pytest.mark.parametrize("seed", [0, 7, 2**32 + 5, 2**70])
+    def test_the_draws_are_the_stream(self, seed):
+        """Chunk edges included; pins getrandbits' low-word-first order."""
+        rng, reference = random.Random(seed), random.Random(seed)
+        block = traffic_sim._BLOCK
+        for n in (0, 1, block - 1, block, block + 1, 3 * block):
+            drawn = uniform_draws(rng, n)
+            assert drawn.dtype == np.float64 and drawn.shape == (n,)
+            assert drawn.tobytes() == np.array([reference.random() for _ in range(n)]).tobytes()
+            assert rng.getstate() == reference.getstate()
 
 
 class TestMakeTrace:
