@@ -118,7 +118,7 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-# Every kernel parameter and its type; each is a train flag.
+# Every kernel parameter and its type; each is a train and run-paper flag.
 _KERNEL_FLAGS = {name: kind for params in KERNEL_PARAMS.values() for name, kind in params.items()}
 
 
@@ -216,13 +216,14 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _cmd_run_paper(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     test_sizes = parse_test_sizes(args.test_sizes)
+    kernel = _kernel_from_args(args)
 
     trace = generate_trace(ScenarioConfig(num_vehicles=args.vehicles, rng_seed=args.seed))
     train_ds, tests = split_examples(trace, args.train_size, test_sizes, args.seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
 
-    model = train_position_model(train_ds.examples, KernelSpec.linear(), TrainConfig())
+    model = train_position_model(train_ds.examples, kernel, TrainConfig())
     save_model(model, out_dir / "model.txt")
 
     report = sweep_with_model(model, tests, args.train_size)
@@ -245,13 +246,17 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--kernel", choices=KERNEL_FAMILIES, default="linear")
+    for name, kind in _KERNEL_FLAGS.items():
+        parser.add_argument(f"--{name}", type=kind)
+
+
+def _add_train_flags(parser: argparse.ArgumentParser) -> None:
+    _add_kernel_flags(parser)
     parser.add_argument("--C", type=float, default=TrainConfig.C, help="soft-margin box constraint")
     parser.add_argument("--tol", type=float, default=TrainConfig.tol, help="KKT tolerance")
     parser.add_argument("--max-passes", type=int, default=TrainConfig.max_passes)
-    for name, kind in _KERNEL_FLAGS.items():
-        parser.add_argument(f"--{name}", type=kind)
     parser.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
@@ -303,6 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--vehicles", type=int, default=ScenarioConfig.num_vehicles)
     p.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     p.add_argument("--test-sizes", default=DEFAULT_TEST_SIZES)
+    _add_kernel_flags(p)
     p.set_defaults(func=_cmd_run_paper)
 
     return parser

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 import re
 import warnings
@@ -505,10 +506,12 @@ def sample_examples(
     first, then one step draw per chosen vehicle in choice order, all taken by
     :func:`~routesvm.traffic_sim.uniform_draws`, whose reliance on
     ``getrandbits``' word order a tier-1 test pins on every Python version.
-    A negative seed, which ``random.Random`` takes as its absolute value, is refused.
+    The seed is an integer, a numpy one too; a negative seed, which
+    ``random.Random`` takes as its absolute value, is refused.
     """
     if n < 0:
         raise ValueError(f"sample size must be at least 0, got {n}")
+    seed = operator.index(seed)  # a numpy integer becomes an int; a float is refused, not truncated
     if seed < 0:
         raise ValueError(f"sample seed must be at least 0, got {seed}")
     excluded = set(exclude_vehicles)

@@ -101,19 +101,31 @@ def _f17(v: float) -> str:
     return str(v) if isinstance(v, int) else format(float(v), ".17g")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LabeledExample:
-    """A feature vector with class label +1 or -1."""
+    """A feature vector with class label +1 or -1.
+
+    Features are stored as a tuple of Python floats and the label as an int,
+    whatever real numbers they were given as (numpy scalars, bools, a list):
+    an example is a slotted, immutable, hashable and picklable value.  A str
+    or bytes feature raises TypeError; a non-finite one ValueError."""
 
     features: tuple[float, ...]
     label: int
 
     def __post_init__(self):
-        if self.label not in (1, -1):
-            raise ValueError(f"label must be +1 or -1, got {self.label}")
-        object.__setattr__(self, "label", int(self.label))  # 1.0 or True is saved as 1
-        if not all(abs(f) <= sys.float_info.max for f in self.features):
+        label, features = self.label, tuple(self.features)  # an iterator is read once
+        if label not in (1, -1):
+            raise ValueError(f"label must be +1 or -1, got {label}")
+        if type(label) is not int:
+            object.__setattr__(self, "label", int(label))  # 1.0 or True is saved as 1
+        try:  # isfinite takes each feature as the float it converts to; text is a TypeError
+            finite = all(map(math.isfinite, features))
+        except OverflowError:  # an int past float range
+            finite = False
+        if not finite:
             raise ValueError("features must be finite")
+        object.__setattr__(self, "features", tuple(map(float, features)))
 
 
 @dataclass(frozen=True)

@@ -720,6 +720,25 @@ class TestRunPaper:
         assert "need 500 distinct vehicles, trace provides 450" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
 
+    @pytest.mark.parametrize("kernel_flags", [["--kernel", "rbf"],
+                                              ["--kernel", "polynomial", "--degree", "2"]])
+    def test_kernel_model_matches_train_on_its_trace(self, tmp_path, kernel_flags):
+        out_dir = tmp_path / "run"
+        flags = ["--seed", "11", "--train-size", "40", *kernel_flags]
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "120",
+                     "--test-sizes", "5:50:15", *flags]) == 0
+        model = tmp_path / "model.txt"
+        assert main(["train", str(out_dir / "trace.csv"), *flags, "-o", str(model)]) == 0
+        assert model.read_bytes() == (out_dir / "model.txt").read_bytes()
+        assert load_model(model).kernel.family == kernel_flags[1]
+
+    def test_kernel_flag_the_linear_default_does_not_take_exits_2(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "80",
+                     "--gamma", "1"]) == 2
+        assert "--gamma does not apply to the linear kernel" in capsys.readouterr().err
+        assert not out_dir.exists()
+
     @pytest.mark.parametrize("sizes", ["--test-sizes=0,10", "--test-sizes=-5,10"])
     def test_size_below_one_exits_2_before_writing(self, tmp_path, capsys, sizes):
         out_dir = tmp_path / "run"

@@ -590,6 +590,15 @@ class TestSampling:
         with pytest.raises(ValueError, match="sample seed must be at least 0, got -3"):
             sample_examples(small_trace, n, seed=-3)
 
+    def test_numpy_integer_seed_is_its_int(self, small_trace):
+        assert sample_examples(small_trace, 5, np.int64(3)) == sample_examples(small_trace, 5, 3)
+
+    @pytest.mark.parametrize("seed", [3.0, 3.5])
+    def test_non_integer_seed_rejected(self, small_trace, seed):
+        # int(3.5) would alias seed 3
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            sample_examples(small_trace, 5, seed)
+
     @pytest.mark.parametrize("n,seed,banned", [(60, 1, 0), (25, 9, 30), (0, 2, 0), (400, 7, 150)])
     def test_matches_per_vehicle_reference(self, small_trace, default_trace, n, seed, banned):
         trace = default_trace if n > 60 else small_trace

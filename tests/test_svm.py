@@ -1,7 +1,9 @@
 import math
+import pickle
 import random
 import warnings
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -56,11 +58,33 @@ class TestLabeledExample:
         ((0.0, 1.0), 0, "label must be +1 or -1, got 0"),
         ((math.nan, 1.0), 1, "features must be finite"),
         ((10**400, 1.0), 1, "features must be finite"),
+        ((1.0, -math.inf), 1, "features must be finite"),
+        ((np.float32(np.inf), 1.0), -1, "features must be finite"),
     ])
     def test_bad_label_or_feature_raises(self, features, label, message):
-        with pytest.raises(ValueError) as exc_info:
-            LabeledExample(features, label)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc_info:
+                LabeledExample(features, label)
+        assert type(exc_info.value) is ValueError
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("feature", ["1.5", b"1.5", bytearray(b"1.5")])
+    def test_text_feature_raises_type_error(self, feature):
+        # float() would parse it; a feature must already be a number
+        with pytest.raises(TypeError):
+            LabeledExample((feature, 1.0), 1)
+
+    @pytest.mark.parametrize("features", [
+        (3, 0.5), (True, 0.5), (np.int64(-4), 0.5), (np.float64(2.5), 0.5), (Fraction(1, 3), 0.5),
+        (np.float32(0.1), np.float32(-0.3)),  # the old range check warned on a float32 cast
+    ])
+    def test_every_feature_is_stored_as_a_float_without_a_warning(self, features):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            e = LabeledExample(features, 1)
+        assert [type(f) for f in e.features] == [float, float]
+        assert e.features == tuple(map(float, features))
 
     @pytest.mark.parametrize("label", [1.0, True, np.int64(-1)])
     def test_label_of_another_type_is_stored_as_int(self, label):
@@ -68,6 +92,37 @@ class TestLabeledExample:
         assert [type(e.label) for e in examples] == [int, int]
         text = model_to_text(train(examples, KernelSpec.linear()))
         assert model_to_text(model_from_text(text)) == text
+
+    def test_model_trained_on_bool_features_reads_back(self):
+        model = train([LabeledExample((True,), 1), LabeledExample((False,), -1)],
+                      KernelSpec.linear())
+        assert model_from_text(model_to_text(model)) == model
+
+    def test_list_features_make_a_hashable_tuple_twin(self):
+        e = LabeledExample([0.5, 1.0], 1)
+        assert e == LabeledExample((0.5, 1.0), 1)
+        assert hash(e) == hash(LabeledExample((0.5, 1.0), 1))
+        assert e.features == (0.5, 1.0)
+
+    def test_iterator_features_are_read_once(self):
+        assert LabeledExample(iter([0.5, 1.0]), 1).features == (0.5, 1.0)
+
+    def test_example_is_slotted_and_frozen(self):
+        e = LabeledExample((0.5, -1.0), -1)
+        assert not hasattr(e, "__dict__")
+        with pytest.raises(FrozenInstanceError):
+            e.label = 1
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip(self, protocol):
+        e = LabeledExample((0.5, -0.0), -1)
+        back = pickle.loads(pickle.dumps(e, protocol))
+        assert back == e and hash(back) == hash(e)
+        assert math.copysign(1.0, back.features[1]) == -1.0
+
+    def test_numpy_features_pickle_without_numpy(self):
+        e = LabeledExample(tuple(np.array([0.5, -1.0])), 1)
+        assert b"numpy" not in pickle.dumps(e, pickle.HIGHEST_PROTOCOL)
 
 
 @pytest.mark.parametrize("error", [
