@@ -13,6 +13,8 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from .dataset_io import (
     Dataset,
     read_examples_csv,
@@ -174,7 +176,7 @@ def _training_inputs(args: argparse.Namespace):
 def _cmd_train(args: argparse.Namespace) -> int:
     trace, kernel, cfg = _training_inputs(args)
     train_ds, _ = split_examples(trace, args.train_size, (), args.seed)
-    model = train_position_model(train_ds.examples, kernel, cfg)
+    model = train_position_model(train_ds, kernel, cfg)
     save_model(model, args.output)
     summary = model.summary
     print(f"support vectors: {summary.n_support}")
@@ -203,10 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_plot(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    if args.data:
-        dataset = read_examples_csv(args.data)
-    else:
-        dataset = Dataset(examples=())
+    dataset = read_examples_csv(args.data) if args.data else Dataset(np.empty((0, 2)), ())
     svg = render_svg(model, dataset)
     Path(args.output).write_text(svg, encoding="utf-8", newline="\n")
     print(f"wrote plot to {args.output}")
@@ -223,7 +222,7 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
 
-    model = train_position_model(train_ds.examples, kernel, TrainConfig())
+    model = train_position_model(train_ds, kernel, TrainConfig())
     save_model(model, out_dir / "model.txt")
 
     report = sweep_with_model(model, tests, args.train_size)

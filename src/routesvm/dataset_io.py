@@ -24,8 +24,8 @@ once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
 label.  The label and examples CSVs share one row reader.  Every file is
 UTF-8.  Violations raise :class:`TraceFormatError`.
 
-Route labels are mapped to classes exactly once, here: route 0 -> +1,
-route 1 -> -1.  No other module converts labels.
+Route labels become classes in :func:`sample_examples` alone, as
+``1 - 2 * route_label``: route 0 -> +1, route 1 -> -1.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ import warnings
 import xml.etree.ElementTree as ElementTree
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import count, islice, repeat
 from pathlib import Path
 
@@ -52,7 +53,6 @@ __all__ = [
     "InsufficientVehiclesError",
     "Dataset",
     "LabelTable",
-    "label_to_class",
     "write_trace_csv",
     "read_trace_csv",
     "read_fcd_xml",
@@ -89,19 +89,38 @@ class InsufficientVehiclesError(DataError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Labeled examples and, when sampled from a trace, their vehicles."""
+    """Labeled examples as a read-only (n, d) float array ``features`` and a
+    read-only (n,) int array ``labels`` of +1 and -1, copied and checked once,
+    here, and a sample's vehicles.  Datasets compare by value."""
 
-    examples: tuple[LabeledExample, ...]
+    features: np.ndarray
+    labels: np.ndarray
     vehicle_ids: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        features, labels = np.asarray(self.features), np.asarray(self.labels)
+        if features.ndim != 2 or labels.shape != features.shape[:1]:
+            raise ValueError(f"shapes {features.shape}, {labels.shape} are not (n, d), (n,)")
+        if not np.isfinite(features).all():  # text is a TypeError
+            raise ValueError("features must be finite")
+        if not np.isin(labels, (1, -1)).all():
+            raise ValueError("labels must be +1 or -1")
+        for name, array in (("features", features.astype(float)), ("labels", labels.astype(int))):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
 
-def label_to_class(route_label: int) -> int:
-    """The canonical route-label to class mapping: 0 -> +1, 1 -> -1."""
-    if route_label not in (0, 1):
-        raise ValueError(f"route_label must be 0 or 1, got {route_label}")
-    return 1 if route_label == 0 else -1
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        return (self.vehicle_ids == other.vehicle_ids and np.array_equal(self.labels, other.labels)
+                and np.array_equal(self.features, other.features))
+
+    @cached_property
+    def examples(self) -> tuple[LabeledExample, ...]:
+        """The rows as :class:`LabeledExample` values, built on first access."""
+        return tuple(map(LabeledExample, self.features.tolist(), self.labels.tolist()))
 
 
 @contextmanager
@@ -464,14 +483,19 @@ def write_label_csv(labels: LabelTable, destination: str | Path) -> None:
 
 
 def write_examples_csv(dataset: Dataset, destination: str | Path) -> None:
+    """Write the dataset's rows as ``x,y,label``; features other than (x, y)
+    raise ValueError."""
+    if dataset.features.shape[1] != 2:
+        raise ValueError(f"an examples CSV holds 2 features (x, y), "
+                         f"the dataset has {dataset.features.shape[1]}")
     lines = [EXAMPLES_HEADER]
-    for e in dataset.examples:
-        lines.append(f"{e.features[0]:.17g},{e.features[1]:.17g},{e.label}")
+    lines.extend(f"{x:.17g},{y:.17g},{label}"
+                 for (x, y), label in zip(dataset.features.tolist(), dataset.labels.tolist()))
     Path(destination).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
 def read_examples_csv(source: str | Path) -> Dataset:
-    examples = []
+    rows = []
     for line_no, fields in _csv_rows(source, EXAMPLES_HEADER):
         try:
             x, y = float(fields[0]), float(fields[1])
@@ -482,8 +506,9 @@ def read_examples_csv(source: str | Path) -> Dataset:
             raise TraceFormatError(f"line {line_no}: non-finite value")
         if label not in (1, -1):
             raise TraceFormatError(f"line {line_no}: label must be +1 or -1")
-        examples.append(LabeledExample(features=(x, y), label=label))
-    return Dataset(examples=tuple(examples))
+        rows.append((x, y, label))
+    table = np.array(rows, dtype=float).reshape(-1, 3)
+    return Dataset(table[:, :2], table[:, 2])
 
 
 # ---------------------------------------------------------------------------
@@ -528,11 +553,8 @@ def sample_examples(
     count = counts[chosen]
     k = np.minimum((u[n:] * count).astype(np.int64), count - 1)
     picked = trace.points[rows[starts[chosen] + k]]
-    examples = tuple(
-        LabeledExample(features=(x, y), label=label_to_class(route))
-        for x, y, route in zip(*(picked[f].tolist() for f in ("x", "y", "route_label")))
-    )
-    return Dataset(examples, tuple(trace.vehicle_ids[v] for v in chosen.tolist()))
+    return Dataset(np.column_stack((picked["x"], picked["y"])), 1 - 2 * picked["route_label"],
+                   tuple(trace.vehicle_ids[v] for v in chosen.tolist()))
 
 
 def derive_seed(seed: int, stream: int) -> int:

@@ -88,13 +88,11 @@ class EvaluationReport:
 
 def evaluate(model: SvmModel, test: Dataset) -> tuple[int, float]:
     """Count correct classifications; returns (correct, accuracy)."""
-    if not test.examples:
+    if not len(test.labels):
         raise EmptyTestError("test dataset is empty")
-    xs = np.array([e.features for e in test.examples], dtype=float)
-    labels = np.array([e.label for e in test.examples])
-    predicted = np.where(decision_values(model, xs) >= 0.0, 1, -1)
-    correct = int(np.sum(predicted == labels))
-    return correct, correct / len(test.examples)
+    predicted = np.where(decision_values(model, test.features) >= 0.0, 1, -1)
+    correct = int(np.sum(predicted == test.labels))
+    return correct, correct / len(test.labels)
 
 
 def boundary_report(model: SvmModel) -> BoundaryLine | VerticalBoundary | None:
@@ -112,11 +110,9 @@ def boundary_report(model: SvmModel) -> BoundaryLine | VerticalBoundary | None:
 
 
 def train_position_model(
-    data: list[LabeledExample] | tuple[LabeledExample, ...],
-    kernel: KernelSpec,
-    cfg: TrainConfig = TrainConfig(),
+    data: Dataset, kernel: KernelSpec, cfg: TrainConfig = TrainConfig()
 ) -> SvmModel:
-    """Train a route classifier on raw position examples, for any kernel.
+    """Train a route classifier on a dataset of raw positions, for any kernel.
 
     Position features span thousands of meters in x but only a couple of
     meters in y, so x would swamp every kernel.  The features are
@@ -125,14 +121,11 @@ def train_position_model(
     carries the standardizer, so it takes raw positions and
     ``extract_hyperplane`` gives a linear boundary in raw meters.
     """
-    if not data:
+    if not len(data.labels):
         raise ValueError("training data is empty")
-    xs = np.array([e.features for e in data], dtype=float)
-    scaler = Standardizer().fit(xs)
-    scaled = [
-        LabeledExample(tuple(row), e.label)
-        for row, e in zip(scaler.transform(xs).tolist(), data)
-    ]
+    scaler = Standardizer().fit(data.features)
+    rows = scaler.transform(data.features).tolist()
+    scaled = list(map(LabeledExample, rows, data.labels.tolist()))
     return replace(train(scaled, kernel, cfg), scaler=scaler)
 
 
@@ -165,7 +158,7 @@ def sweep_with_model(
     model: SvmModel, tests: tuple[Dataset, ...], train_size: int
 ) -> EvaluationReport:
     """Evaluate an existing model on each test set, one row per set."""
-    rows = tuple(SweepRow(len(test.examples), evaluate(model, test)[0]) for test in tests)
+    rows = tuple(SweepRow(len(test.labels), evaluate(model, test)[0]) for test in tests)
     mean = sum(r.accuracy for r in rows) / len(rows) if rows else None
     boundary = boundary_report(model)
     converged = model.summary.converged if model.summary is not None else True
@@ -190,7 +183,7 @@ def accuracy_sweep(
     each of its test sets.  Deterministic in (trace, sizes, kernel, cfg, seed).
     """
     train_ds, tests = split_examples(trace, train_size, test_sizes, seed)
-    model = train_position_model(train_ds.examples, kernel, cfg)
+    model = train_position_model(train_ds, kernel, cfg)
     return sweep_with_model(model, tests, train_size)
 
 

@@ -30,28 +30,18 @@ _POINT_RADIUS = 3.0
 def _auto_ranges(
     dataset: Dataset, boundary: BoundaryLine | VerticalBoundary | None
 ) -> tuple[tuple[float, float], tuple[float, float]]:
-    xs = [e.features[0] for e in dataset.examples]
-    ys = [e.features[1] for e in dataset.examples]
-    if xs:
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+    if len(dataset.labels):
+        x_lo, y_lo = dataset.features.min(axis=0).tolist()
+        x_hi, y_hi = dataset.features.max(axis=0).tolist()
         if isinstance(boundary, BoundaryLine):
-            edge_ys = (
-                boundary.intercept + boundary.slope * x_lo,
-                boundary.intercept + boundary.slope * x_hi,
-            )
-            y_lo = min(y_lo, *edge_ys)
-            y_hi = max(y_hi, *edge_ys)
+            edge_ys = [boundary.intercept + boundary.slope * x for x in (x_lo, x_hi)]
+            y_lo, y_hi = min(y_lo, *edge_ys), max(y_hi, *edge_ys)
         elif isinstance(boundary, VerticalBoundary):
-            x_lo = min(x_lo, boundary.x)
-            x_hi = max(x_hi, boundary.x)
+            x_lo, x_hi = min(x_lo, boundary.x), max(x_hi, boundary.x)
     elif isinstance(boundary, BoundaryLine):
-        x_lo, x_hi = -1.0, 1.0
-        mid = boundary.intercept
-        y_lo, y_hi = mid - 1.0, mid + 1.0
+        x_lo, x_hi, y_lo, y_hi = -1.0, 1.0, boundary.intercept - 1.0, boundary.intercept + 1.0
     elif isinstance(boundary, VerticalBoundary):
-        x_lo, x_hi = boundary.x - 1.0, boundary.x + 1.0
-        y_lo, y_hi = -1.0, 1.0
+        x_lo, x_hi, y_lo, y_hi = boundary.x - 1.0, boundary.x + 1.0, -1.0, 1.0
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     x_pad = _PAD_FRACTION * (x_hi - x_lo) or 1.0
@@ -106,8 +96,12 @@ def render_svg(model: SvmModel, dataset: Dataset) -> str:
     the model a boundary line (a linear kernel: the regions are half-planes);
     for any other kernel the figure is the scatter alone.  Misclassified
     points get a ring marker (class ``miss``).  The frame spans the data and
-    the boundary; one too wide for float64 raises :class:`DataError`.
+    the boundary; one too wide for float64 raises :class:`DataError`.  Data
+    with features other than (x, y) raises ValueError.
     """
+    if dataset.features.shape[1] != 2:
+        raise ValueError(f"a figure plots 2 features (x, y), the dataset has "
+                         f"{dataset.features.shape[1]}")
     boundary = boundary_report(model)
     x_range, y_range = _auto_ranges(dataset, boundary)
     if not all(math.isfinite(hi - lo) for lo, hi in (x_range, y_range)):
@@ -156,12 +150,11 @@ def render_svg(model: SvmModel, dataset: Dataset) -> str:
         )
 
     r = _POINT_RADIUS
-    features = np.array([e.features for e in dataset.examples], dtype=float).reshape(-1, 2)
-    predicted = np.where(decision_values(model, features) >= 0.0, 1, -1)
-    for example, predicted_label in zip(dataset.examples, predicted):
-        x, y = example.features
+    predicted = np.where(decision_values(model, dataset.features) >= 0.0, 1, -1)
+    for (x, y), label, hit in zip(dataset.features.tolist(), dataset.labels.tolist(),
+                                  (predicted == dataset.labels).tolist()):
         px, py = canvas.px(x), canvas.py(y)
-        if example.label == 1:
+        if label == 1:
             parts.append(f'<circle class="pt-pos" cx="{px:.2f}" cy="{py:.2f}" r="{r:.2f}"/>')
         else:
             side = 2.0 * r
@@ -169,7 +162,7 @@ def render_svg(model: SvmModel, dataset: Dataset) -> str:
                 f'<rect class="pt-neg" x="{px - r:.2f}" y="{py - r:.2f}" '
                 f'width="{side:.2f}" height="{side:.2f}"/>'
             )
-        if predicted_label != example.label:
+        if not hit:
             parts.append(
                 f'<circle class="miss" cx="{px:.2f}" cy="{py:.2f}" r="{2.2 * r:.2f}"/>'
             )

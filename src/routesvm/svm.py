@@ -114,6 +114,8 @@ class LabeledExample:
     label: int
 
     def __post_init__(self):
+        if isinstance(self.features, (bytes, bytearray, memoryview)):  # they iterate as ints
+            raise TypeError("features must be real numbers, not bytes")
         label, features = self.label, tuple(self.features)  # an iterator is read once
         if label not in (1, -1):
             raise ValueError(f"label must be +1 or -1, got {label}")

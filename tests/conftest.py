@@ -17,9 +17,7 @@ def default_model(default_trace):
     """Linear model trained on 400 examples from the default trace, seed 7,
     through the pipeline trainer (the model run-paper ships)."""
     train_ds = sample_examples(default_trace, 400, 7)
-    return train_position_model(
-        list(train_ds.examples), KernelSpec.linear(), TrainConfig(rng_seed=7)
-    )
+    return train_position_model(train_ds, KernelSpec.linear(), TrainConfig(rng_seed=7))
 
 
 @pytest.fixture(scope="session")

@@ -10,9 +10,16 @@ from xml.sax.saxutils import quoteattr
 
 import numpy as np
 
-from routesvm.dataset_io import write_trace_csv
+from routesvm.dataset_io import Dataset, write_trace_csv
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
 from routesvm.traffic_sim import LANE_COUNT, POINT_DTYPE, ScenarioConfig, Trace, make_trace
+
+
+def dataset_of(examples) -> Dataset:
+    """A Dataset of ``examples``' features and labels; none give an empty (x, y) dataset."""
+    examples = list(examples)
+    features = [e.features for e in examples] if examples else np.empty((0, 2))
+    return Dataset(np.array(features, dtype=float), [e.label for e in examples])
 
 
 def peak_allocation(function, *args):

@@ -521,12 +521,7 @@ class TestLabelCsv:
 
 class TestExamplesCsv:
     def test_round_trip(self, tmp_path):
-        dataset = Dataset(
-            examples=(
-                LabeledExample((1.25, -0.5), 1),
-                LabeledExample((200.0, -2.0), -1),
-            ),
-        )
+        dataset = Dataset([(1.25, -0.5), (200.0, -2.0)], [1, -1])
         path = tmp_path / "examples.csv"
         write_examples_csv(dataset, path)
         restored = read_examples_csv(path)
@@ -537,6 +532,14 @@ class TestExamplesCsv:
         path.write_text("x,y,label\n1.0,2.0,0\n")
         with pytest.raises(TraceFormatError):
             read_examples_csv(path)
+
+    @pytest.mark.parametrize("features", [[(1.0, 2.0, 3.0)], [(1.0,)]])
+    def test_features_other_than_x_y_are_refused(self, features, tmp_path):
+        # a 3-feature row (1, 2, 3) was written as "1,2,1", losing a feature
+        path = tmp_path / "examples.csv"
+        with pytest.raises(ValueError, match="2 features"):
+            write_examples_csv(Dataset(features, [1]), path)
+        assert not path.exists()
 
     def test_non_finite_value_names_line(self, tmp_path):
         path = tmp_path / "inf.csv"
@@ -611,6 +614,77 @@ class TestSampling:
         banned = small_trace.vehicle_ids[:10]
         ds = sample_examples(small_trace, 30, seed=3, exclude_vehicles=banned)
         assert not set(ds.vehicle_ids) & set(banned)
+
+
+class TestDataset:
+    def test_arrays_are_read_only_copies(self):
+        features, labels = np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1, -1])
+        ds = Dataset(features, labels)
+        features[0, 0], labels[0] = 9.0, -1
+        assert ds.features.tolist() == [[1.0, 2.0], [3.0, 4.0]] and ds.labels.tolist() == [1, -1]
+        for array in (ds.features, ds.labels):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+
+    @pytest.mark.parametrize("features, labels, message", [
+        ([(1.0, 2.0)], [0], "labels must be"),
+        ([(1.0, 2.0), (3.0, 4.0)], [1, 2], "labels must be"),
+        ([(1.0, 2.0)], [0.5], "labels must be"),
+        ([(1.0, math.nan)], [1], "finite"),
+        ([(math.inf, 2.0)], [-1], "finite"),
+        ([(1.0, 2.0), (3.0, 4.0)], [1], "are not"),
+        ([(1.0, 2.0)], [1, -1], "are not"),
+        ([1.0, 2.0], [1, -1], "are not"),
+    ])
+    def test_bad_arrays_are_refused(self, features, labels, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(features, labels)
+
+    def test_text_features_are_refused(self):
+        with pytest.raises(TypeError):
+            Dataset([("1.5", "2.0")], [1])
+
+    def test_labels_of_another_type_are_stored_as_int(self):
+        ds = Dataset([(1, 2), (3, 4)], [1.0, True])
+        assert ds.features.dtype == np.float64 and ds.labels.dtype == np.int64
+        assert ds.labels.tolist() == [1, 1]
+
+    def test_compares_by_value(self):
+        ds = Dataset([(1.0, 2.0)], [1], ("v1",))
+        assert ds == Dataset(np.array([[1.0, 2.0]]), np.array([1]), ("v1",))
+        assert ds != Dataset([(1.0, 2.0)], [1], ("v2",))
+        assert ds != Dataset([(1.0, 2.0)], [-1], ("v1",))
+        assert ds != Dataset([(1.0, 2.5)], [1], ("v1",))
+
+    def test_examples_are_built_once(self, monkeypatch, small_trace):
+        ds = sample_examples(small_trace, 20, seed=3)
+        built = count_examples(monkeypatch)
+        examples = ds.examples
+        assert len(built) == 20 and ds.examples is examples
+        assert [e.features for e in examples] == [tuple(row) for row in ds.features.tolist()]
+        assert [e.label for e in examples] == ds.labels.tolist()
+
+    def test_default_run_paper_builds_400_examples(self, monkeypatch, tmp_path):
+        # only the standardized training list that svm.train takes
+        from routesvm.cli import main
+
+        built = count_examples(monkeypatch)
+        assert main(["run-paper", "--out-dir", str(tmp_path)]) == 0
+        assert len(built) == 400
+
+
+def count_examples(monkeypatch) -> list:
+    """A list that grows by one for each LabeledExample built from now on."""
+    built = []
+    post_init = LabeledExample.__post_init__
+
+    def counting(self):
+        built.append(None)
+        post_init(self)
+
+    monkeypatch.setattr(LabeledExample, "__post_init__", counting)
+    return built
 
 
 def reference_sample(trace, n, seed, exclude):

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 
-from routesvm.dataset_io import Dataset, InsufficientVehiclesError, sample_examples
+from routesvm.dataset_io import InsufficientVehiclesError, sample_examples
 from routesvm.eval_pipeline import (
     BoundaryLine,
     EmptyTestError,
@@ -32,6 +32,8 @@ from routesvm.svm import (
     train,
 )
 
+from helpers import dataset_of
+
 
 def linear_model(w, b) -> SvmModel:
     """A linear model with the given explicit weights, built from one or two
@@ -50,10 +52,6 @@ def linear_model(w, b) -> SvmModel:
         alphas=tuple(alphas),
         bias=float(b),
     )
-
-
-def dataset_of(examples) -> Dataset:
-    return Dataset(examples=tuple(examples))
 
 
 class TestEvaluate:
@@ -224,7 +222,7 @@ class TestPipelineHyperplane:
         rng = random.Random(13)
         for _ in range(20):
             model = train_position_model(
-                anisotropic_positions(rng, rng.randint(10, 60)), KernelSpec.linear()
+                dataset_of(anisotropic_positions(rng, rng.randint(10, 60))), KernelSpec.linear()
             )
             assert model.scaler is not None
             w, b = extract_hyperplane(model)
@@ -239,7 +237,7 @@ class TestPipelineHyperplane:
 class TestTrainPositionModel:
     def test_linear_handles_anisotropic_scales(self):
         data = anisotropic_positions(random.Random(21), 80)
-        model = train_position_model(data, KernelSpec.linear(), TrainConfig(rng_seed=1))
+        model = train_position_model(dataset_of(data), KernelSpec.linear(), TrainConfig(rng_seed=1))
         assert model.summary.converged
         correct = sum(classify(model, e.features) == e.label for e in data)
         assert correct >= 76  # the blobs overlap slightly
@@ -254,7 +252,7 @@ class TestTrainPositionModel:
     def test_nonlinear_keeps_scaler_on_reload(self, kernel, tmp_path):
         rng = random.Random(5)
         data = anisotropic_positions(rng, 60)
-        model = train_position_model(data, kernel, TrainConfig())
+        model = train_position_model(dataset_of(data), kernel, TrainConfig())
         assert model.scaler is not None
         assert model.scaler.mean[0] > 100.0  # fitted on raw meters
         path = tmp_path / "model.txt"
@@ -275,7 +273,7 @@ class TestTrainPositionModel:
                 (rng.gauss(1.0 if label == 1 else -1.0, 0.8), rng.gauss(0.0, 0.8)), label
             ))
         cfg = TrainConfig(rng_seed=2, max_passes=2000)
-        pipeline_model = train_position_model(data, KernelSpec.linear(), cfg)
+        pipeline_model = train_position_model(dataset_of(data), KernelSpec.linear(), cfg)
         direct_model = train(data, KernelSpec.linear(), cfg)
         train_agreement = sum(
             classify(pipeline_model, e.features) == classify(direct_model, e.features)

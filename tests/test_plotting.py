@@ -1,8 +1,9 @@
 import pytest
 
-from routesvm.dataset_io import Dataset
 from routesvm.plotting import render_svg
 from routesvm.svm import DataError, KernelSpec, LabeledExample, SvmModel, TrainConfig, train
+
+from helpers import dataset_of
 
 
 def sign_of_y_model() -> SvmModel:
@@ -12,10 +13,6 @@ def sign_of_y_model() -> SvmModel:
         alphas=(1.0,),
         bias=1.5,  # boundary y = -1.5
     )
-
-
-def dataset_of(examples) -> Dataset:
-    return Dataset(examples=tuple(examples))
 
 
 def rbf_model() -> SvmModel:
@@ -29,6 +26,15 @@ def rbf_model() -> SvmModel:
 
 
 class TestRenderSvg:
+    @pytest.mark.parametrize("features", [[(1.0, 2.0, 3.0), (4.0, 5.0, 6.0)], [(1.0,), (2.0,)]])
+    def test_features_other_than_x_y_are_refused(self, features):
+        # 2x3 features were reshaped into 3x2 rows; a model of as many
+        # features then reported "model has 3 features, data has 2"
+        supports = (LabeledExample((0.0,) * len(features[0]), 1),)
+        model = SvmModel(KernelSpec.linear(), supports, (1.0,), 0.0)
+        with pytest.raises(ValueError, match="2 features"):
+            render_svg(model, dataset_of(LabeledExample(f, 1) for f in features))
+
     def test_one_misclassified_point_gets_one_ring(self):
         model = sign_of_y_model()
         examples = [LabeledExample((float(i), 0.0), 1) for i in range(9)]

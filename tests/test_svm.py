@@ -75,6 +75,12 @@ class TestLabeledExample:
         with pytest.raises(TypeError):
             LabeledExample((feature, 1.0), 1)
 
+    @pytest.mark.parametrize("features", [b"12", bytearray(b"12"), memoryview(b"12")])
+    def test_bytes_features_raise_type_error(self, features):
+        # bytes iterate as ints, so b"12" would be stored as (49.0, 50.0)
+        with pytest.raises(TypeError, match="not bytes"):
+            LabeledExample(features, 1)
+
     @pytest.mark.parametrize("features", [
         (3, 0.5), (True, 0.5), (np.int64(-4), 0.5), (np.float64(2.5), 0.5), (Fraction(1, 3), 0.5),
         (np.float32(0.1), np.float32(-0.3)),  # the old range check warned on a float32 cast
