@@ -74,7 +74,7 @@ LabelTable = dict[str, int]
 
 _FIELDS = POINT_DTYPE.names  # step, vehicle, x, y, speed, route_label
 _FCD_ATTRS = ("id", "x", "y", "speed")
-_CHUNK = 1 << 16  # lines per block read by the trace CSV reader
+_CHUNK = 8192  # lines per block read by the trace CSV reader
 _WRITE_BATCH = 8192  # rows per trace CSV write batch; fewer if an id exceeds 64 bytes
 # The trace CSV columns np.loadtxt parses: every field but vehicle_id.
 _TRACE_COLUMNS = np.dtype([(f, POINT_DTYPE[f]) for f in _FIELDS if f != "vehicle"])
@@ -116,6 +116,10 @@ class Dataset:
             return NotImplemented
         return (self.vehicle_ids == other.vehicle_ids and np.array_equal(self.labels, other.labels)
                 and np.array_equal(self.features, other.features))
+
+    def __reduce__(self):
+        """A pickled or deep-copied dataset is rebuilt, so re-checked and read-only."""
+        return Dataset, (self.features, self.labels, self.vehicle_ids)
 
     @cached_property
     def examples(self) -> tuple[LabeledExample, ...]:
@@ -265,21 +269,38 @@ def write_trace_csv(trace: Trace, destination: str | Path) -> None:
 
     Each row is ``f"{step},{id},{x:.17g},{y:.17g},{speed:.17g},{route}\\n"``,
     built a batch of rows at a time as one byte matrix whose unused bytes
-    are 0xFF, which UTF-8 never holds, and written without them.  Ids come
-    from a UTF-8 table and each distinct step and label of a batch is
-    formatted once.  x, y and speed get exact digits by array arithmetic for
-    1e-4 <= |v| < 1e16 (:func:`_float_text`); other values (±0, exponent
-    form, subnormals, huge) are formatted one by one."""
+    are 0xFF, which UTF-8 never holds, and written without them.
+
+    - Per vehicle, once per trace: the id text, and the ``speed,route`` tail
+      of one of its rows.  A batch whose every row has its vehicle's speed
+      bits and route label takes the tails from that table.
+    - Per distinct value of a batch: the step, and in a batch that has a row
+      differing from its vehicle's tail, the route label.
+    - Per row: x and y, and in such a batch the speed.
+
+    Floats get exact digits by array arithmetic for 1e-4 <= |v| < 1e16
+    (:func:`_float_text`); other values (±0, exponent form, subnormals,
+    huge) are formatted one by one."""
+    points = trace.points
     ids = _byte_table([vid.encode() + b"," for vid in trace.vehicle_ids])
+    speed, route = np.zeros(len(ids)), np.zeros(len(ids), np.int8)
+    speed[points["vehicle"]], route[points["vehicle"]] = points["speed"], points["route_label"]
+    tails = np.concatenate([_float_text(speed), _int_text(route, b"\n")], axis=1)
+    tails = _byte_table([tail.tobytes().translate(None, b"\xff") for tail in tails])
     batch = max(1, _WRITE_BATCH * 64 // max(ids.shape[1], 64))
     with open(destination, "wb") as out:
         out.write(TRACE_HEADER.encode() + b"\n")
-        for lo in range(0, len(trace.points), batch):
-            chunk = trace.points[lo : lo + batch]
+        for lo in range(0, len(points), batch):
+            chunk = points[lo : lo + batch]
+            v = chunk["vehicle"]
+            if ((chunk["speed"].view(np.int64) == speed.view(np.int64)[v]).all()
+                    and (chunk["route_label"] == route[v]).all()):
+                tail = [tails[v]]
+            else:
+                tail = [_float_text(chunk["speed"]), _int_text(chunk["route_label"], b"\n")]
             rows = np.concatenate([
-                _int_text(chunk["step"], b","), ids[chunk["vehicle"]],
-                *(_float_text(chunk[f]) for f in ("x", "y", "speed")),
-                _int_text(chunk["route_label"], b"\n")], axis=1)
+                _int_text(chunk["step"], b","), ids[v],
+                *(_float_text(chunk[f]) for f in ("x", "y")), *tail], axis=1)
             out.write(rows.tobytes().translate(None, b"\xff"))
 
 

@@ -135,6 +135,10 @@ class Trace:
             return NotImplemented
         return self.vehicle_ids == other.vehicle_ids and np.array_equal(self.points, other.points)
 
+    def __reduce__(self):
+        """A pickled or deep-copied trace is rebuilt by :func:`make_trace`, so read-only."""
+        return make_trace, (self.points, self.vehicle_ids)
+
     @cached_property
     def rows_by_vehicle(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(rows, starts, counts): row indices grouped by vehicle index, each

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import gc
+import pickle
 import random
 import tracemalloc
 from pathlib import Path
@@ -20,6 +22,12 @@ def dataset_of(examples) -> Dataset:
     examples = list(examples)
     features = [e.features for e in examples] if examples else np.empty((0, 2))
     return Dataset(np.array(features, dtype=float), [e.label for e in examples])
+
+
+def pickled_and_deep_copies(value) -> list:
+    """``value`` through each pickle protocol, then through ``copy.deepcopy``."""
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    return [*(pickle.loads(pickle.dumps(value, p)) for p in protocols), copy.deepcopy(value)]
 
 
 def peak_allocation(function, *args):

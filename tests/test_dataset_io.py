@@ -1,5 +1,6 @@
 import logging
 import math
+import pickle
 import random
 import re
 import sys
@@ -31,6 +32,7 @@ from helpers import (
     assert_writes_reference_bytes,
     label_table_of,
     peak_allocation,
+    pickled_and_deep_copies,
     random_trace,
     rows_of,
     trace_from_rows,
@@ -121,6 +123,29 @@ class TestTraceCsv:
         assert len(np.unique(points["speed"])) == len(points)
         trace = make_trace(points, small_trace.vehicle_ids)
         assert_writes_reference_bytes(trace, tmp_path)
+
+    @pytest.mark.parametrize("batch", [7, 8192])
+    @pytest.mark.parametrize("field, values", [
+        ("speed", [2.0] * 10 + [2.25] * 20),  # a speed change inside one 8192-row batch
+        ("speed", [0.0, -0.0] * 15),  # equal as floats, not as text
+        ("route_label", [0] * 15 + [1] * 15),
+    ])
+    def test_a_vehicle_whose_tail_changes_matches_the_per_row_reference(
+        self, small_trace, tmp_path, monkeypatch, batch, field, values
+    ):
+        monkeypatch.setattr(dataset_io, "_WRITE_BATCH", batch)
+        points = small_trace.points.copy()
+        points[field][points["vehicle"] == 5] = values
+        assert_writes_reference_bytes(make_trace(points, small_trace.vehicle_ids), tmp_path)
+
+    def test_a_generated_trace_formats_speed_once_per_vehicle(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        formatted = []
+        float_text = dataset_io._float_text
+        monkeypatch.setattr(dataset_io, "_float_text", lambda v: formatted.append(len(v)) or float_text(v))
+        write_trace_csv(small_trace, tmp_path / "trace.csv")
+        assert sum(formatted) == 2 * len(small_trace.points) + len(small_trace.vehicle_ids)
 
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -626,6 +651,17 @@ class TestDataset:
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0
+
+    def test_pickled_and_deep_copies_are_checked_read_only_copies(self):
+        ds = Dataset([(1.0, 2.0), (3.0, 4.0)], [1, -1], ("v1", "v2"))
+        for copied in pickled_and_deep_copies(ds):
+            assert copied == ds
+            for array in (copied.features, copied.labels):
+                assert not array.flags.writeable
+        object.__setattr__(ds, "labels", np.array([1, 2]))
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            with pytest.raises(ValueError, match="labels must be"):
+                pickle.loads(pickle.dumps(ds, protocol))
 
     @pytest.mark.parametrize("features, labels, message", [
         ([(1.0, 2.0)], [0], "labels must be"),

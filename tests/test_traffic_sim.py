@@ -17,7 +17,13 @@ from routesvm.traffic_sim import (
     vehicle_position,
 )
 
-from helpers import label_table_of, peak_allocation, reference_trace, rows_of
+from helpers import (
+    label_table_of,
+    peak_allocation,
+    pickled_and_deep_copies,
+    reference_trace,
+    rows_of,
+)
 
 
 def config_with(**kwargs) -> ScenarioConfig:
@@ -325,6 +331,12 @@ class TestMakeTrace:
         assert trace == generated
         assert np.shares_memory(trace.points, points)
         assert not points.flags.writeable
+
+    def test_pickled_and_deep_copies_are_read_only_copies(self):
+        trace = generate_trace(config_with())
+        for copied in pickled_and_deep_copies(trace):
+            assert copied == trace and not copied.points.flags.writeable
+            assert not np.shares_memory(copied.points, trace.points)
 
     def test_shuffled_input_is_sorted_in_place(self):
         points, ids = self.shuffled(generate_trace(config_with()), 0)
