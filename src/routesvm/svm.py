@@ -227,11 +227,21 @@ def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | Non
     return dots
 
 
+def _rows(xs) -> np.ndarray:
+    """``xs`` as float rows (n, d); another ndim raises ValueError, d = 0 DimensionMismatchError."""
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 2:
+        raise ValueError(f"expected a 2-D stack of rows, got shape {xs.shape}")
+    if not xs.shape[1]:
+        raise DimensionMismatchError("vectors have no features")
+    return xs
+
+
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Gram matrix K[i, j] = K(a[i], b[j]) for row-vector stacks a, b."""
+    """Gram matrix K[i, j] = K(a[i], b[j]) for row-vector stacks a, b of
+    shapes (n, d) and (m, d), d >= 1; any other shape raises a ValueError."""
     spec.validate()
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _rows(a), _rows(b)
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
@@ -242,9 +252,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
     """Evaluate the kernel on a single pair of vectors."""
-    a = np.atleast_2d(np.asarray(a, dtype=float))
-    b = np.atleast_2d(np.asarray(b, dtype=float))
-    return float(kernel_matrix(spec, a, b)[0, 0])
+    return float(kernel_matrix(spec, np.atleast_2d(a), np.atleast_2d(b))[0, 0])
 
 
 @dataclass(frozen=True)
@@ -339,11 +347,10 @@ class SvmModel:
 
 
 def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
-    """Decision function over a stack of row vectors (fixed summation order).
-    A kernel that overflows on the data raises DataError."""
+    """Decision function over a stack of row vectors or one vector (fixed
+    summation order).  A kernel that overflows on the data raises DataError."""
     xs = np.asarray(xs, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[None, :]
+    xs = _rows(xs[None, :] if xs.ndim == 1 else xs)
     if not model.support_examples:
         return np.full(xs.shape[0], model.bias)
     if xs.shape[1] != model._support_matrix.shape[1]:
@@ -495,9 +502,9 @@ class _Smo:
         additions from -1, so F derived back from G has one zero sign per class."""
         return -self.y * self.f + 0.0
 
-    def movable(self, floor: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of I_up and I_low; alpha within ``floor`` of a bound counts as on it."""
-        above, below = self.alpha > floor, self.alpha < self.c - floor
+    def movable(self) -> tuple[np.ndarray, np.ndarray]:
+        """Masks of I_up and I_low."""
+        above, below = self.alpha > 0.0, self.alpha < self.c
         pos = self.y > 0
         return np.where(pos, below, above), np.where(pos, above, below)
 
@@ -567,46 +574,34 @@ class _Smo:
                 objectives.append(self.objective())
         if steps % n:
             objectives.append(self.objective())
-        self.finalize_bias()
+        violations = self.finish()
         return TrainSummary(
             passes=-(-steps // n),
-            converged=gap <= tol and self.final_violations() == 0,
+            converged=gap <= tol and violations == 0,
             dual_objectives=tuple(objectives),
+            n_support=int(self.support.sum()),
         )
 
-    def finalize_bias(self) -> None:
-        """Set b to the average of F_t over the unbounded support vectors.
-
-        With every multiplier at a bound there is no margin-riding vector to
-        average, but optimality only constrains b to [max F over I_up,
-        min F over I_low]; the midpoint keeps every example's KKT deviation
-        within half the optimality gap.
-        """
-        f = -self.y * self.grad  # as ``f``, but an exact zero's sign set by the class
-        up, low = self.movable(NORM_FLOOR * max(1.0, self.c))
-        unbound = up & low
-        if unbound.any():
-            self.b = float(np.mean(f[unbound]))
+    def finish(self) -> int:
+        """Split alpha once, in O(n): at 0, interior or at C, a bound taken
+        within ``NORM_FLOOR * max(1, C)``.  From that split set ``support``
+        (alpha not at 0) and b, and return the KKT case-split violation count.
+        b is the mean F over interior alpha; with none, the midpoint of max F
+        over I_up and min F over I_low, which keeps every KKT deviation within
+        half the gap; with I_up or I_low empty, b stays."""
+        floor = NORM_FLOOR * max(1.0, self.c)
+        at_zero, at_c = self.alpha <= floor, self.alpha >= self.c - floor
+        interior, self.support = ~at_zero & ~at_c, ~at_zero
+        pos, grad = self.y > 0, self.grad
+        f = -self.y * grad  # as ``f``, but an exact zero's sign set by the class
+        up, low = np.where(pos, ~at_c, ~at_zero), np.where(pos, ~at_zero, ~at_c)
+        if interior.any():
+            self.b = float(np.mean(f[interior]))
         elif up.any() and low.any():
             self.b = 0.5 * float(f[up].max() + f[low].min())
-
-    def final_violations(self) -> int:
-        """KKT case-split violations at the current iterate.
-
-        alpha=0 needs margin >= 1-tol; interior alpha needs |margin-1| <= tol;
-        alpha=C needs margin <= 1+tol.
-        """
-        floor = NORM_FLOOR * max(1.0, self.c)
-        margin = self.grad + 1.0 + self.y * self.b  # y_i * f(x_i)
-        at_zero = self.alpha <= floor
-        at_c = self.alpha >= self.c - floor
-        interior = ~at_zero & ~at_c
-        bad = (
-            (at_zero & (margin < 1.0 - self.tol))
-            | (interior & (np.abs(margin - 1.0) > self.tol))
-            | (at_c & (margin > 1.0 + self.tol))
-        )
-        return int(bad.sum())
+        margin = grad + 1.0 + self.y * self.b  # y_i * f(x_i)
+        bad = (at_zero & (margin < 1.0 - self.tol)) | (at_c & (margin > 1.0 + self.tol))
+        return int((bad | (interior & (np.abs(margin - 1.0) > self.tol))).sum())
 
 
 def train(
@@ -621,10 +616,11 @@ def train(
     the violation gap m(alpha) - M(alpha) is at most ``cfg.tol`` or after
     ``cfg.max_passes`` passes of n pair steps each.  ``summary.converged`` is
     True only when the gap certificate held and the final KKT case split
-    finds no violation; non-convergence is reported there, not raised.  A
-    kernel that overflows on the data leaves a non-finite bias or alpha, and
-    that raises ValueError.  ``cfg.rng_seed`` has no effect.  Examples with
-    zero dual coefficient are dropped from the model.
+    finds no violation; non-convergence is reported there, not raised.  One
+    O(n) end-of-run step splits alpha into at 0, interior and at C, and the
+    bias, that KKT split and the kept supports (alpha not at 0) all read it.
+    A kernel that overflows on the data leaves a non-finite bias or alpha, and
+    that raises ValueError.  ``cfg.rng_seed`` has no effect.
 
     The n x n Gram matrix is never built: the solver computes kernel rows as
     it needs them and keeps the last 64, plus the curvature vectors of the
@@ -640,6 +636,8 @@ def train(
         xs = np.array([e.features for e in data], dtype=float)
     except ValueError:  # features of different lengths
         raise DimensionMismatchError("training examples have inconsistent dimensions") from None
+    if not xs.shape[1]:
+        raise DimensionMismatchError("training examples have no features")
     kernel = kernel.resolved(xs)
     kernel.validate()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
@@ -647,13 +645,13 @@ def train(
         summary = smo.run(cfg.max_passes)
     if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
         raise ValueError("training left a non-finite bias or alpha: the kernel overflows")
-    keep = np.flatnonzero(smo.alpha > NORM_FLOOR * max(1.0, cfg.C))
+    keep = np.flatnonzero(smo.support)
     return SvmModel(
         kernel=kernel,
         support_examples=tuple(data[int(i)] for i in keep),
         alphas=tuple(float(smo.alpha[int(i)]) for i in keep),
         bias=float(smo.b),
-        summary=replace(summary, n_support=len(keep)),
+        summary=summary,
     )
 
 

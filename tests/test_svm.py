@@ -27,6 +27,7 @@ from routesvm.svm import (
     functional_margin,
     geometric_margin,
     kernel_eval,
+    kernel_matrix,
     model_from_text,
     model_to_text,
     train,
@@ -175,6 +176,29 @@ class TestKernels:
         with pytest.raises(DimensionMismatchError):
             kernel_eval(KernelSpec.linear(), (1, 2), (1, 2, 3))
 
+    @pytest.mark.parametrize("a, b, shape", [
+        ([1.0, 2.0], [[1.0, 2.0]], (2,)),
+        ([[1.0, 2.0]], [1.0, 2.0], (2,)),
+        (np.zeros((1, 1, 2)), np.zeros((1, 2)), (1, 1, 2)),
+        (np.zeros((1, 2)), np.zeros((2, 1, 2)), (2, 1, 2)),
+        (1.0, [[1.0]], ()),
+    ])
+    def test_kernel_matrix_takes_only_2d_stacks_of_rows(self, a, b, shape):
+        with pytest.raises(ValueError) as exc_info:
+            kernel_matrix(KernelSpec.linear(), a, b)
+        assert str(exc_info.value) == f"expected a 2-D stack of rows, got shape {shape}"
+
+    @pytest.mark.parametrize("a, b", [(np.zeros((2, 0)), np.zeros((3, 0))),
+                                      (np.zeros((2, 0)), np.zeros((3, 2)))])
+    def test_kernel_matrix_refuses_rows_without_features(self, a, b):
+        with pytest.raises(DimensionMismatchError, match="^vectors have no features$"):
+            kernel_matrix(KernelSpec.rbf(gamma=1.0), a, b)
+
+    def test_kernel_eval_takes_one_vector_as_one_row(self):
+        assert kernel_eval(KernelSpec.linear(), [1.0, 2.0], [[3.0, 4.0]]) == 11.0
+        with pytest.raises(ValueError, match=r"^expected a 2-D stack of rows, got shape"):
+            kernel_eval(KernelSpec.linear(), np.zeros((1, 1, 2)), [1.0, 2.0])
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -228,6 +252,17 @@ class TestDecisionAndClassify:
         assert classify(bias_only_model(2.3), (0, 0)) == 1
         assert classify(bias_only_model(-0.1), (0, 0)) == -1
         assert classify(bias_only_model(0.0), (0, 0)) == 1
+
+    @pytest.mark.parametrize("model", [single_support_model(), bias_only_model(0.5)],
+                             ids=["supports", "bias-only"])
+    def test_only_a_vector_or_a_2d_stack_of_rows_is_taken(self, model):
+        assert decision_values(model, [0.0, 1.0]).tolist() == [decision_value(model, (0.0, 1.0))]
+        with pytest.raises(ValueError) as exc_info:
+            decision_values(model, np.zeros((2, 2, 2)))
+        assert str(exc_info.value) == "expected a 2-D stack of rows, got shape (2, 2, 2)"
+        for xs in ([], np.zeros((3, 0))):
+            with pytest.raises(DimensionMismatchError, match="^vectors have no features$"):
+                decision_values(model, xs)
 
     def test_width_mismatch_raises_before_the_scaler(self):
         model = replace(single_support_model(features=(0.0, 1.0, 2.0)),

@@ -15,6 +15,7 @@ from routesvm import svm
 from routesvm.dataset_io import sample_examples
 from routesvm.svm import (
     NORM_FLOOR,
+    DataError,
     DimensionMismatchError,
     KernelSpec,
     LabeledExample,
@@ -82,6 +83,25 @@ class TestTrainBasics:
             train([LabeledExample((0.0,), 1), LabeledExample((1.0, 1.0), -1)],
                   KernelSpec.linear())
         assert str(exc_info.value) == "training examples have inconsistent dimensions"
+
+    @pytest.mark.parametrize("kernel", [KernelSpec.linear(), KernelSpec.rbf(),
+                                        KernelSpec.polynomial(), KernelSpec.sigmoid()],
+                             ids=lambda k: k.family)
+    def test_zero_feature_examples_are_a_data_error(self, kernel):
+        # Refused before a missing gamma is resolved to 1/d.
+        with pytest.raises(DataError) as exc_info:
+            train([LabeledExample((), 1), LabeledExample((), -1)], kernel)
+        assert exc_info.type is DimensionMismatchError
+        assert str(exc_info.value) == "training examples have no features"
+
+    @pytest.mark.parametrize("c_value", [1e-12, 1e-13])
+    def test_a_box_inside_the_floor_keeps_no_support_and_the_initial_bias(self, c_value):
+        # The bound floor NORM_FLOOR * max(1, C) is 1e-12 >= C, so every alpha
+        # is within it of both 0 and C: none is interior, I_up and I_low are
+        # empty at the floor, and b keeps its start value.
+        model = train(XOR, KernelSpec.linear(), TrainConfig(C=c_value))
+        assert model_to_text(model) == "routesvm-model v2 family=linear bias=0 supports=0\n"
+        assert (model.summary.n_support, model.summary.converged) == (0, False)
 
     def test_kernel_overflow_raises_instead_of_a_nan_model(self):
         data = random_overlapping_examples(random.Random(0), 20)
