@@ -17,7 +17,8 @@ Both trace readers check each row where they parse it, so an error names
 the first bad row in file order: x, y and speed must be finite, a step must
 fit in a signed 64-bit integer, and an FCD vehicle id holds no comma, CR or
 LF, which a trace CSV could not hold.  Trace CSV numbers are plain decimal
-(``1_0`` is not a number), parsed a block of lines at a time by ``np.loadtxt``.
+(``1_0`` is not a number), parsed a block of lines at a time, by an exact
+array digit kernel where the block is canonical, else by ``np.loadtxt``.
 The rows fill one ``POINT_DTYPE`` array, handed to
 :func:`~routesvm.traffic_sim.make_trace`, and the checks that span rows run
 once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
@@ -40,7 +41,7 @@ import xml.etree.ElementTree as ElementTree
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice, repeat
+from itertools import count, islice
 from pathlib import Path
 
 import numpy as np
@@ -162,12 +163,13 @@ def _csv_rows(source: str | Path, header: str):
             yield line_no, fields
 
 
-def _checked_trace(points: np.ndarray, ids: dict[str, int]) -> Trace:
+def _checked_trace(points: np.ndarray, ids: list[str] | dict[str, int]) -> Trace:
     """The readers' checks that span rows; each row was checked at parse.
 
-    ``points``, the rows in file order, becomes the trace's points; ``ids`` maps
-    each vehicle id to its ``vehicle`` index.  A repeated (step, vehicle_id) or
-    a changed route label is reported for its first row in canonical order."""
+    ``points``, the rows in file order, becomes the trace's points; ``ids``
+    lists the ids by ``vehicle`` index, as a dict's keys do.  A repeated (step,
+    vehicle_id) or a changed route label is reported for its first row in
+    canonical order."""
     trace = make_trace(points, list(ids))
     step, vehicle, route = (trace.points[f] for f in ("step", "vehicle", "route_label"))
     rows, starts, _ = trace.rows_by_vehicle
@@ -230,7 +232,7 @@ _GROUP = np.ascontiguousarray(np.insert(np.indices((10,) * 4, np.uint8).reshape(
                                         [1, 2, 3, 4], 46, axis=1)).view(np.uint64)[:, 0]
 _LAST = 4 - sum(np.arange(10000) % 10**p == 0 for p in range(1, 5))
 _DROP = _drop_table()
-_POW10 = 10.0 ** np.arange(21)  # exact in float64
+_POW10 = np.array([float(10**k) for k in range(23)])  # exact in float64
 _DECADES = np.array([float(f"1e{m}") for m in range(-4, 17)])  # the floats nearest 1e-4 .. 1e16
 
 
@@ -350,6 +352,115 @@ def _block_error(block: list[str], line_no: int) -> TraceFormatError:
     raise AssertionError("a block that failed its checks has no bad row")
 
 
+_ONES = 0x0101010101010101  # one in each byte of a word
+_SCALE = np.array([10 ** (8 - d) for d in range(9)], np.uint64)  # by bytes dropped
+_BIG = 10**17 // _SCALE  # reaches 10**17 once scaled
+
+
+def _digits(words, a, b, value=0, big=False):
+    """Append the digits in bytes [a, b) of each row to ``value``, 8 per word
+    (Lemire, *Number parsing at a gigabyte per second*, 2021): (value, all
+    digits, big where it reached 10**17 and means nothing)."""
+    value, big = value + np.zeros(len(a), np.uint64), big | np.zeros(len(a), bool)
+    bad = np.zeros(len(a), np.uint64)
+    for j in range(-(-int((b - a).max(initial=0)) // 8) - 1, -1, -1):  # the leading word first
+        end = np.maximum(b - 8 * j, a)
+        drop = np.maximum(a + 8 - end, 0)  # the little-endian word's low bytes before a
+        bits = drop.astype(np.uint64) << 3  # shifted out; the zeros shifted in read as 0
+        w = words[end - 8]
+        bad |= ((w & 0xF0 * _ONES | (w + 6 * _ONES & 0xF0 * _ONES) >> 4) ^ 0x33 * _ONES) >> bits
+        w = (w >> bits << bits & 0x0F * _ONES) * 2561 >> 8  # 10a + b for each pair of bytes,
+        w = (w & 0x00FF00FF00FF00FF) * 6553601 >> 16  # then of pairs, then of fours
+        big |= value >= _BIG[drop]
+        value = value * _SCALE[drop] + ((w & 0x0000FFFF0000FFFF) * 42949672960001 >> 32)
+    return value, bad == 0, big
+
+
+def _parse_floats(pad, words, s: np.ndarray, t: np.ndarray, found: list) -> np.ndarray | None:
+    """The floats in bytes [s, t) of each row, or None unless each is
+    ``-?D+(.D+)?(e[+-]DDD?)?``; ``found`` lists the block's "e" and "."
+    offsets, each ending one past the block.  A float is m / p, p = 10**k:
+    for k in [0, 22] and m < 2**53, one correctly rounded division (Clinger
+    1990).  For 2**53 <= m < 10**17, q = fl(fl(m) / p) is under 1.5 ulps
+    off; q·p = hi + lo exactly (:func:`_two_prod`), hi an integer near m,
+    so m - hi - lo = r + err exactly, and q steps to the neighbour past half
+    the gap times p, an exact float compared with r, then err; ties to even.
+    Others (over 17 significant digits, k outside [0, 22]) go through ``float``."""
+    e = np.minimum(found[0][np.searchsorted(found[0], s)], t)  # the first "e", else t
+    dot = np.minimum(found[1][np.searchsorted(found[1], s)], e)  # the first ".", else e
+    neg = pad[s] == ord("-")
+    a = s + neg
+    frac = dot + (dot < e)
+    m, ok, big = _digits(words, a, dot)
+    m, ok_frac, big = _digits(words, frac, e, m, big)
+    k = e - frac
+    i = np.flatnonzero(e < t)
+    sign, size = pad[e[i] + 1], t[i] - e[i]  # "e", the sign and 2 or 3 digits
+    power, ok_power, _ = _digits(words, e[i] + 2, t[i])
+    ok[i] &= ok_power & ((size == 4) | (size == 5)) & ((sign == ord("+")) | (sign == ord("-")))
+    k[i] += np.where(sign == ord("-"), 1, -1) * power.astype(np.int64)
+    if not (ok & ok_frac & (dot > a) & ((e > frac) | (dot == e))).all():
+        return None
+    slow = big | (k < 0) | (k > 22)
+    p = _POW10[np.where(slow, 0, k)]
+    q = m.astype(float) / p
+    hard = np.flatnonzero(~slow & (m >= 2**53))
+    hi, lo = _two_prod(q[hard], p[hard])
+    d = (m[hard].astype(np.int64) - hi.astype(np.int64)).astype(float)
+    r = d - lo
+    err = (d - (r - (r - d))) - (lo + (r - d))  # r + err = d - lo exactly: Knuth's two-sum
+    bits = q[hard].view(np.int64)  # a positive float's neighbours are its bits -1 and +1
+    up, down = (((bits + step).view(float) - q[hard]) * 0.5 * p[hard] for step in (1, -1))
+    odd = bits & 1 == 1
+    above = (r > up) | (r == up) & ((err > 0) | (err == 0) & odd)
+    below = (r < down) | (r == down) & ((err < 0) | (err == 0) & odd)
+    q[hard] = (bits + above - below).view(float)
+    for j in np.flatnonzero(slow).tolist():
+        q[j] = float(pad[a[j]:t[j]].tobytes())
+    return np.where(neg, -q, q)
+
+
+def _parse_canonical_rows(pad, words, first: np.ndarray, last: np.ndarray) -> dict | None:
+    """The numeric columns of a block with fields [first, last), or None unless
+    each is canonical: 1 to 18 step digits, route_label 0 or 1, and floats as
+    :func:`_parse_floats` reads them, a column at a time: 8 bytes a row."""
+    first, last = first.reshape(-1, 6), last.reshape(-1, 6)
+    step, ok, _ = _digits(words, first[:, 0], last[:, 0])
+    route, size = pad[first[:, 5]] - ord("0"), last[:, 0] - first[:, 0]
+    if not (ok & (size >= 1) & (size <= 18) & (last[:, 5] - first[:, 5] == 1) & (route <= 1)).all():
+        return None
+    rows = {"step": step.astype(np.int64), "route_label": route}
+    found = [np.append(np.flatnonzero(pad == byte), len(pad)) for byte in b"e."]
+    for field, name in enumerate(("x", "y", "speed"), start=2):
+        rows[name] = _parse_floats(pad, words, first[:, field], last[:, field], found)
+        if rows[name] is None:
+            return None
+    return rows
+
+
+def _vehicle_index(words, a: np.ndarray, b: np.ndarray, table: dict, ids: list[str]) -> np.ndarray:
+    """The vehicle index of each id, bytes [a, b) of its row, by ``table``:
+    per id length, the sorted keys (the bytes as a uint64, or a void of such
+    words past 8 bytes) of the ids seen so far, and their indices.  A new id
+    takes the next index and joins ``ids``, where Python first touches it."""
+    index = np.empty(len(a), np.int64)
+    for n in np.unique(b - a).tolist():
+        rows = np.flatnonzero(b - a == n)
+        width = max(1, -(-n // 8))  # words per key
+        key = words[b[rows, None] + 8 * np.arange(-width, 0)]
+        key[:, 0] &= (2**64 - 1) >> 8 * (8 * width - n) << 8 * (8 * width - n)  # the id's bytes
+        key = key[:, 0] if width == 1 else key.view(f"V{8 * width}")[:, 0]
+        known, known_index = table.get(n, (key[:0], index[:0]))
+        keys, at, inverse = np.unique(np.concatenate([known, key]), True, True)
+        new = at >= len(known)
+        found = np.append(known_index, np.zeros(len(key), np.int64))[at]  # a known id's index
+        found[new] = np.arange(len(ids), len(ids) + np.count_nonzero(new))
+        ids.extend(k.tobytes()[8 * width - n :].decode() for k in keys[new])
+        table[n] = keys, found
+        index[rows] = found[inverse[len(known):]]
+    return index
+
+
 def _row_bound(source: str | Path) -> int:
     """At least the data rows of a trace CSV that passes the reader's checks:
     each holds five commas, as the header does.  Blank lines and line ends
@@ -367,16 +478,18 @@ def read_trace_csv(source: str | Path) -> Trace:
     (step, vehicle_id) order and validated as the module docstring says.
 
     The file is read ``_CHUNK`` lines at a time; no copy of its text is held.
-    One Python pass over a block skips blank lines, checks the field count
-    and maps the vehicle ids; ``np.loadtxt`` parses the other columns, checked
-    a block at a time.  A block that fails is scanned again, row by row, to
-    name its first bad line.  Each block is copied into one points array,
-    sized up front by :func:`_row_bound`, and freed; then the checks that span
-    rows run once.
+    A block's lines, blank ones skipped, are joined and encoded, and one
+    array pass over the bytes finds every field; :func:`_vehicle_index` maps
+    the ids.  :func:`_parse_canonical_rows` parses the numbers of a block
+    whose numbers are all canonical, as in every file :func:`write_trace_csv`
+    writes, and ``np.loadtxt`` those of any other.  A block that fails a
+    check is scanned again, row by row, to name its first bad line.  Each
+    block is copied into one points array, sized up front by
+    :func:`_row_bound`, and freed; then the checks that span rows run once.
     """
     points = np.empty(_row_bound(source), dtype=POINT_DTYPE)
     end = 0
-    ids: dict[str, int] = {}
+    ids, table = [], {}  # the vehicle ids by index; see _vehicle_index
     with _utf8_text(source) as text:
         _skip_header(text, TRACE_HEADER)
         for line_no in count(2, _CHUNK):  # the file line of the block's first line
@@ -386,17 +499,19 @@ def read_trace_csv(source: str | Path) -> Trace:
             lines = [line for line in block if line != "\n"] if "\n" in block else block
             if not lines:
                 continue
-            if set(map(str.count, lines, repeat(","))) != {len(_FIELDS) - 1}:
+            raw = bytes(8) + "".join(lines).encode()  # 8 bytes before the text for word loads
+            pad = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
+            words = np.ndarray((len(pad) - 7,), "<u8", pad, 0, (1,))  # the 8 bytes at each offset
+            seps = np.flatnonzero((pad == ord(",")) | (pad == ord("\n")))  # where each field ends
+            if len(seps) != len(_FIELDS) * len(lines) or (pad[seps[5::6]] != ord("\n")).any():
                 raise _block_error(block, line_no)
-            names = [line.split(",", 2)[1] for line in lines]
-            for name in dict.fromkeys(names):
-                ids.setdefault(name, len(ids))
+            first = np.concatenate(([8], seps[:-1] + 1))  # where each field starts
             stop = end + len(lines)
             if stop > len(points):  # the file grew after it was counted
                 points = np.concatenate([points, np.empty(stop - len(points), POINT_DTYPE)])
-            points["vehicle"][end:stop] = np.fromiter(map(ids.__getitem__, names), np.int64)
-            try:
-                rows = _parse_trace_rows(lines)
+            points["vehicle"][end:stop] = _vehicle_index(words, first[1::6], seps[1::6], table, ids)
+            try:  # np.loadtxt parses a block the digit kernel declines
+                rows = _parse_canonical_rows(pad, words, first, seps) or _parse_trace_rows(lines)
             except ValueError:
                 raise _block_error(block, line_no) from None
             route = rows["route_label"]
@@ -406,7 +521,7 @@ def read_trace_csv(source: str | Path) -> Trace:
             for name in _TRACE_COLUMNS.names:
                 points[name][end:stop] = rows[name]
             end = stop
-            del block, lines, names, rows, route, finite  # one block of work at a time
+            del block, lines, raw, pad, words, seps, first, rows, route, finite  # free the block
     if end < len(points):  # the file shrank after it was counted
         points = points[:end].copy()
     return _checked_trace(points, ids)  # the array itself: a view would keep its base alive

@@ -622,6 +622,10 @@ def train(
     A kernel that overflows on the data leaves a non-finite bias or alpha, and
     that raises ValueError.  ``cfg.rng_seed`` has no effect.
 
+    A certified sigmoid model, whose Gram matrix can be indefinite, is a KKT
+    point of a dual that need not be concave, not necessarily its optimum: on
+    80 standardized examples at C = 1 one reached 18.0530, scipy's SLSQP 18.0686.
+
     The n x n Gram matrix is never built: the solver computes kernel rows as
     it needs them and keeps the last 64, plus the curvature vectors of the
     last 64 rows taken as i, so memory is O(n) plus 128 vectors of length n.

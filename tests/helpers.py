@@ -11,8 +11,10 @@ from pathlib import Path
 from xml.sax.saxutils import quoteattr
 
 import numpy as np
+import pytest
 
-from routesvm.dataset_io import Dataset, write_trace_csv
+from routesvm import dataset_io
+from routesvm.dataset_io import Dataset, TraceFormatError, read_trace_csv, write_trace_csv
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
 from routesvm.traffic_sim import LANE_COUNT, POINT_DTYPE, ScenarioConfig, Trace, make_trace
 
@@ -210,6 +212,25 @@ def assert_writes_reference_bytes(trace: Trace, folder: Path) -> None:
     write_trace_csv(trace, folder / "trace.csv")
     reference_trace_csv(trace, folder / "reference.csv")
     assert (folder / "trace.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+
+
+def read_outcome(path: Path):
+    """What ``read_trace_csv`` makes of ``path``: the trace's point bytes and
+    ids, or its error message."""
+    try:
+        trace = read_trace_csv(path)
+    except TraceFormatError as exc:
+        return str(exc)
+    return trace.points.tobytes(), trace.vehicle_ids
+
+
+def kernel_and_fallback(path: Path) -> tuple:
+    """``read_outcome(path)``, then the same with the reader's digit kernel
+    declining every block, so that ``np.loadtxt`` parses them all."""
+    kernel = read_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dataset_io, "_parse_canonical_rows", lambda *args: None)
+        return kernel, read_outcome(path)
 
 
 def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5) -> None:

@@ -30,6 +30,7 @@ from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace, make_tra
 
 from helpers import (
     assert_writes_reference_bytes,
+    kernel_and_fallback,
     label_table_of,
     peak_allocation,
     pickled_and_deep_copies,
@@ -369,6 +370,142 @@ class TestTraceCsvBlocks:
         again = tmp_path / "again.csv"
         write_trace_csv(read_trace_csv(path), again)
         assert again.read_bytes() == path.read_bytes()
+
+
+@pytest.fixture
+def loadtxt_blocks(monkeypatch) -> list:
+    """The line count of each block the trace reader parses with np.loadtxt."""
+    blocks = []
+    parse = dataset_io._parse_trace_rows
+    monkeypatch.setattr(dataset_io, "_parse_trace_rows",
+                        lambda lines: blocks.append(len(lines)) or parse(lines))
+    return blocks
+
+
+# Decimals that are hard to round, each with the float Python reads.
+HARD_DECIMALS = [
+    "9007199254740993", "9007199254740995",  # 2**53 + 1 and + 3: ties, to even
+    "4503599627370496.5", "4503599627370499.5",  # ties whose first quotient is odd
+    "931.0715003564377", "8.8682662950964500",  # the first quotient is one ulp low
+    "1341567960.4756883", "65.695431087769541",  # and one ulp high
+    "0.0001", "9.9999999999999991e-05",  # where .17g switches form
+    "99999999999999984", "1e+17",
+]
+
+
+def random_decimals(rng: random.Random, n: int) -> list[str]:
+    """Decimals in the digit kernel's grammar: up to 20 digits split by a
+    point anywhere, with or without an exponent, and floats written .17g."""
+    texts = []
+    for _ in range(n):
+        digits = "".join(rng.choices("0123456789", k=rng.randint(1, 20)))
+        point = rng.randint(0, len(digits) - 1)
+        text = digits if point == 0 else f"{digits[:point]}.{digits[point:]}"
+        if rng.random() < 0.3:
+            power = rng.randint(-330, 280)  # 20 digits and e+280 are still finite
+            text += f"e{'-+'[power >= 0]}{abs(power):0{rng.randint(2, 3)}d}"
+        texts.append(text)
+        texts.append(format(rng.random() * 10.0 ** rng.randint(-12, 20), ".17g"))
+    return texts
+
+
+class TestTraceCsvDigitKernel:
+    """read_trace_csv parses a block whose numbers are in the canonical
+    grammar with its digit kernel and any other block with np.loadtxt; the
+    two must give the same trace, or the same error."""
+
+    HEADER = "step,vehicle_id,x,y,speed,route_label\n"
+
+    def test_the_reader_kernel_facts_about_powers_of_ten(self):
+        """10**k is an exact float for k <= 22, and not for k = 23; so is every
+        m < 2**53, and m / 10**k is one correctly rounded division.  For
+        2**53 <= m < 10**17, q = fl(fl(m) / 10**k) is under 1.5 ulps from
+        m / 10**k, and q·10**k = hi + lo with hi an integer and m - hi small:
+        the residual check is exact, and one step reaches the nearest float."""
+        for k, p in enumerate(dataset_io._POW10.tolist()):
+            assert Fraction(p) == 10**k
+        assert Fraction(float(10**23)) != 10**23
+        rng = random.Random(3)
+        for _ in range(2000):
+            k, m = rng.randint(0, 22), rng.randrange(2**53, 10**17)
+            q = float(m) / dataset_io._POW10[k]
+            assert abs(Fraction(q) - Fraction(m, 10**k)) < Fraction(3, 2) * Fraction(math.ulp(q))
+        for k in range(23):
+            for m in (2**53, 2**53 + 1, 10**16 + 1, 10**17 - 1):
+                q = np.array([float(m) / dataset_io._POW10[k]])
+                hi, lo = dataset_io._two_prod(q, dataset_io._POW10[k : k + 1])
+                assert Fraction(hi[0]) + Fraction(lo[0]) == Fraction(q[0]) * 10**k
+                assert hi[0] >= 2**52 and hi[0] == int(hi[0]) and abs(m - int(hi[0])) < 64
+
+    @pytest.mark.parametrize("rows, kernel", [
+        ("0,a,+0,1,2,0\n", False),
+        ("0,a, 1,1,2,0\n", False),
+        ("0,a,1\t,1,2,0\n", False),
+        ("0,a,.5,1,2,0\n", False),
+        ("0,a,5.,1,2,0\n", False),
+        ("0,a,1E3,1,2,0\n", False),
+        ("-1,a,1,2,3,0\n", False),  # a negative step
+        ("0,a,1e-400,1,2,0\n", True),
+        ("0,a,123456789012345678901234567890.123,1,2,0\n", True),  # a 33-digit mantissa
+        ("0,a,1,2,3,0\r\n1,a,1,2,3,0\r\n", True),
+        ("0,a,1,2,3,0\r1,a,1,2,3,0\r", True),
+        ("0,a,1,2,3,0\n1,a,1,2,3,0", True),  # no final newline
+        ("0,,1,2,3,0\n", True),  # an empty id
+    ])
+    def test_forms_the_reader_accepts_read_the_same_either_way(
+        self, tmp_path, loadtxt_blocks, rows, kernel
+    ):
+        path = tmp_path / "trace.csv"
+        path.write_bytes((self.HEADER + rows).encode())
+        read_trace_csv(path)
+        assert loadtxt_blocks == ([] if kernel else [rows.count("\n")])
+        outcome, fallback = kernel_and_fallback(path)
+        assert outcome == fallback and not isinstance(outcome, str)
+
+    @pytest.mark.parametrize("chunk", [2, 8192])
+    @pytest.mark.parametrize("ids", [
+        ["a", "a\x00", "\x00a", "\x00"],
+        ["v" * 8, "v" * 9, "w" * 8, "v" * 8 + "\x00"],
+        ["x" * 16, "x" * 15 + "y", "\x00" * 16, "x" * 17],
+        ["\xff\u20ac\U0001f600", "\u00e9", "e\u0301"],  # UTF-8 of 2, 3 and 4 bytes
+        ["v" * 2000, "v" * 1999 + "w", "v1"],
+        ["", "v1.5e3", "-1", "0"],
+    ])
+    def test_ids_of_any_length_take_the_kernel(self, tmp_path, monkeypatch, loadtxt_blocks,
+                                               chunk, ids):
+        monkeypatch.setattr(dataset_io, "_CHUNK", chunk)
+        trace = trace_from_rows((step, vid, 0.5 * step, -1.25, 3.0 + i, i % 2)
+                                for i, vid in enumerate(ids) for step in range(3))
+        path = tmp_path / "trace.csv"
+        write_trace_csv(trace, path)
+        assert read_trace_csv(path) == trace
+        assert loadtxt_blocks == []
+        outcome, fallback = kernel_and_fallback(path)
+        assert outcome == fallback == (trace.points.tobytes(), trace.vehicle_ids)
+
+    def test_decimals_read_as_python_reads_them(self, tmp_path, loadtxt_blocks):
+        """Bit for bit, signed or not."""
+        texts = HARD_DECIMALS + random_decimals(random.Random(5), 2000)
+        path = tmp_path / "trace.csv"
+        path.write_text(self.HEADER + "".join(
+            f"{i},v,{x},-{x},{x},0\n" for i, x in enumerate(texts)))
+        points = read_trace_csv(path).points
+        assert loadtxt_blocks == []
+        expected = np.array([float(x) for x in texts])
+        for field, sign in (("x", 1), ("y", -1), ("speed", 1)):
+            assert points[field].tobytes() == (sign * expected).tobytes()
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    def test_a_written_trace_takes_the_kernel(self, small_trace, tmp_path, loadtxt_blocks, jitter):
+        traces = [small_trace, generate_trace(ScenarioConfig(num_vehicles=2000, rng_seed=11))]
+        for i, trace in enumerate(traces):
+            if jitter:
+                points = trace.points.copy()
+                points["speed"] += np.random.default_rng(i).uniform(-0.5, 0.5, len(points))
+                trace = make_trace(points, trace.vehicle_ids)
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            assert read_trace_csv(tmp_path / "trace.csv") == trace
+        assert loadtxt_blocks == []
 
 
 def test_read_peak_allocation_is_the_points_and_one_block(tmp_path, monkeypatch):

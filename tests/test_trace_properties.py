@@ -21,6 +21,7 @@ from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace
 
 from helpers import (
     assert_writes_reference_bytes,
+    kernel_and_fallback,
     label_table_of,
     reference_trace,
     trace_from_rows,
@@ -99,6 +100,8 @@ def test_trace_csv_round_trips(tmp_path_factory, trace):
     restored = read_trace_csv(path)
     assert restored == trace
     assert restored.points.tobytes() == trace.points.tobytes()  # keeps -0.0 and subnormals
+    kernel, fallback = kernel_and_fallback(path)
+    assert kernel == fallback == (trace.points.tobytes(), trace.vehicle_ids)
     write_trace_csv(restored, path)
     assert path.read_bytes() == text
 
@@ -162,6 +165,8 @@ CSV_BYTES = st.one_of(
 def test_fuzzed_trace_csv_gives_trace_or_format_error(tmp_path_factory, data):
     path = tmp_path_factory.mktemp("fuzz_csv") / "trace.csv"
     path.write_bytes(data)
+    kernel, fallback = kernel_and_fallback(path)
+    assert kernel == fallback
     try:
         trace = read_trace_csv(path)
     except TraceFormatError:
