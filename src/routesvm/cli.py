@@ -200,6 +200,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     report_to_csv(report, args.output)
     print(format_report(report))
     print(f"wrote report to {args.output}")
+    if args.model:  # a model file does not record its training draw
+        print("warning: the test sets come from every vehicle and may include the model's"
+              " training vehicles", file=sys.stderr)
     return 0
 
 

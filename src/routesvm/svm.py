@@ -192,15 +192,16 @@ class KernelSpec:
 
 
 def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs dot products accumulated one feature at a time.
+    """Dot products over the last axis of ``a`` and ``b``, broadcast against
+    each other, accumulated one feature at a time.
 
-    Equivalent to ``a @ b.T`` but built from elementwise outer products, so
-    the floating-point result does not depend on the BLAS build; training
-    trajectories stay bit-reproducible across platforms.
+    ``a[:, None]`` and ``b[None]`` give all pairs, as ``a @ b.T``, but built from
+    elementwise products, so the floating-point result does not depend on the
+    BLAS build; training trajectories stay bit-reproducible across platforms.
     """
-    dots = np.multiply.outer(a[:, 0], b[:, 0])
-    for k in range(1, a.shape[1]):
-        dots += np.multiply.outer(a[:, k], b[:, k])
+    dots = a[..., 0] * b[..., 0]
+    for k in range(1, a.shape[-1]):
+        dots += a[..., k] * b[..., k]
     return dots
 
 
@@ -247,7 +248,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
     norms = (_sq_norms(a)[:, None], _sq_norms(b)[None, :]) if spec.family == "rbf" else ()
-    return _kernel_from_dots(spec, _pairwise_dots(a, b), *norms)
+    return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]), *norms)
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -421,33 +422,24 @@ def extract_hyperplane(model: SvmModel) -> tuple[np.ndarray, float]:
 # ---------------------------------------------------------------------------
 
 
-def _kernel_diagonal(spec: KernelSpec, xs: np.ndarray) -> np.ndarray:
-    """The diagonal of ``kernel_matrix(spec, xs, xs)``, bit for bit, in O(n d)."""
-    dots = xs[:, 0] * xs[:, 0]
-    for k in range(1, xs.shape[1]):
-        dots += xs[:, k] * xs[:, k]
-    norms = (_sq_norms(xs),) * 2 if spec.family == "rbf" else ()
-    return _kernel_from_dots(spec, dots, *norms)
+def _gram(spec: KernelSpec, xs: np.ndarray) -> tuple[Callable[[int], np.ndarray], np.ndarray]:
+    """The solver's view of the Gram matrix K(xs, xs): ``(row, diag)``.
 
-
-def _kernel_rows(spec: KernelSpec, xs: np.ndarray) -> Callable[[int], np.ndarray]:
-    """i -> row i of the Gram matrix K(xs, xs), computed on each call.
-
-    Row i is ``kernel_matrix(spec, xs[i:i+1], xs)[0]``, bit for bit the
-    matrix's row i (the rbf matrix is not bitwise symmetric, so not column
-    i).  For rbf the squared norms of ``xs`` are computed once, here; every
-    family takes each row's dot products from ``kernel_matrix`` as the linear
-    kernel, on a Fortran-ordered copy of ``xs``.  ``_Smo`` keeps the rows it
-    used last.
+    ``row(i)`` computes row i on each call, bit for bit
+    ``kernel_matrix(spec, xs[i:i+1], xs)[0]`` (the rbf matrix is not bitwise
+    symmetric, so not column i), and ``diag`` is the matrix's diagonal, in
+    O(n d).  The rbf squared norms and a Fortran-ordered copy of ``xs`` are
+    made once, here; each row's dot products come from ``kernel_matrix`` as
+    the linear kernel.  ``_Smo`` keeps the rows it used last.
     """
     sq = _sq_norms(xs) if spec.family == "rbf" else None
     cols, linear = np.asfortranarray(xs), KernelSpec.linear()
 
     def row(i: int) -> np.ndarray:
-        norms = (sq[i], sq) if sq is not None else ()
-        return _kernel_from_dots(spec, kernel_matrix(linear, cols[i:i + 1], cols)[0], *norms)
+        dots = kernel_matrix(linear, cols[i:i + 1], cols)[0]
+        return _kernel_from_dots(spec, dots, None if sq is None else sq[i], sq)
 
-    return row
+    return row, _kernel_from_dots(spec, _pairwise_dots(cols, cols), sq, sq)
 
 
 class _Smo:
@@ -466,7 +458,7 @@ class _Smo:
     ``up`` and ``low`` masks (set at i and j) and F as two views, ``f_up``
     (F on I_up, -inf elsewhere) and ``f_low`` (F on I_low, +inf elsewhere),
     both moved in place by two scaled kernel rows.  Every t is in I_up or
-    I_low, so ``f`` and G derive from them.  ``rows`` keeps the ``_ROW_CACHE``
+    I_low, so F and G derive from them.  ``rows`` keeps the ``_ROW_CACHE``
     most recently used kernel rows (LIBSVM's kernel cache) and ``curvature``
     as many negated curvature vectors (see ``run``), made only for the rows
     taken as i: at most 128 vectors of length n, none of them ever written.
@@ -493,14 +485,10 @@ class _Smo:
         self.curvature = lru_cache(maxsize=_ROW_CACHE)(neg_curvature)
 
     @property
-    def f(self) -> np.ndarray:
-        return np.where(self.up, self.f_up, self.f_low)
-
-    @property
     def grad(self) -> np.ndarray:
         """G = -y * F.  An exact zero comes out +0.0, as in a G updated by
         additions from -1, so F derived back from G has one zero sign per class."""
-        return -self.y * self.f + 0.0
+        return -self.y * np.where(self.up, self.f_up, self.f_low) + 0.0
 
     def movable(self) -> tuple[np.ndarray, np.ndarray]:
         """Masks of I_up and I_low."""
@@ -593,7 +581,7 @@ class _Smo:
         at_zero, at_c = self.alpha <= floor, self.alpha >= self.c - floor
         interior, self.support = ~at_zero & ~at_c, ~at_zero
         pos, grad = self.y > 0, self.grad
-        f = -self.y * grad  # as ``f``, but an exact zero's sign set by the class
+        f = -self.y * grad  # F, an exact zero's sign set by the class
         up, low = np.where(pos, ~at_c, ~at_zero), np.where(pos, ~at_zero, ~at_c)
         if interior.any():
             self.b = float(np.mean(f[interior]))
@@ -645,7 +633,7 @@ def train(
     kernel = kernel.resolved(xs)
     kernel.validate()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
-        smo = _Smo(_kernel_rows(kernel, xs), _kernel_diagonal(kernel, xs), ys, cfg)
+        smo = _Smo(*_gram(kernel, xs), ys, cfg)
         summary = smo.run(cfg.max_passes)
     if not (math.isfinite(smo.b) and np.isfinite(smo.alpha).all()):
         raise ValueError("training left a non-finite bias or alpha: the kernel overflows")

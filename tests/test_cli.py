@@ -456,6 +456,21 @@ class TestSweep:
         assert code == 0
         assert out.read_text().count("\n") == 3
 
+    def test_pretrained_model_warns_that_test_sets_may_overlap_training(self, trace_path,
+                                                                         tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        assert main(["train", str(trace_path), "--train-size", "30",
+                     "-o", str(model_path)]) == 0
+        capsys.readouterr()
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10,20", "-o", str(tmp_path / "report.csv")])
+        assert code == 0
+        out, err = capsys.readouterr()
+        assert err == ("warning: the test sets come from every vehicle and may include the"
+                       " model's training vehicles\n")
+        assert "warning" not in out
+        assert out.endswith(f"wrote report to {tmp_path / 'report.csv'}\n")
+
     def test_non_utf8_model_exits_3(self, trace_path, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
         assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model_path)]) == 0

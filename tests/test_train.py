@@ -28,8 +28,11 @@ from routesvm.svm import (
     extract_hyperplane,
     geometric_margin,
     kernel_matrix,
+    load_model,
     model_to_text,
+    save_model,
     train,
+    weight_norm,
 )
 from routesvm.traffic_sim import ScenarioConfig, generate_trace
 
@@ -279,8 +282,8 @@ class TestKernelRows:
     )
     def test_rows_and_diagonal_are_the_gram_matrix_bitwise(self, xs, kernel):
         full = kernel_matrix(kernel, xs, xs)
-        assert svm._kernel_diagonal(kernel, xs).tobytes() == np.diag(full).tobytes()
-        row = svm._kernel_rows(kernel, xs)
+        row, diag = svm._gram(kernel, xs)
+        assert diag.tobytes() == np.diag(full).tobytes()
         for i in [*range(len(xs)), 0]:  # a second call gives the same bits
             assert row(i).tobytes() == full[i].tobytes()
 
@@ -309,8 +312,7 @@ class TestKernelRows:
         xs = np.array([e.features for e in data])
         ys = np.array([e.label for e in data], dtype=float)
         kernel = KernelSpec.rbf().resolved(xs)
-        smo = svm._Smo(svm._kernel_rows(kernel, xs), svm._kernel_diagonal(kernel, xs), ys,
-                       TrainConfig())
+        smo = svm._Smo(*svm._gram(kernel, xs), ys, TrainConfig())
         curvature, taken = smo.curvature, []
         smo.curvature = lambda i: taken.append(i) or curvature(i)
         assert smo.run(TrainConfig().max_passes).converged
@@ -324,8 +326,8 @@ class TestKernelRows:
         kernel = KernelSpec.rbf().resolved(xs)
         gc.disable()
         try:
-            smo = svm._Smo(svm._kernel_rows(kernel, xs), svm._kernel_diagonal(kernel, xs),
-                           np.array([e.label for e in data], dtype=float), TrainConfig())
+            smo = svm._Smo(*svm._gram(kernel, xs), np.array([e.label for e in data], dtype=float),
+                           TrainConfig())
             smo.run(TrainConfig().max_passes)
             freed = weakref.ref(smo)
             del smo
@@ -482,14 +484,14 @@ def assert_matches_reference(data, kernel, cfg):
     assert _bits(got.dual_objectives) == _bits(summary.dual_objectives)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        smo = svm._Smo(svm._kernel_rows(model.kernel, xs),
-                       svm._kernel_diagonal(model.kernel, xs), ys, cfg)
+        smo = svm._Smo(*svm._gram(model.kernel, xs), ys, cfg)
         smo.run(cfg.max_passes)
     up, low = smo.movable()
     assert np.array_equal(smo.up, up) and np.array_equal(smo.low, low)
     assert smo.grad.tobytes() == ref.grad.tobytes()
     # F is kept by subtraction, so an exact zero may carry either sign.
-    assert (smo.f + 0.0).tobytes() == (-ys * ref.grad + 0.0).tobytes()
+    f = np.where(smo.up, smo.f_up, smo.f_low)
+    assert (f + 0.0).tobytes() == (-ys * ref.grad + 0.0).tobytes()
     return summary
 
 
@@ -544,3 +546,90 @@ class TestScalingInvariance:
         for c in (0.5, 3.0, 100.0):
             scaled = model.scaled(c)
             assert all(classify(scaled, p) == classify(model, p) for p in grid)
+
+
+# One kernel of each positive semidefinite family, for the weak-duality and QP checks.
+PSD_KERNELS = [KernelSpec.linear(), KernelSpec.rbf(0.5), KernelSpec.polynomial(3, 0.5, 1.0)]
+
+
+def dual_objective(data, kernel, alpha):
+    """sum(alpha) - 1/2 alpha'Q alpha with Q_ij = y_i y_j K(x_i, x_j)."""
+    xs = np.array([e.features for e in data])
+    ys = np.array([e.label for e in data], dtype=float)
+    q = ys[:, None] * ys[None] * kernel_matrix(kernel, xs, xs)
+    return float(np.sum(alpha) - 0.5 * alpha @ q @ alpha)
+
+
+@pytest.fixture(scope="module")
+def trace_4600():
+    return generate_trace(ScenarioConfig(num_vehicles=4600, rng_seed=7))
+
+
+class TestOptimality:
+    """The solver's certificate checked against quantities it does not compute."""
+
+    @pytest.mark.parametrize("kernel", PSD_KERNELS, ids=lambda k: k.family)
+    def test_saved_model_primal_bounds_the_dual(self, trace_4600, tmp_path, kernel):
+        """P = 1/2 |w|^2 + C sum(hinge), from a reloaded model alone, is at
+        least the solver's last dual objective D (weak duality) and within a
+        relative 1e-3 of it for every certified solve."""
+        data = standardized_examples(trace_4600, 400)
+        xs = np.array([e.features for e in data])
+        ys = np.array([e.label for e in data], dtype=float)
+        certified = []
+        for c_value in (1.0, 100.0, 1000.0):
+            cfg = TrainConfig(C=c_value)
+            model = train(data, kernel, cfg)
+            if not model.summary.converged:  # linear at C = 1000 stops on the pass cap
+                assert model.summary.passes == cfg.max_passes
+                continue
+            save_model(model, tmp_path / "model.txt")
+            saved = load_model(tmp_path / "model.txt")
+            hinge = np.maximum(0.0, 1.0 - ys * decision_values(saved, xs))
+            primal = 0.5 * weight_norm(saved) ** 2 + c_value * float(np.sum(hinge))
+            dual = model.summary.dual_objectives[-1]
+            assert primal >= dual - 1e-9 * abs(dual)
+            assert primal - dual <= 1e-3 * primal
+            certified.append(c_value)
+        assert {1.0, 100.0} <= set(certified)
+
+    @pytest.mark.parametrize("c_value", [1.0, 100.0])
+    @pytest.mark.parametrize("kernel", PSD_KERNELS, ids=lambda k: k.family)
+    def test_slsqp_reaches_the_same_dual_objective(self, default_trace, kernel, c_value):
+        """scipy's SLSQP on the dual QP, an independent solver, agrees with
+        train.  Its ``success`` flag is not read: it can be False at an
+        optimum that matches."""
+        pytest.importorskip("scipy")
+        from scipy.optimize import minimize
+
+        data = standardized_examples(default_trace, 30)
+        xs = np.array([e.features for e in data])
+        ys = np.array([e.label for e in data], dtype=float)
+        q = ys[:, None] * ys[None] * kernel_matrix(kernel, xs, xs)
+        result = minimize(
+            lambda a: 0.5 * a @ q @ a - np.sum(a), np.zeros(len(ys)), jac=lambda a: q @ a - 1.0,
+            method="SLSQP", bounds=[(0.0, c_value)] * len(ys),
+            constraints=[{"type": "eq", "fun": lambda a: ys @ a, "jac": lambda a: ys}],
+            options={"ftol": 1e-12, "maxiter": 1000},
+        )
+        alpha = result.x
+        assert 0.0 <= alpha.min() and alpha.max() <= c_value
+        assert abs(ys @ alpha) <= 1e-9
+        model = train(data, kernel, TrainConfig(C=c_value))
+        assert model.summary.converged
+        assert dual_objective(data, kernel, alpha) == pytest.approx(
+            model.summary.dual_objectives[-1], rel=1e-6)
+
+    def test_certified_sigmoid_model_is_a_kkt_point_below_the_optimum(self, default_trace):
+        """The sigmoid Gram matrix is indefinite, so the dual need not be
+        concave: train certifies a KKT point, and a feasible alpha at a vertex
+        of the box, found by SLSQP, has the higher dual objective."""
+        data = standardized_examples(default_trace, 80)
+        kernel, cfg = KernelSpec.sigmoid(0.5, 0.0), TrainConfig(C=1.0)
+        alpha = np.zeros(len(data))
+        alpha[[1, 5, 6, 8, 9, 10, 17, 20, 21, 22, 33, 42, 44, 49, 50, 55, 57, 62, 67, 71, 74,
+               78]] = cfg.C
+        assert sum(e.label * a for e, a in zip(data, alpha)) == 0.0
+        model = train(data, kernel, cfg)
+        assert model.summary.converged
+        assert model.summary.dual_objectives[-1] < dual_objective(data, kernel, alpha)
