@@ -1,9 +1,11 @@
 """Command-line surface: generate traces, train, sweep, plot, reproduce.
 
-Exit codes are stable across subcommands: 0 success, 1 I/O failure, 2 bad
-usage or configuration, 3 data error (``svm.DataError``: single-class training
-data, malformed input files, insufficient vehicles).  Diagnostics go to
-standard error; results and file paths go to standard output.
+Exit codes are stable across subcommands: 0 success, 1 I/O failure or out
+of memory, 2 bad usage or configuration (a scenario whose positions overflow
+float64 too), 3 data error (``svm.DataError``: single-class training data,
+malformed input files, insufficient vehicles, features whose mean or spread
+overflows).  Diagnostics go to standard error, one line per error; results
+and file paths go to standard output.
 """
 
 from __future__ import annotations
@@ -329,6 +331,9 @@ def main(argv: list[str] | None = None) -> int:
         return 3
     except OSError as exc:
         _err(str(exc))
+        return 1
+    except MemoryError as exc:
+        _err(str(exc) or "out of memory")
         return 1
     except ValueError as exc:
         _err(str(exc))

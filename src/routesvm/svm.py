@@ -193,21 +193,17 @@ class KernelSpec:
 
 def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis of ``a`` and ``b``, broadcast against
-    each other, accumulated one feature at a time.
+    each other, accumulated one feature at a time in index order.
 
     ``a[:, None]`` and ``b[None]`` give all pairs, as ``a @ b.T``, but built from
     elementwise products, so the floating-point result does not depend on the
     BLAS build; training trajectories stay bit-reproducible across platforms.
+    The rbf norms |x|^2 are ``_pairwise_dots(xs, xs)``, so rbf K(x, x) is 1 exactly.
     """
     dots = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
         dots += a[..., k] * b[..., k]
     return dots
-
-
-def _sq_norms(xs: np.ndarray) -> np.ndarray:
-    """|x|^2 of each row."""
-    return np.sum(xs * xs, axis=1)
 
 
 def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | None = None,
@@ -247,7 +243,7 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    norms = (_sq_norms(a)[:, None], _sq_norms(b)[None, :]) if spec.family == "rbf" else ()
+    norms = (_pairwise_dots(a, a)[:, None], _pairwise_dots(b, b)) if spec.family == "rbf" else ()
     return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]), *norms)
 
 
@@ -295,19 +291,29 @@ class Standardizer:
     """Per-feature standardization (x - mean) / scale, fitted on training data.
 
     A model that carries one applies it to every input before the kernel.
+    Unfitted, both fields are None; fitted, they are tuples of one finite
+    mean and one finite scale > 0 per feature.  Anything else raises DataError.
     """
 
     mean: tuple[float, ...] | None = None
     scale: tuple[float, ...] | None = None
 
+    def __post_init__(self):
+        if self.mean is None and self.scale is None:
+            return
+        if not (isinstance(self.mean, tuple) and isinstance(self.scale, tuple)
+                and len(self.mean) == len(self.scale) > 0
+                and all(map(math.isfinite, self.mean + self.scale)) and min(self.scale) > 0):
+            raise DataError("scaler needs a finite mean and positive scale per feature")
+
     def fit(self, xs: np.ndarray) -> "Standardizer":
-        """A new standardizer fitted to ``xs``; a constant feature gets scale 1."""
+        """A new standardizer fitted to ``xs``; a constant feature gets scale 1.
+        Features whose mean or spread overflows float64 raise DataError."""
         xs = np.asarray(xs, dtype=float)
-        std = xs.std(axis=0)
-        return Standardizer(
-            mean=tuple(xs.mean(axis=0).tolist()),
-            scale=tuple(np.where(std > 0, std, 1.0).tolist()),
-        )
+        with np.errstate(over="ignore", invalid="ignore"):  # an inf or nan raises below
+            mean, std = xs.mean(axis=0), xs.std(axis=0)
+        return Standardizer(mean=tuple(mean.tolist()),
+                            scale=tuple(np.where(std == 0, 1.0, std).tolist()))
 
     def transform(self, xs: np.ndarray) -> np.ndarray:
         if self.mean is None:
@@ -428,18 +434,18 @@ def _gram(spec: KernelSpec, xs: np.ndarray) -> tuple[Callable[[int], np.ndarray]
     ``row(i)`` computes row i on each call, bit for bit
     ``kernel_matrix(spec, xs[i:i+1], xs)[0]`` (the rbf matrix is not bitwise
     symmetric, so not column i), and ``diag`` is the matrix's diagonal, in
-    O(n d).  The rbf squared norms and a Fortran-ordered copy of ``xs`` are
-    made once, here; each row's dot products come from ``kernel_matrix`` as
-    the linear kernel.  ``_Smo`` keeps the rows it used last.
+    O(n d).  A Fortran-ordered copy of ``xs`` and ``sq``, each x.x, are made
+    once, here: ``sq`` is the diagonal's dot products and the rbf norms, by one
+    rule, so the rbf diagonal is all ones.  Each row's dot products come from
+    ``kernel_matrix`` as the linear kernel.  ``_Smo`` keeps the rows it used last.
     """
-    sq = _sq_norms(xs) if spec.family == "rbf" else None
     cols, linear = np.asfortranarray(xs), KernelSpec.linear()
+    sq = _pairwise_dots(cols, cols)
 
     def row(i: int) -> np.ndarray:
-        dots = kernel_matrix(linear, cols[i:i + 1], cols)[0]
-        return _kernel_from_dots(spec, dots, None if sq is None else sq[i], sq)
+        return _kernel_from_dots(spec, kernel_matrix(linear, cols[i:i + 1], cols)[0], sq[i], sq)
 
-    return row, _kernel_from_dots(spec, _pairwise_dots(cols, cols), sq, sq)
+    return row, _kernel_from_dots(spec, sq.copy(), sq, sq)
 
 
 class _Smo:
@@ -743,12 +749,9 @@ def model_from_text(text: str) -> SvmModel:
         raise ModelFormatError("bias and alphas must be finite")
     if min(alphas, default=0.0) < 0.0:
         raise ModelFormatError("alphas must be >= 0")
-    if scaler is not None and not (
-        {len(scaler.scale)} | {len(e.features) for e in examples} == {len(scaler.mean)}
-        and all(map(math.isfinite, scaler.mean + scaler.scale))
-        and min(scaler.scale) > 0
-    ):
-        raise ModelFormatError("scaler needs a finite mean and positive scale per feature")
+    if scaler is not None and examples and len(examples[0].features) != len(scaler.mean):
+        raise ModelFormatError(f"scaler has {len(scaler.mean)} features,"
+                               f" supports have {len(examples[0].features)}")
     return SvmModel(
         kernel=spec,
         support_examples=tuple(examples),

@@ -214,6 +214,7 @@ def uniform_draws(rng: random.Random, n: int) -> np.ndarray:
     return u
 
 
+@np.errstate(over="ignore", invalid="ignore")  # positions that overflow are refused
 def generate_trace(config: ScenarioConfig) -> Trace:
     """Simulate the configured scenario and return its labeled trace.
 
@@ -223,7 +224,8 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     ``v10000`` sorts before ``v1001``) and the points are filled ``_BLOCK``
     rows of whole steps at a time, in canonical order, so nothing is sorted.
 
-    Raises :class:`ConfigError` for configs violating invariants.
+    Raises :class:`ConfigError` for configs violating invariants, and for
+    one whose positions overflow float64 (field ``positions``).
     """
     config.validate()
     rng = random.Random(int(config.rng_seed))  # a numpy integer is not a seed type
@@ -246,4 +248,7 @@ def generate_trace(config: ScenarioConfig) -> Trace:
         block["speed"], block["route_label"] = speeds, routes
         block["x"], block["y"] = vehicle_position(config, routes, lanes, speeds, step, spawn_x)
         block["y"] += (2.0 * u[by_id, 3 + first : 3 + last].T - 1.0) * config.lane_noise
+        finite = (np.isfinite(block["x"]) & np.isfinite(block["y"])).all(axis=1)
+        if not finite.all():
+            raise ConfigError("positions", f"overflow float64 at step {first + finite.argmin()}")
     return make_trace(points, [ids[i] for i in by_id])

@@ -3,6 +3,7 @@ import warnings
 
 import pytest
 
+from routesvm import cli
 from routesvm.cli import main, parse_test_sizes
 from routesvm.dataset_io import write_trace_csv
 from routesvm.svm import load_model
@@ -40,6 +41,21 @@ def trace_path(tmp_path, small_trace):
 
 
 @pytest.fixture()
+def overflowing_trace_path(tmp_path):
+    """A trace whose x values are finite but whose spread overflows float64."""
+    trace = generate_trace(ScenarioConfig(num_vehicles=30, num_steps=5, spawn_spacing=1e306))
+    path = tmp_path / "overflowing.csv"
+    write_trace_csv(trace, path)
+    return path
+
+
+def main_without_warnings(argv: list[str]) -> int:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+@pytest.fixture()
 def single_route_trace_path(tmp_path):
     trace = generate_trace(ScenarioConfig(num_vehicles=20, num_steps=10,
                                           route2_probability=0.0, rng_seed=1))
@@ -62,6 +78,34 @@ class TestGenerate:
         code = main(["generate", "--vehicles", "0", "-o", str(tmp_path / "t.csv")])
         assert code == 2
         assert "vehicles" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--spacing", "1e308"],
+        ["--speed-range", "1,1e308"],
+        ["--lane-y", "1e308,0,-1e308", "--ramp-end", "260,-1.7e308", "--lane-noise", "1e308"],
+    ])
+    def test_overflowing_positions_exit_2_without_a_file(self, tmp_path, capsys, flags):
+        out = tmp_path / "t.csv"
+        assert main_without_warnings(["generate", "--vehicles", "5", *flags, "-o", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: positions: overflow float64 at step ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("message, line", [
+        ("Unable to allocate 4.66 TiB", "error: Unable to allocate 4.66 TiB\n"),
+        ("", "error: out of memory\n"),
+    ], ids=["numpy", "bare"])
+    def test_out_of_memory_exits_1_with_one_line(self, tmp_path, capsys, monkeypatch, message,
+                                                 line):
+        def no_memory(config):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(cli, "generate_trace", no_memory)
+        out = tmp_path / "t.csv"
+        assert main(["generate", "-o", str(out)]) == 1
+        assert capsys.readouterr().err == line
+        assert not out.exists()
 
     def test_deterministic_output(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -304,6 +348,19 @@ class TestTrain:
         model = load_model(out)
         assert model.kernel.family == "rbf"
         assert model.kernel.gamma == 0.5
+
+    @pytest.mark.parametrize("command", [
+        ["train"], ["sweep", "--test-sizes", "10"],
+    ], ids=["train", "sweep"])
+    def test_overflowing_features_exit_3_without_a_file(self, overflowing_trace_path, tmp_path,
+                                                        capsys, command):
+        out = tmp_path / "out"
+        code = main_without_warnings([*command, str(overflowing_trace_path), "--train-size", "10",
+                                      "-o", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err == "error: scaler needs a finite mean and positive scale per feature\n"
+        assert not out.exists()
 
     def test_single_route_trace_exits_3(self, single_route_trace_path, tmp_path, capsys):
         code = main(["train", str(single_route_trace_path), "--train-size", "10",

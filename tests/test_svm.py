@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from routesvm import svm
 from routesvm.dataset_io import InsufficientVehiclesError, TraceFormatError
 from routesvm.svm import (
     DataError,
@@ -147,6 +148,16 @@ class TestKernels:
     def test_rbf_zero_distance(self):
         for gamma in (0.1, 1.0, 25.0):
             assert kernel_eval(KernelSpec.rbf(gamma=gamma), (0.3, -2.0), (0.3, -2.0)) == 1.0
+
+    @pytest.mark.parametrize("d", [1, 2, 8, 16, 64])
+    @pytest.mark.parametrize("gamma", [1e-3, 1.0, 7.5])
+    def test_rbf_self_kernel_is_exactly_one_at_every_feature_count(self, d, gamma):
+        # |x|^2 and x.x are summed by one rule, so (|x|^2 - 2 x.x) + |x|^2 is 0.
+        xs = np.random.default_rng(d).uniform(-1e4, 1e4, (200, d))
+        spec = KernelSpec.rbf(gamma=gamma)
+        assert all(kernel_eval(spec, v, v) == 1.0 for v in xs)
+        assert (np.diag(kernel_matrix(spec, xs, xs)) == 1.0).all()
+        assert (svm._gram(spec, xs)[1] == 1.0).all()
 
     def test_polynomial_cross_unit_vectors(self):
         spec = KernelSpec.polynomial(degree=2, gamma=1.0, coef0=1.0)
@@ -370,6 +381,31 @@ class TestStandardizer:
         assert fitted == Standardizer(mean=(2.0, 5.0), scale=(1.0, 1.0))
         assert hash(fitted) == hash(Standardizer(mean=(2.0, 5.0), scale=(1.0, 1.0)))
 
+    @pytest.mark.parametrize("xs", [
+        [[-1e308, 0.0], [1e308, 1.0]],  # the spread overflows
+        [[1e308], [1e308], [1e308]],  # the mean overflows
+    ])
+    def test_fit_on_overflowing_features_raises_data_error_without_a_warning(self, xs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match="finite mean and positive scale"):
+                Standardizer().fit(np.array(xs))
+
+    @pytest.mark.parametrize("mean, scale", [
+        ((0.0,), None),
+        (None, (1.0,)),
+        ((), ()),
+        ((0.0, 0.0), (1.0,)),
+        ([0.0], [1.0]),
+        ((math.nan,), (1.0,)),
+        ((0.0,), (math.inf,)),
+        ((0.0,), (0.0,)),
+        ((0.0, 1.0), (1.0, -2.0)),
+    ])
+    def test_only_finite_equal_length_tuples_with_positive_scales_are_taken(self, mean, scale):
+        with pytest.raises(DataError):
+            Standardizer(mean=mean, scale=scale)
+
 
 class TestSerialization:
     def test_round_trip_structural_equality(self):
@@ -453,6 +489,10 @@ class TestSerialization:
             "routesvm-model v2 family=linear bias=0 supports=0 mean=1,2\n",
             "routesvm-model v2 family=linear bias=0 supports=1 mean=0,0 scale=1,0\n1.0 1 0 0\n",
             "routesvm-model v2 family=linear bias=0 supports=1 mean=0 scale=1\n1.0 1 0 0\n",
+            "routesvm-model v2 family=linear bias=0 supports=0 mean=0,nan scale=1,1\n",
+            "routesvm-model v2 family=linear bias=0 supports=0 mean=0,0 scale=1,inf\n",
+            "routesvm-model v2 family=linear bias=0 supports=0 mean=0,0 scale=1\n",
+            "routesvm-model v2 family=linear bias=0 supports=0 mean=0 scale=-1\n",
             "routesvm-model v1 family=linear bias=0 supports=0 mean=0,0 scale=1,1\n",
             "routesvm-model v1 family=linear bias=0 supports=1\n",
             "routesvm-model v1 family=linear bias=zz supports=0\n",

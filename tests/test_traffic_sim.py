@@ -1,6 +1,7 @@
 import hashlib
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,18 @@ class TestGenerateTrace:
         ys = set(trace.points["y"].tolist())
         assert len(ys) == 1
         assert ys.pop() in cfg.lane_y
+
+    @pytest.mark.parametrize("kwargs", [
+        {"spawn_spacing": 1e308},
+        {"speed_range": (1.0, 1e308)},
+        {"lane_y": (1e308, 0.0, -1e308), "ramp_end": (260.0, -1.7e308), "lane_noise": 1e308},
+    ])
+    def test_positions_past_float64_raise_config_error_without_a_warning(self, kwargs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConfigError, match="overflow float64") as exc_info:
+                generate_trace(config_with(**kwargs))
+        assert exc_info.value.field == "positions"
 
     def test_route_split_matches_probability(self):
         cfg = config_with(num_vehicles=500, route2_probability=0.5, rng_seed=7)
