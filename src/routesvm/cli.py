@@ -126,15 +126,22 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
 _KERNEL_FLAGS = {name: kind for params in KERNEL_PARAMS.values() for name, kind in params.items()}
 
 
+# The flags that only training reads; each parses to None when not given.
+_TRAINING_FLAGS = ("kernel", *_KERNEL_FLAGS, "C", "tol", "max_passes")
+
+
+def _given(args: argparse.Namespace, names) -> dict:
+    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+
+
 def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
-    """The --kernel family's constructor, called with the kernel flags given;
-    a flag that family does not take is a usage error."""
-    given = {name: getattr(args, name) for name in _KERNEL_FLAGS
-             if getattr(args, name) is not None}
+    """The --kernel family's constructor (linear by default), called with the
+    kernel flags given; a flag that family does not take is a usage error."""
+    family, given = args.kernel or "linear", _given(args, _KERNEL_FLAGS)
     for name in given:
-        if name not in KERNEL_PARAMS[args.kernel]:
-            raise ValueError(f"--{name} does not apply to the {args.kernel} kernel")
-    return getattr(KernelSpec, args.kernel)(**given)
+        if name not in KERNEL_PARAMS[family]:
+            raise ValueError(f"--{name} does not apply to the {family} kernel")
+    return getattr(KernelSpec, family)(**given)
 
 
 def parse_test_sizes(raw: str) -> list[int]:
@@ -167,12 +174,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _training_inputs(args: argparse.Namespace):
-    """The trace, kernel and validated TrainConfig that the train flags name."""
-    trace = read_trace_csv(args.trace)
-    kernel = _kernel_from_args(args)
-    cfg = TrainConfig(C=args.C, tol=args.tol, max_passes=args.max_passes)
-    cfg.validate()
-    return trace, kernel, cfg
+    """The trace, kernel and TrainConfig that the train flags name; a bad flag
+    is refused before the trace is read."""
+    kernel, cfg = _kernel_from_args(args), TrainConfig(**_given(args, ("C", "tol", "max_passes")))
+    return read_trace_csv(args.trace), kernel, cfg
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
@@ -193,6 +198,8 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     test_sizes = parse_test_sizes(args.test_sizes)
     if args.model:
+        for name in _given(args, _TRAINING_FLAGS):
+            raise ValueError(f"--{name.replace('_', '-')} does not apply with --model")
         trace, model = read_trace_csv(args.trace), load_model(args.model)
         _, tests = split_examples(trace, 0, test_sizes, args.seed)
         report = sweep_with_model(model, tests, 0)
@@ -251,16 +258,16 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
 
 
 def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--kernel", choices=KERNEL_FAMILIES, default="linear")
+    parser.add_argument("--kernel", choices=KERNEL_FAMILIES, help="default linear")
     for name, kind in _KERNEL_FLAGS.items():
         parser.add_argument(f"--{name}", type=kind)
 
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     _add_kernel_flags(parser)
-    parser.add_argument("--C", type=float, default=TrainConfig.C, help="soft-margin box constraint")
-    parser.add_argument("--tol", type=float, default=TrainConfig.tol, help="KKT tolerance")
-    parser.add_argument("--max-passes", type=int, default=TrainConfig.max_passes)
+    parser.add_argument("--C", type=float, help=f"box constraint, default {TrainConfig.C}")
+    parser.add_argument("--tol", type=float, help=f"KKT tolerance, default {TrainConfig.tol}")
+    parser.add_argument("--max-passes", type=int, help=f"default {TrainConfig.max_passes}")
     parser.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -10,7 +10,8 @@ that the multipliers are optimal to within it.  The decision function is
     f(x) = sum_i alpha_i * y_i * K(s_i, x) + b
 
 over the retained support examples.  Four kernel families are supported:
-linear, polynomial, rbf, sigmoid.
+linear, polynomial, rbf, sigmoid.  Each value type checks itself once, when
+it is built; a ``KernelSpec`` gamma of None is the one unresolved state.
 """
 
 from __future__ import annotations
@@ -69,6 +70,9 @@ TAU = 1e-12
 
 # Kernel rows the solver keeps: the most recently used, as in LIBSVM.
 _ROW_CACHE = 64
+
+# With every |x|^2 at most this, |2 a.b| <= |a|^2 + |b|^2, so no rbf norm arithmetic overflows.
+_SQ_SAFE = sys.float_info.max / 8
 
 
 class DataError(ValueError):
@@ -140,9 +144,9 @@ class KernelSpec:
     sigmoid:     K(a,b) = tanh(gamma*(a.b) + coef0)
 
     ``KERNEL_PARAMS`` lists the parameters each family takes; the others
-    stay ``None``.  ``gamma=None`` means "fill in the default at training
-    time", 1 / n_features; it must be concrete before the kernel can be
-    evaluated.
+    stay ``None``.  A spec is checked when built, ``replace`` included.
+    ``gamma=None``, the default, is the one unresolved state: ``train`` fills
+    in 1 / n_features, and ``kernel_matrix`` refuses it.
     """
 
     family: str
@@ -166,27 +170,28 @@ class KernelSpec:
     def sigmoid(cls, gamma: float | None = None, coef0: float = 0.0) -> "KernelSpec":
         return cls("sigmoid", gamma=gamma, coef0=coef0)
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.family not in KERNEL_PARAMS:
             raise UnsupportedKernelError(f"unknown kernel family {self.family!r}")
         params = KERNEL_PARAMS[self.family]
         for name in ("degree", "gamma", "coef0"):
             value, kind = getattr(self, name), params.get(name)
+            if value is None and (kind is None or name == "gamma"):
+                continue  # a parameter the family does not take, or a gamma train fills in
             if kind is None:
-                if value is not None:
-                    raise ValueError(f"{self.family} kernel takes no {name}")
-            elif isinstance(value, bool) or not (isinstance(value, (kind, int))
-                                                 and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{self.family} kernel takes no {name}")
+            if isinstance(value, bool) or not (isinstance(value, (kind, int))
+                                               and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}"
                                  " within float64 range")
-        if "gamma" in params and not self.gamma > 0:
+        if self.gamma is not None and not self.gamma > 0:
             raise ValueError(f"{self.family} kernel needs gamma > 0")
-        if "degree" in params and self.degree < 1:
+        if self.degree is not None and self.degree < 1:
             raise ValueError("polynomial kernel needs degree >= 1")
 
     def resolved(self, features: np.ndarray) -> "KernelSpec":
         """Fill a missing gamma with 1/d for d features."""
-        if "gamma" in KERNEL_PARAMS.get(self.family, ()) and self.gamma is None:
+        if self.gamma is None and "gamma" in KERNEL_PARAMS[self.family]:
             return replace(self, gamma=1.0 / features.shape[1])
         return self
 
@@ -207,13 +212,20 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | None = None,
-                      sq_b: np.ndarray | None = None) -> np.ndarray:
+                      sq_b: np.ndarray | None = None, rows: tuple | None = None) -> np.ndarray:
     """The family's formula on dot products a.b, in place on a fresh ``dots``
     and in ``KernelSpec``'s operation order; rbf also needs the squared norms
-    |a|^2 and |b|^2, broadcast against them."""
+    |a|^2 and |b|^2, broadcast against them.  Given a norm past ``_SQ_SAFE``,
+    rbf needs ``rows``, a and b as ``_pairwise_dots`` takes them: wherever the
+    norm arithmetic is not finite, it sums (a_k - b_k)^2 itself, so no value is nan."""
     if spec.family == "rbf":  # exp(-gamma * max((|a|^2 - 2 a.b) + |b|^2, 0))
         np.subtract(sq_a, np.multiply(dots, 2.0, out=dots), out=dots)
-        np.maximum(np.add(dots, sq_b, out=dots), 0.0, out=dots)
+        np.add(dots, sq_b, out=dots)
+        if rows is not None:
+            far = ~np.isfinite(dots)
+            a, b = (np.broadcast_to(v, far.shape + v.shape[-1:])[far] for v in rows)
+            dots[far] = _pairwise_dots(a - b, a - b)
+        np.maximum(dots, 0.0, out=dots)
         return np.exp(np.multiply(dots, -spec.gamma, out=dots), out=dots)
     if spec.family == "linear":
         return dots
@@ -236,15 +248,22 @@ def _rows(xs) -> np.ndarray:
 
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix K[i, j] = K(a[i], b[j]) for row-vector stacks a, b of
-    shapes (n, d) and (m, d), d >= 1; any other shape raises a ValueError."""
-    spec.validate()
+    shapes (n, d) and (m, d), d >= 1; any other shape, or a gamma of None,
+    raises a ValueError.  The rbf kernel is computed without a numpy warning."""
+    if spec.gamma is None and "gamma" in KERNEL_PARAMS[spec.family]:
+        raise ValueError(f"{spec.family} kernel needs a gamma: train resolves None to 1/d")
     a, b = _rows(a), _rows(b)
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    norms = (_pairwise_dots(a, a)[:, None], _pairwise_dots(b, b)) if spec.family == "rbf" else ()
-    return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]), *norms)
+    if spec.family != "rbf":
+        return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is recomputed
+        sq_a, sq_b = _pairwise_dots(a, a), _pairwise_dots(b, b)
+        big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0)) > _SQ_SAFE
+        return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]), sq_a[:, None], sq_b,
+                                 (a[:, None], b[None]) if big else None)
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -267,7 +286,7 @@ class TrainConfig:
     max_passes: int = 200
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if not 0 < self.C <= sys.float_info.max:
             raise ValueError("C must be finite and > 0")
         if not 0 < self.tol <= sys.float_info.max:
@@ -441,11 +460,13 @@ def _gram(spec: KernelSpec, xs: np.ndarray) -> tuple[Callable[[int], np.ndarray]
     """
     cols, linear = np.asfortranarray(xs), KernelSpec.linear()
     sq = _pairwise_dots(cols, cols)
+    big = sq.max() > _SQ_SAFE
 
     def row(i: int) -> np.ndarray:
-        return _kernel_from_dots(spec, kernel_matrix(linear, cols[i:i + 1], cols)[0], sq[i], sq)
+        dots = kernel_matrix(linear, cols[i:i + 1], cols)[0]
+        return _kernel_from_dots(spec, dots, sq[i], sq, (cols[i], cols) if big else None)
 
-    return row, _kernel_from_dots(spec, sq.copy(), sq, sq)
+    return row, _kernel_from_dots(spec, sq.copy(), sq, sq, (cols, cols) if big else None)
 
 
 class _Smo:
@@ -624,7 +645,6 @@ def train(
     it needs them and keeps the last 64, plus the curvature vectors of the
     last 64 rows taken as i, so memory is O(n) plus 128 vectors of length n.
     """
-    cfg.validate()
     if not data:
         raise ValueError("training data is empty")
     ys = np.array([e.label for e in data], dtype=float)
@@ -637,7 +657,6 @@ def train(
     if not xs.shape[1]:
         raise DimensionMismatchError("training examples have no features")
     kernel = kernel.resolved(xs)
-    kernel.validate()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         smo = _Smo(*_gram(kernel, xs), ys, cfg)
         summary = smo.run(cfg.max_passes)
@@ -720,9 +739,8 @@ def model_from_text(text: str) -> SvmModel:
         raise ModelFormatError(f"bad model header: {exc}") from exc
     if fields:
         raise ModelFormatError(f"unknown header fields {sorted(fields)}")
-    spec = KernelSpec(family, **params)
     try:
-        spec.validate()
+        spec = KernelSpec(family, **params)
     except ValueError as exc:
         raise ModelFormatError(f"bad kernel parameters: {exc}") from exc
 

@@ -17,7 +17,8 @@ All randomness is ``random.Random(rng_seed).random()``, drawn in bulk by
 :func:`uniform_draws` in this order: per vehicle, in index order, a route, a
 lane and a speed draw, then one y-jitter draw per time step.  Positions are
 elementwise float64 arithmetic in a fixed order, so a given
-``ScenarioConfig`` always produces a bit-identical trace on every platform.
+``ScenarioConfig``, checked once when it is built, always produces a
+bit-identical trace on every platform.
 """
 
 from __future__ import annotations
@@ -65,7 +66,8 @@ class ScenarioConfig:
     leave the mainline at ``junction_x`` and reach ``ramp_end`` where the
     off-ramp levels out.  Vehicle ``i`` spawns at ``x = spawn_spacing * i`` so
     the fleet occupies a distinct stretch of road on both sides of the
-    junction.
+    junction.  Building one, ``replace`` included, raises :class:`ConfigError`
+    naming the first field that is invalid.
     """
 
     num_vehicles: int = 600
@@ -79,8 +81,7 @@ class ScenarioConfig:
     lane_noise: float = 0.05
     rng_seed: int = 7
 
-    def validate(self) -> None:
-        """Raise :class:`ConfigError` naming the first field that is invalid."""
+    def __post_init__(self):
         for f in fields(self):
             if not all(abs(v) <= sys.float_info.max for v in np.ravel(getattr(self, f.name))):
                 raise ConfigError(f.name, "must be finite")
@@ -224,10 +225,9 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     ``v10000`` sorts before ``v1001``) and the points are filled ``_BLOCK``
     rows of whole steps at a time, in canonical order, so nothing is sorted.
 
-    Raises :class:`ConfigError` for configs violating invariants, and for
-    one whose positions overflow float64 (field ``positions``).
+    Raises :class:`ConfigError` for a config whose positions overflow float64
+    (field ``positions``).
     """
-    config.validate()
     rng = random.Random(int(config.rng_seed))  # a numpy integer is not a seed type
     n, steps = config.num_vehicles, config.num_steps
     u = uniform_draws(rng, n * (3 + steps)).reshape(n, -1)

@@ -148,7 +148,6 @@ def random_linear_model(rng: random.Random, max_supports: int = 5) -> SvmModel:
 def reference_trace(config: ScenarioConfig) -> Trace:
     """The simulator as a scalar loop, one point at a time: an oracle for
     ``generate_trace``, which must match it bit for bit."""
-    config.validate()
     rng = random.Random(config.rng_seed)
     lo, hi = config.speed_range
     x0 = config.junction_x

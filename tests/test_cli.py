@@ -437,6 +437,12 @@ class TestTrain:
         code = main(["train", str(tmp_path / "nope.csv"), "-o", str(tmp_path / "m.txt")])
         assert code == 1
 
+    @pytest.mark.parametrize("flags", [["--kernel", "rbf", "--gamma", "-1"], ["--C", "0"]])
+    def test_bad_flag_is_refused_before_the_trace_is_read(self, tmp_path, capsys, flags):
+        code = main(["train", str(tmp_path / "nope.csv"), *flags, "-o", str(tmp_path / "m.txt")])
+        assert code == 2
+        assert "nope.csv" not in capsys.readouterr().err
+
     def test_gamma_on_linear_kernel_exits_2(self, trace_path, tmp_path):
         code = main(["train", str(trace_path), "--gamma", "0.5",
                      "-o", str(tmp_path / "m.txt")])
@@ -512,6 +518,19 @@ class TestSweep:
                      "--test-sizes", "10,20", "-o", str(out)])
         assert code == 0
         assert out.read_text().count("\n") == 3
+
+    @pytest.mark.parametrize("flags", [
+        ["--kernel", "rbf"], ["--kernel", "linear"], ["--degree", "2"], ["--gamma", "0"],
+        ["--coef0", "1"], ["--C", "1"], ["--tol", "0.1"], ["--max-passes", "5"],
+    ], ids=lambda flags: flags[0])
+    def test_pretrained_model_refuses_a_training_flag(self, trace_path, tmp_path, capsys, flags):
+        model_path, out = tmp_path / "model.txt", tmp_path / "report.csv"
+        model_path.write_text(LINELESS_MODELS["no-supports"])
+        code = main(["sweep", str(trace_path), "--model", str(model_path), *flags,
+                     "--test-sizes", "10", "--seed", "3", "-o", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {flags[0]} does not apply with --model\n"
+        assert not out.exists()
 
     def test_pretrained_model_warns_that_test_sets_may_overlap_training(self, trace_path,
                                                                          tmp_path, capsys):
@@ -809,6 +828,16 @@ class TestRunPaper:
         assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "80",
                      "--gamma", "1"]) == 2
         assert "--gamma does not apply to the linear kernel" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--kernel", "rbf", "--gamma", "0"], "rbf kernel needs gamma > 0"),
+        (["--kernel", "polynomial", "--degree", "0"], "polynomial kernel needs degree >= 1"),
+    ])
+    def test_bad_kernel_flag_exits_2_before_writing(self, tmp_path, capsys, flags, message):
+        out_dir = tmp_path / "run"
+        assert main(["run-paper", "--out-dir", str(out_dir), *flags]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("sizes", ["--test-sizes=0,10", "--test-sizes=-5,10"])

@@ -41,6 +41,9 @@ from helpers import random_linear_model
 # A bad support line at file line 4, after a blank line 3.
 BAD_LINE_AFTER_BLANK = "routesvm-model v2 family=linear bias=0 supports=2\n1.0 1 0 0\n\n1.0 x 0 0\n"
 
+# One feature, so train resolves an unset gamma to 1.
+TWO_CLASS_LINE = (LabeledExample((0.0,), -1), LabeledExample((1.0,), 1))
+
 
 def single_support_model(features=(0.0, 1.0), label=1, alpha=1.0, bias=0.0) -> SvmModel:
     return SvmModel(
@@ -210,43 +213,108 @@ class TestKernels:
         with pytest.raises(ValueError, match=r"^expected a 2-D stack of rows, got shape"):
             kernel_eval(KernelSpec.linear(), np.zeros((1, 1, 2)), [1.0, 2.0])
 
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            KernelSpec("linear", gamma=1.0),
-            KernelSpec("linear", degree=2),
-            KernelSpec("rbf"),
-            KernelSpec("rbf", gamma=-1.0),
-            KernelSpec("rbf", gamma=1.0, coef0=0.0),
-            KernelSpec("polynomial", gamma=1.0, coef0=0.0),
-            KernelSpec("polynomial", degree=0, gamma=1.0, coef0=0.0),
-            KernelSpec("sigmoid", gamma=1.0, coef0=0.0, degree=2),
-            KernelSpec("quadratic"),
-            KernelSpec("rbf", gamma=math.inf),
-            KernelSpec("sigmoid", gamma=1.0, coef0=math.nan),
-            KernelSpec("polynomial", degree=2.5, gamma=1.0, coef0=0.0),
-            KernelSpec("polynomial", degree=2**1024, gamma=1.0, coef0=0.0),
-            KernelSpec("sigmoid", gamma=1.0, coef0=-(10**400)),
-        ],
-    )
-    def test_parameters_present_exactly_per_family(self, spec):
-        with pytest.raises((ValueError, UnsupportedKernelError)):
-            spec.validate()
-
-    @pytest.mark.parametrize("spec, message", [
-        (KernelSpec.polynomial(degree=True, gamma=1.0),
-         "polynomial kernel needs a finite int degree"),
-        (KernelSpec.polynomial(gamma=True), "polynomial kernel needs a finite float gamma"),
-        (KernelSpec.polynomial(gamma=1.0, coef0=False),
-         "polynomial kernel needs a finite float coef0"),
-        (KernelSpec.rbf(gamma=True), "rbf kernel needs a finite float gamma"),
-        (KernelSpec.sigmoid(gamma=0.5, coef0=True), "sigmoid kernel needs a finite float coef0"),
+    @pytest.mark.parametrize("family, kwargs, message", [
+        ("linear", {"gamma": 1.0}, "linear kernel takes no gamma"),
+        ("linear", {"degree": 2}, "linear kernel takes no degree"),
+        ("rbf", {"gamma": -1.0}, "rbf kernel needs gamma > 0"),
+        ("rbf", {"gamma": 1.0, "coef0": 0.0}, "rbf kernel takes no coef0"),
+        ("polynomial", {"gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs a finite int degree within float64 range"),
+        ("polynomial", {"degree": 0, "gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs degree >= 1"),
+        ("polynomial", {"degree": 3, "gamma": 1.0},
+         "polynomial kernel needs a finite float coef0 within float64 range"),
+        ("sigmoid", {"gamma": 1.0, "coef0": 0.0, "degree": 2}, "sigmoid kernel takes no degree"),
+        ("sigmoid", {"gamma": 1.0}, "sigmoid kernel needs a finite float coef0 within float64 range"),
+        ("rbf", {"gamma": math.inf}, "rbf kernel needs a finite float gamma within float64 range"),
+        ("sigmoid", {"gamma": 1.0, "coef0": math.nan},
+         "sigmoid kernel needs a finite float coef0 within float64 range"),
+        ("polynomial", {"degree": 2.5, "gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs a finite int degree within float64 range"),
+        ("polynomial", {"degree": 2**1024, "gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs a finite int degree within float64 range"),
+        ("sigmoid", {"gamma": 1.0, "coef0": -(10**400)},
+         "sigmoid kernel needs a finite float coef0 within float64 range"),
     ])
-    def test_bool_parameters_are_refused(self, spec, message):
+    def test_parameters_present_exactly_per_family(self, family, kwargs, message):
+        with pytest.raises(ValueError) as exc_info:
+            KernelSpec(family, **kwargs)
+        assert type(exc_info.value) is ValueError
+        assert str(exc_info.value) == message
+
+    def test_unknown_family_is_refused_when_built(self):
+        with pytest.raises(UnsupportedKernelError, match="^unknown kernel family 'quadratic'$"):
+            KernelSpec("quadratic")
+
+    @pytest.mark.parametrize("spec, changes, message", [
+        (KernelSpec.rbf(gamma=1.0), {"gamma": -1.0}, "rbf kernel needs gamma > 0"),
+        (KernelSpec.rbf(gamma=1.0), {"gamma": math.nan},
+         "rbf kernel needs a finite float gamma within float64 range"),
+        (KernelSpec.polynomial(gamma=1.0), {"degree": 0}, "polynomial kernel needs degree >= 1"),
+        (KernelSpec.linear(), {"coef0": 1.0}, "linear kernel takes no coef0"),
+        (KernelSpec.sigmoid(), {"family": "rbf"}, "rbf kernel takes no coef0"),
+    ])
+    def test_replace_checks_the_new_spec(self, spec, changes, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(spec, **changes)
+
+    @pytest.mark.parametrize("spec", [KernelSpec("rbf"), KernelSpec.rbf(), KernelSpec.sigmoid(),
+                                      KernelSpec.polynomial()], ids=["rbf", "rbf()", "sigmoid",
+                                                                     "polynomial"])
+    def test_unresolved_gamma_builds_but_is_not_evaluated(self, spec):
+        message = f"^{spec.family} kernel needs a gamma: train resolves None to 1/d$"
+        with pytest.raises(ValueError, match=message):
+            kernel_eval(spec, (1.0,), (2.0,))
+        with pytest.raises(ValueError, match=message):
+            kernel_matrix(spec, np.ones((2, 1)), np.ones((3, 1)))
+        model = replace(single_support_model(), kernel=spec)
+        with pytest.raises(ValueError, match=message):
+            decision_values(model, np.ones((2, 2)))
+        assert train(TWO_CLASS_LINE, spec).kernel == replace(spec, gamma=1.0)
+
+    @pytest.mark.parametrize("family, kwargs, message", [
+        ("polynomial", {"degree": True, "gamma": 1.0}, "polynomial kernel needs a finite int degree"),
+        ("polynomial", {"gamma": True}, "polynomial kernel needs a finite float gamma"),
+        ("polynomial", {"gamma": 1.0, "coef0": False},
+         "polynomial kernel needs a finite float coef0"),
+        ("rbf", {"gamma": True}, "rbf kernel needs a finite float gamma"),
+        ("sigmoid", {"gamma": 0.5, "coef0": True}, "sigmoid kernel needs a finite float coef0"),
+    ])
+    def test_bool_parameters_are_refused(self, family, kwargs, message):
         # A bool is an int to isinstance, but model_to_text would write it as
         # "True", which model_from_text cannot read back.
         with pytest.raises(ValueError, match=f"^{message} within float64 range$"):
-            train([LabeledExample((0.0,), 1), LabeledExample((1.0,), -1)], spec)
+            getattr(KernelSpec, family)(**kwargs)
+
+    @pytest.mark.parametrize("a, b, expected", [
+        ((1e200,), (1e200,), 1.0),
+        ((-1e200,), (-1e200,), 1.0),
+        ((1e200, 3.0), (1e200, 3.0), 1.0),
+        ((1e200,), (-1e200,), 0.0),
+        ((1e200,), (5e199,), 0.0),
+        ((1e154,), (0.9e154,), 0.0),  # 2 a.b overflows, the norms do not
+    ])
+    def test_rbf_is_defined_where_the_norms_overflow(self, a, b, expected):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert kernel_eval(KernelSpec.rbf(gamma=1.0), a, b) == expected
+            assert kernel_matrix(KernelSpec.rbf(gamma=1.0), [a, b], [b]).tolist() == [
+                [expected], [1.0]]
+
+    def test_rbf_where_the_norms_overflow_keeps_a_small_distance(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = kernel_eval(KernelSpec.rbf(gamma=1.0), (1e200, 0.0), (1e200, 1e-3))
+        assert value == pytest.approx(math.exp(-1e-6), rel=1e-15)
+
+    def test_rbf_values_whose_norms_are_finite_are_unchanged(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(scale=1e3, size=(40, 3)), rng.normal(scale=1e3, size=(30, 3))
+        spec = KernelSpec.rbf(gamma=1e-6)
+        sq_a = svm._pairwise_dots(a, a)[:, None]
+        expected = np.exp(-1e-6 * np.maximum(sq_a - 2.0 * svm._pairwise_dots(a[:, None], b[None])
+                                             + svm._pairwise_dots(b, b), 0.0))
+        assert kernel_matrix(spec, a, b).tobytes() == expected.tobytes()
 
 
 class TestDecisionAndClassify:

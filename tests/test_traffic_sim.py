@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -66,7 +67,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("bad", [2.0, False])
     def test_a_non_integer_count_or_seed_is_not_an_integer(self, field, bad):
         with pytest.raises(ConfigError, match=f"^{field}: must be an integer$"):
-            config_with(**{field: bad}).validate()
+            config_with(**{field: bad})
 
     def test_numpy_integer_counts_and_seeds_are_accepted(self):
         config = config_with(num_vehicles=np.int64(10), num_steps=np.int32(20),
@@ -74,7 +75,17 @@ class TestConfigValidation:
         assert generate_trace(config) == generate_trace(config_with())
 
     def test_default_config_is_valid(self):
-        ScenarioConfig().validate()
+        assert ScenarioConfig() == replace(ScenarioConfig())
+
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"num_steps": 0}, "num_steps"),
+        ({"lane_y": (0.0, 0.0, -1.0)}, "lane_y"),
+        ({"rng_seed": True}, "rng_seed"),
+    ])
+    def test_replace_checks_the_new_config(self, kwargs, field):
+        with pytest.raises(ConfigError) as exc_info:
+            replace(ScenarioConfig(), **kwargs)
+        assert exc_info.value.field == field
 
 
 class TestVehiclePosition:

@@ -123,6 +123,26 @@ class TestTrainBasics:
             train(TWO_POINTS, KernelSpec.linear(), TrainConfig(**kwargs))
         assert str(exc_info.value) == message
 
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"C": 0}, "C must be finite and > 0"),
+        ({"tol": -1e-3}, "tol must be finite and > 0"),
+        ({"max_passes": 0}, "max_passes must be >= 1"),
+    ])
+    def test_replace_checks_the_new_config(self, kwargs, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            replace(TrainConfig(), **kwargs)
+
+    def test_rbf_trains_where_the_feature_norms_overflow(self):
+        # Every rbf value lies in [0, 1]; here the Gram matrix is the identity.
+        data = [LabeledExample((1e200,), 1), LabeledExample((-1e200,), -1),
+                LabeledExample((5e199,), 1)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(data, KernelSpec.rbf())
+        assert model.summary.converged
+        assert np.isfinite([model.bias, *model.alphas]).all()
+        assert [classify(model, e.features) for e in data] == [1, -1, 1]
+
     def test_gamma_default_resolved_at_training(self):
         model = train(TWO_POINTS, KernelSpec.rbf())
         assert model.kernel.gamma == 1.0 / len(TWO_POINTS[0].features)
