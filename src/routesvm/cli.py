@@ -126,8 +126,11 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
 _KERNEL_FLAGS = {name: kind for params in KERNEL_PARAMS.values() for name, kind in params.items()}
 
 
+# The solver's flags, each a TrainConfig field, and their types.
+_SOLVER_FLAGS = {"C": float, "tol": float, "max_passes": int}
+
 # The flags that only training reads; each parses to None when not given.
-_TRAINING_FLAGS = ("kernel", *_KERNEL_FLAGS, "C", "tol", "max_passes")
+_TRAINING_FLAGS = ("kernel", *_KERNEL_FLAGS, *_SOLVER_FLAGS)
 
 
 def _given(args: argparse.Namespace, names) -> dict:
@@ -176,7 +179,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _training_inputs(args: argparse.Namespace):
     """The trace, kernel and TrainConfig that the train flags name; a bad flag
     is refused before the trace is read."""
-    kernel, cfg = _kernel_from_args(args), TrainConfig(**_given(args, ("C", "tol", "max_passes")))
+    kernel, cfg = _kernel_from_args(args), TrainConfig(**_given(args, _SOLVER_FLAGS))
     return read_trace_csv(args.trace), kernel, cfg
 
 
@@ -198,8 +201,9 @@ def _cmd_train(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     test_sizes = parse_test_sizes(args.test_sizes)
     if args.model:
-        for name in _given(args, _TRAINING_FLAGS):
-            raise ValueError(f"--{name.replace('_', '-')} does not apply with --model")
+        if given := _given(args, _TRAINING_FLAGS):
+            flag = next(iter(given)).replace("_", "-")
+            raise ValueError(f"--{flag} does not apply with --model")
         trace, model = read_trace_csv(args.trace), load_model(args.model)
         _, tests = split_examples(trace, 0, test_sizes, args.seed)
         report = sweep_with_model(model, tests, 0)
@@ -265,9 +269,9 @@ def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     _add_kernel_flags(parser)
-    parser.add_argument("--C", type=float, help=f"box constraint, default {TrainConfig.C}")
-    parser.add_argument("--tol", type=float, help=f"KKT tolerance, default {TrainConfig.tol}")
-    parser.add_argument("--max-passes", type=int, help=f"default {TrainConfig.max_passes}")
+    for name, kind in _SOLVER_FLAGS.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=kind,
+                            help=f"TrainConfig.{name}, default {getattr(TrainConfig, name)}")
     parser.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 

@@ -71,9 +71,6 @@ TAU = 1e-12
 # Kernel rows the solver keeps: the most recently used, as in LIBSVM.
 _ROW_CACHE = 64
 
-# With every |x|^2 at most this, |2 a.b| <= |a|^2 + |b|^2, so no rbf norm arithmetic overflows.
-_SQ_SAFE = sys.float_info.max / 8
-
 
 class DataError(ValueError):
     """Input data is unusable: the CLI's exit code 3.  The package's
@@ -214,14 +211,15 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | None = None,
                       sq_b: np.ndarray | None = None, rows: tuple | None = None) -> np.ndarray:
     """The family's formula on dot products a.b, in place on a fresh ``dots``
-    and in ``KernelSpec``'s operation order; rbf also needs the squared norms
-    |a|^2 and |b|^2, broadcast against them.  Given a norm past ``_SQ_SAFE``,
-    rbf needs ``rows``, a and b as ``_pairwise_dots`` takes them: wherever the
-    norm arithmetic is not finite, it sums (a_k - b_k)^2 itself, so no value is nan."""
+    and in ``KernelSpec``'s operation order.  rbf also needs the squared norms
+    |a|^2 and |b|^2, broadcast against them, and ``rows``, a and b as
+    ``_pairwise_dots`` takes them: wherever the norm arithmetic is not finite,
+    it sums (a_k - b_k)^2 itself, so no value is nan.  Call it under
+    ``np.errstate(over="ignore", invalid="ignore")``."""
     if spec.family == "rbf":  # exp(-gamma * max((|a|^2 - 2 a.b) + |b|^2, 0))
         np.subtract(sq_a, np.multiply(dots, 2.0, out=dots), out=dots)
         np.add(dots, sq_b, out=dots)
-        if rows is not None:
+        if not math.isfinite(dots.sum()):  # a nan or inf makes it so: one pass per row
             far = ~np.isfinite(dots)
             a, b = (np.broadcast_to(v, far.shape + v.shape[-1:])[far] for v in rows)
             dots[far] = _pairwise_dots(a - b, a - b)
@@ -249,7 +247,9 @@ def _rows(xs) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix K[i, j] = K(a[i], b[j]) for row-vector stacks a, b of
     shapes (n, d) and (m, d), d >= 1; any other shape, or a gamma of None,
-    raises a ValueError.  The rbf kernel is computed without a numpy warning."""
+    raises a ValueError.  numpy warns of no overflow: rbf recomputes the
+    entries whose norm arithmetic overflows, and another family's shows as
+    inf or nan in the matrix."""
     if spec.gamma is None and "gamma" in KERNEL_PARAMS[spec.family]:
         raise ValueError(f"{spec.family} kernel needs a gamma: train resolves None to 1/d")
     a, b = _rows(a), _rows(b)
@@ -257,13 +257,10 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    if spec.family != "rbf":
-        return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]))
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is recomputed
-        sq_a, sq_b = _pairwise_dots(a, a), _pairwise_dots(b, b)
-        big = max(sq_a.max(initial=0.0), sq_b.max(initial=0.0)) > _SQ_SAFE
-        return _kernel_from_dots(spec, _pairwise_dots(a[:, None], b[None]), sq_a[:, None], sq_b,
-                                 (a[:, None], b[None]) if big else None)
+    pairs = (a[:, None], b[None])
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = (_pairwise_dots(a, a)[:, None], _pairwise_dots(b, b)) if spec.family == "rbf" else ()
+        return _kernel_from_dots(spec, _pairwise_dots(*pairs), *sq, rows=pairs)
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -460,13 +457,12 @@ def _gram(spec: KernelSpec, xs: np.ndarray) -> tuple[Callable[[int], np.ndarray]
     """
     cols, linear = np.asfortranarray(xs), KernelSpec.linear()
     sq = _pairwise_dots(cols, cols)
-    big = sq.max() > _SQ_SAFE
 
     def row(i: int) -> np.ndarray:
         dots = kernel_matrix(linear, cols[i:i + 1], cols)[0]
-        return _kernel_from_dots(spec, dots, sq[i], sq, (cols[i], cols) if big else None)
+        return _kernel_from_dots(spec, dots, sq[i], sq, (cols[i], cols))
 
-    return row, _kernel_from_dots(spec, sq.copy(), sq, sq, (cols, cols) if big else None)
+    return row, _kernel_from_dots(spec, sq.copy(), sq, sq, (cols, cols))
 
 
 class _Smo:

@@ -316,6 +316,14 @@ class TestKernels:
                                              + svm._pairwise_dots(b, b), 0.0))
         assert kernel_matrix(spec, a, b).tobytes() == expected.tobytes()
 
+    def test_rbf_entries_that_are_finite_keep_their_value_when_their_sum_overflows(self):
+        # Each (|a|^2 - 2 a.b) + |b|^2 is 1.69e308, finite; only their sum overflows.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            k = kernel_matrix(KernelSpec.rbf(gamma=1e-308), [[0.0]], [[1.3e154], [-1.3e154]])
+        assert k.shape == (1, 2)
+        assert k[0].tolist() == pytest.approx([math.exp(-1.69)] * 2, rel=1e-12)
+
 
 class TestDecisionAndClassify:
     def test_empty_model_returns_bias(self):
