@@ -21,6 +21,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -141,7 +142,8 @@ class KernelSpec:
     sigmoid:     K(a,b) = tanh(gamma*(a.b) + coef0)
 
     ``KERNEL_PARAMS`` lists the parameters each family takes; the others
-    stay ``None``.  A spec is checked when built, ``replace`` included.
+    stay ``None``.  A spec is checked when built, ``replace`` included; a
+    numpy integer or float parameter is kept as the Python number it equals.
     ``gamma=None``, the default, is the one unresolved state: ``train`` fills
     in 1 / n_features, and ``kernel_matrix`` refuses it.
     """
@@ -177,6 +179,8 @@ class KernelSpec:
                 continue  # a parameter the family does not take, or a gamma train fills in
             if kind is None:
                 raise ValueError(f"{self.family} kernel takes no {name}")
+            if isinstance(value, np.generic):  # the Python number model_to_text writes
+                object.__setattr__(self, name, value := value.item())
             if isinstance(value, bool) or not (isinstance(value, (kind, int))
                                                and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}"
@@ -200,7 +204,7 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a[:, None]`` and ``b[None]`` give all pairs, as ``a @ b.T``, but built from
     elementwise products, so the floating-point result does not depend on the
     BLAS build; training trajectories stay bit-reproducible across platforms.
-    The rbf norms |x|^2 are ``_pairwise_dots(xs, xs)``, so rbf K(x, x) is 1 exactly.
+    The rbf squared distance |a - b|^2 is the dot product of a - b with itself.
     """
     dots = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
@@ -208,23 +212,17 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return dots
 
 
-def _kernel_from_dots(spec: KernelSpec, dots: np.ndarray, sq_a: np.ndarray | None = None,
-                      sq_b: np.ndarray | None = None, rows: tuple | None = None) -> np.ndarray:
-    """The family's formula on dot products a.b, in place on a fresh ``dots``
-    and in ``KernelSpec``'s operation order.  rbf also needs the squared norms
-    |a|^2 and |b|^2, broadcast against them, and ``rows``, a and b as
-    ``_pairwise_dots`` takes them: wherever the norm arithmetic is not finite,
-    it sums (a_k - b_k)^2 itself, so no value is nan.  Call it under
-    ``np.errstate(over="ignore", invalid="ignore")``."""
-    if spec.family == "rbf":  # exp(-gamma * max((|a|^2 - 2 a.b) + |b|^2, 0))
-        np.subtract(sq_a, np.multiply(dots, 2.0, out=dots), out=dots)
-        np.add(dots, sq_b, out=dots)
-        if not math.isfinite(dots.sum()):  # a nan or inf makes it so: one pass per row
-            far = ~np.isfinite(dots)
-            a, b = (np.broadcast_to(v, far.shape + v.shape[-1:])[far] for v in rows)
-            dots[far] = _pairwise_dots(a - b, a - b)
-        np.maximum(dots, 0.0, out=dots)
+def _kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The family's formula on rows ``a`` and ``b``, broadcast against each
+    other as ``_pairwise_dots`` takes them, in ``KernelSpec``'s operation
+    order.  rbf sums the squares of a - b, which is finite or +-inf, so its
+    value is never nan, K(x, x) is 1 and K(a, b) is K(b, a) bit for bit.
+    Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    if spec.family == "rbf":  # exp(-gamma * |a - b|^2)
+        diff = a - b
+        dots = _pairwise_dots(diff, diff)
         return np.exp(np.multiply(dots, -spec.gamma, out=dots), out=dots)
+    dots = _pairwise_dots(a, b)
     if spec.family == "linear":
         return dots
     np.add(np.multiply(dots, spec.gamma, out=dots), spec.coef0, out=dots)
@@ -247,9 +245,9 @@ def _rows(xs) -> np.ndarray:
 def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Gram matrix K[i, j] = K(a[i], b[j]) for row-vector stacks a, b of
     shapes (n, d) and (m, d), d >= 1; any other shape, or a gamma of None,
-    raises a ValueError.  numpy warns of no overflow: rbf recomputes the
-    entries whose norm arithmetic overflows, and another family's shows as
-    inf or nan in the matrix."""
+    raises a ValueError.  numpy warns of no overflow: an rbf entry is never
+    nan and the rbf matrix of a against b is that of b against a transposed,
+    bit for bit; another family's overflow shows as inf or nan in the matrix."""
     if spec.gamma is None and "gamma" in KERNEL_PARAMS[spec.family]:
         raise ValueError(f"{spec.family} kernel needs a gamma: train resolves None to 1/d")
     a, b = _rows(a), _rows(b)
@@ -257,10 +255,8 @@ def kernel_matrix(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         raise DimensionMismatchError(
             f"vectors have dimensions {a.shape[1]} and {b.shape[1]}"
         )
-    pairs = (a[:, None], b[None])
     with np.errstate(over="ignore", invalid="ignore"):
-        sq = (_pairwise_dots(a, a)[:, None], _pairwise_dots(b, b)) if spec.family == "rbf" else ()
-        return _kernel_from_dots(spec, _pairwise_dots(*pairs), *sq, rows=pairs)
+        return _kernel(spec, a[:, None], b[None])
 
 
 def kernel_eval(spec: KernelSpec, a, b) -> float:
@@ -284,11 +280,14 @@ class TrainConfig:
     rng_seed: int = 0
 
     def __post_init__(self):
-        if not 0 < self.C <= sys.float_info.max:
+        for name in ("C", "tol", "max_passes"):  # a float32 would meet float max as float32 inf
+            if isinstance(value := getattr(self, name), np.generic):
+                object.__setattr__(self, name, value.item())
+        if not (isinstance(self.C, Real) and 0 < self.C <= sys.float_info.max):
             raise ValueError("C must be finite and > 0")
-        if not 0 < self.tol <= sys.float_info.max:
+        if not (isinstance(self.tol, Real) and 0 < self.tol <= sys.float_info.max):
             raise ValueError("tol must be finite and > 0")
-        if not self.max_passes >= 1:
+        if not (isinstance(self.max_passes, Real) and self.max_passes >= 1):
             raise ValueError("max_passes must be >= 1")
 
 
@@ -448,21 +447,13 @@ def _gram(spec: KernelSpec, xs: np.ndarray) -> tuple[Callable[[int], np.ndarray]
     """The solver's view of the Gram matrix K(xs, xs): ``(row, diag)``.
 
     ``row(i)`` computes row i on each call, bit for bit
-    ``kernel_matrix(spec, xs[i:i+1], xs)[0]`` (the rbf matrix is not bitwise
-    symmetric, so not column i), and ``diag`` is the matrix's diagonal, in
-    O(n d).  A Fortran-ordered copy of ``xs`` and ``sq``, each x.x, are made
-    once, here: ``sq`` is the diagonal's dot products and the rbf norms, by one
-    rule, so the rbf diagonal is all ones.  Each row's dot products come from
-    ``kernel_matrix`` as the linear kernel.  ``_Smo`` keeps the rows it used last.
+    ``kernel_matrix(spec, xs[i:i+1], xs)[0]``, which is also column i, and
+    ``diag`` is the matrix's diagonal, in O(n d), by the same formula.  A
+    Fortran-ordered copy of ``xs`` is made once, here.  ``_Smo`` keeps the
+    rows it used last.
     """
-    cols, linear = np.asfortranarray(xs), KernelSpec.linear()
-    sq = _pairwise_dots(cols, cols)
-
-    def row(i: int) -> np.ndarray:
-        dots = kernel_matrix(linear, cols[i:i + 1], cols)[0]
-        return _kernel_from_dots(spec, dots, sq[i], sq, (cols[i], cols))
-
-    return row, _kernel_from_dots(spec, sq.copy(), sq, sq, (cols, cols))
+    cols = np.asfortranarray(xs)
+    return (lambda i: kernel_matrix(spec, cols[i:i + 1], cols)[0]), _kernel(spec, cols, cols)
 
 
 class _Smo:

@@ -452,8 +452,8 @@ class TestTrain:
     @pytest.mark.parametrize("family, c_value, digest", [
         ("linear", "1", "b0243a19800a06daffcab6a784d29d8480ebdfed7f8376005e6ae7de33936885"),
         ("linear", "100", "cce689068a546df2ff8f952fbba25cc90507933a29ad5a489df5a436ff3a8d29"),
-        ("rbf", "1", "50718c9bebf0f6a83a92982aa9c24d58fd20f47069da3ad479674eb7de417815"),
-        ("rbf", "100", "214eb8e1e6eea1f7ab4c3cd865295b4893a92f0049b0008a1d6b5819eb08fda0"),
+        ("rbf", "1", "bcde986d79b1706db4c1678bb32c7a22e3e9453c6f0d98996949e335f2eaf974"),
+        ("rbf", "100", "bb41c54ce68f1169f2889669552b9dde03a5237cda8047a95bceff4bd3adc6d5"),
         ("polynomial", "1", "fe868e6700d274440e9c9c98e7ce16dde8971e22246fbc3b0a8a027ed3c9e3d3"),
         ("polynomial", "100", "8c4a100dd0d34477cc4b87c19ab83fc4b27ceb64dcb7c3fc93950ab7505f6517"),
         ("sigmoid", "1", "287a18bbb048c8c3c7292f99179e6037ca2f10a8708448d2b865c209d78a0b92"),

@@ -155,7 +155,7 @@ class TestKernels:
     @pytest.mark.parametrize("d", [1, 2, 8, 16, 64])
     @pytest.mark.parametrize("gamma", [1e-3, 1.0, 7.5])
     def test_rbf_self_kernel_is_exactly_one_at_every_feature_count(self, d, gamma):
-        # |x|^2 and x.x are summed by one rule, so (|x|^2 - 2 x.x) + |x|^2 is 0.
+        # x - x is 0 in every feature, so |x - x|^2 is 0 and exp(-gamma * 0) is 1.
         xs = np.random.default_rng(d).uniform(-1e4, 1e4, (200, d))
         spec = KernelSpec.rbf(gamma=gamma)
         assert all(kernel_eval(spec, v, v) == 1.0 for v in xs)
@@ -235,6 +235,15 @@ class TestKernels:
          "polynomial kernel needs a finite int degree within float64 range"),
         ("sigmoid", {"gamma": 1.0, "coef0": -(10**400)},
          "sigmoid kernel needs a finite float coef0 within float64 range"),
+        ("rbf", {"gamma": np.float32("inf")},
+         "rbf kernel needs a finite float gamma within float64 range"),
+        ("sigmoid", {"gamma": 1.0, "coef0": np.float64("nan")},
+         "sigmoid kernel needs a finite float coef0 within float64 range"),
+        ("rbf", {"gamma": np.float32(-0.5)}, "rbf kernel needs gamma > 0"),
+        ("polynomial", {"degree": np.int64(0), "gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs degree >= 1"),
+        ("polynomial", {"degree": np.float64(3.0), "gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs a finite int degree within float64 range"),
     ])
     def test_parameters_present_exactly_per_family(self, family, kwargs, message):
         with pytest.raises(ValueError) as exc_info:
@@ -279,6 +288,9 @@ class TestKernels:
          "polynomial kernel needs a finite float coef0"),
         ("rbf", {"gamma": True}, "rbf kernel needs a finite float gamma"),
         ("sigmoid", {"gamma": 0.5, "coef0": True}, "sigmoid kernel needs a finite float coef0"),
+        ("polynomial", {"degree": np.bool_(True), "gamma": 1.0},
+         "polynomial kernel needs a finite int degree"),
+        ("rbf", {"gamma": np.bool_(True)}, "rbf kernel needs a finite float gamma"),
     ])
     def test_bool_parameters_are_refused(self, family, kwargs, message):
         # A bool is an int to isinstance, but model_to_text would write it as
@@ -293,6 +305,7 @@ class TestKernels:
         ((1e200,), (-1e200,), 0.0),
         ((1e200,), (5e199,), 0.0),
         ((1e154,), (0.9e154,), 0.0),  # 2 a.b overflows, the norms do not
+        ((1.7e308,), (-1.7e308,), 0.0),  # a - b itself overflows
     ])
     def test_rbf_is_defined_where_the_norms_overflow(self, a, b, expected):
         with warnings.catch_warnings():
@@ -307,17 +320,25 @@ class TestKernels:
             value = kernel_eval(KernelSpec.rbf(gamma=1.0), (1e200, 0.0), (1e200, 1e-3))
         assert value == pytest.approx(math.exp(-1e-6), rel=1e-15)
 
-    def test_rbf_values_whose_norms_are_finite_are_unchanged(self):
+    def test_rbf_values_are_the_summed_squared_differences_bit_for_bit(self):
         rng = np.random.default_rng(3)
         a, b = rng.normal(scale=1e3, size=(40, 3)), rng.normal(scale=1e3, size=(30, 3))
         spec = KernelSpec.rbf(gamma=1e-6)
-        sq_a = svm._pairwise_dots(a, a)[:, None]
-        expected = np.exp(-1e-6 * np.maximum(sq_a - 2.0 * svm._pairwise_dots(a[:, None], b[None])
-                                             + svm._pairwise_dots(b, b), 0.0))
+        squares = ((a[:, None, k] - b[None, :, k]) ** 2 for k in range(3))
+        expected = np.exp(-1e-6 * sum(squares))  # ((0 + s_0) + s_1) + s_2, feature order
         assert kernel_matrix(spec, a, b).tobytes() == expected.tobytes()
 
+    def test_rbf_is_bitwise_symmetric(self):
+        rng = np.random.default_rng(3)
+        a, b = rng.normal(scale=1e3, size=(40, 3)), rng.normal(scale=1e3, size=(30, 3))
+        spec = KernelSpec.rbf(gamma=1e-6)
+        assert kernel_matrix(spec, a, b).tobytes() == kernel_matrix(spec, b, a).T.tobytes()
+        row, _ = svm._gram(spec, a)
+        rows = np.array([row(i) for i in range(len(a))])
+        assert rows.tobytes() == rows.T.tobytes()  # row i is column i
+
     def test_rbf_entries_that_are_finite_keep_their_value_when_their_sum_overflows(self):
-        # Each (|a|^2 - 2 a.b) + |b|^2 is 1.69e308, finite; only their sum overflows.
+        # Each |a - b|^2 is 1.69e308, finite; their sum over the row would overflow.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             k = kernel_matrix(KernelSpec.rbf(gamma=1e-308), [[0.0]], [[1.3e154], [-1.3e154]])
@@ -598,8 +619,14 @@ class TestSerialization:
             model_from_text(f"routesvm-model v2 {header} supports=0\n")
         assert str(exc_info.value) == message
 
-    def test_header_writes_the_family_parameters_in_table_order(self):
-        model = SvmModel(KernelSpec.polynomial(degree=3, gamma=0.5, coef0=0.0), (), (), 1.0)
+    @pytest.mark.parametrize("degree, gamma, coef0", [
+        (3, 0.5, 0.0), (np.int64(3), np.float32(0.5), np.float64(0.0)),
+        (np.uint8(3), np.float16(0.5), np.int32(0)),
+    ], ids=["python", "numpy", "numpy-narrow"])
+    def test_header_writes_the_family_parameters_in_table_order(self, degree, gamma, coef0):
+        spec = KernelSpec.polynomial(degree=degree, gamma=gamma, coef0=coef0)
+        assert {type(v) for v in (spec.degree, spec.gamma, spec.coef0)} <= {int, float}
+        model = SvmModel(spec, (), (), 1.0)
         assert model_to_text(model) == (
             "routesvm-model v2 family=polynomial degree=3 gamma=0.5 coef0=0 bias=1 supports=0\n"
         )

@@ -117,10 +117,17 @@ class TestTrainBasics:
         ({"C": 10**400}, "C must be finite and > 0"),
         ({"tol": 10**400}, "tol must be finite and > 0"),
         ({"max_passes": float("nan")}, "max_passes must be >= 1"),
+        ({"C": "1"}, "C must be finite and > 0"),
+        ({"C": None}, "C must be finite and > 0"),
+        ({"tol": "1e-3"}, "tol must be finite and > 0"),
+        ({"max_passes": "3"}, "max_passes must be >= 1"),
+        ({"C": np.float32("inf")}, "C must be finite and > 0"),
+        ({"tol": np.float16("inf")}, "tol must be finite and > 0"),
     ])
     def test_out_of_range_config_raises(self, kwargs, message):
         with pytest.raises(ValueError) as exc_info:
             train(TWO_POINTS, KernelSpec.linear(), TrainConfig(**kwargs))
+        assert type(exc_info.value) is ValueError
         assert str(exc_info.value) == message
 
     @pytest.mark.parametrize("kwargs, message", [
