@@ -130,7 +130,7 @@ _KERNEL_FLAGS = {name: kind for params in KERNEL_PARAMS.values() for name, kind 
 _SOLVER_FLAGS = {"C": float, "tol": float, "max_passes": int}
 
 # The flags that only training reads; each parses to None when not given.
-_TRAINING_FLAGS = ("kernel", *_KERNEL_FLAGS, *_SOLVER_FLAGS)
+_TRAINING_FLAGS = ("kernel", *_KERNEL_FLAGS, *_SOLVER_FLAGS, "train_size")
 
 
 def _given(args: argparse.Namespace, names) -> dict:
@@ -177,15 +177,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _training_inputs(args: argparse.Namespace):
-    """The trace, kernel and TrainConfig that the train flags name; a bad flag
-    is refused before the trace is read."""
+    """The trace, train size, kernel and TrainConfig that the train flags
+    name; a bad flag is refused before the trace is read."""
     kernel, cfg = _kernel_from_args(args), TrainConfig(**_given(args, _SOLVER_FLAGS))
-    return read_trace_csv(args.trace), kernel, cfg
+    train_size = DEFAULT_TRAIN_SIZE if args.train_size is None else args.train_size
+    return read_trace_csv(args.trace), train_size, kernel, cfg
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    trace, kernel, cfg = _training_inputs(args)
-    train_ds, _ = split_examples(trace, args.train_size, (), args.seed)
+    trace, train_size, kernel, cfg = _training_inputs(args)
+    train_ds, _ = split_examples(trace, train_size, (), args.seed)
     model = train_position_model(train_ds, kernel, cfg)
     save_model(model, args.output)
     summary = model.summary
@@ -208,8 +209,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _, tests = split_examples(trace, 0, test_sizes, args.seed)
         report = sweep_with_model(model, tests, 0)
     else:
-        trace, kernel, cfg = _training_inputs(args)
-        report = accuracy_sweep(trace, args.train_size, test_sizes, kernel, cfg, args.seed)
+        trace, train_size, kernel, cfg = _training_inputs(args)
+        report = accuracy_sweep(trace, train_size, test_sizes, kernel, cfg, args.seed)
     report_to_csv(report, args.output)
     print(format_report(report))
     print(f"wrote report to {args.output}")
@@ -272,7 +273,7 @@ def _add_train_flags(parser: argparse.ArgumentParser) -> None:
     for name, kind in _SOLVER_FLAGS.items():
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind,
                             help=f"TrainConfig.{name}, default {getattr(TrainConfig, name)}")
-    parser.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
+    parser.add_argument("--train-size", type=int, help=f"default {DEFAULT_TRAIN_SIZE}")
     parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
 
 

@@ -16,9 +16,10 @@ Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 Both trace readers check each row where they parse it, so an error names
 the first bad row in file order: x, y and speed must be finite, a step must
 fit in a signed 64-bit integer, and an FCD vehicle id holds no comma, CR or
-LF, which a trace CSV could not hold.  Trace CSV numbers are plain decimal
-(``1_0`` is not a number), parsed a block of lines at a time, by an exact
-array digit kernel where the block is canonical, else by ``np.loadtxt``.
+LF, which a trace CSV could not hold.  A trace CSV number is what Python's
+``int`` or ``float`` reads from ASCII text without "_" (``1_0`` is not a
+number), parsed a block of lines at a time, by an exact array digit kernel
+where the block is canonical, else row by row.
 The rows fill one ``POINT_DTYPE`` array, handed to
 :func:`~routesvm.traffic_sim.make_trace`, and the checks that span rows run
 once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
@@ -36,7 +37,6 @@ import math
 import operator
 import random
 import re
-import warnings
 import xml.etree.ElementTree as ElementTree
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -77,8 +77,6 @@ _FIELDS = POINT_DTYPE.names  # step, vehicle, x, y, speed, route_label
 _FCD_ATTRS = ("id", "x", "y", "speed")
 _CHUNK = 8192  # lines per block read by the trace CSV reader
 _WRITE_BATCH = 8192  # rows per trace CSV write batch; fewer if an id exceeds 64 bytes
-# The trace CSV columns np.loadtxt parses: every field but vehicle_id.
-_TRACE_COLUMNS = np.dtype([(f, POINT_DTYPE[f]) for f in _FIELDS if f != "vehicle"])
 _STEP_MIN, _STEP_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
@@ -147,20 +145,25 @@ def _skip_header(lines, header: str) -> None:
         raise TraceFormatError(message if first else "empty file")
 
 
+def _fields(lines, width: int, line_no: int = 2):
+    """(line number, fields) of each non-blank line of ``lines``, the first
+    numbered ``line_no``; a line with another field count than ``width``
+    is an error."""
+    for n, line in enumerate(lines, start=line_no):
+        if line == "\n":
+            continue
+        fields = line.rstrip("\n").split(",")
+        if len(fields) != width:
+            raise TraceFormatError(f"line {n}: expected {width} fields, got {len(fields)}")
+        yield n, fields
+
+
 def _csv_rows(source: str | Path, header: str):
     """(line number, fields) of each non-blank line after ``header``; a file
     with another first line, or a row with another field count, is an error."""
-    width = header.count(",") + 1
     with _utf8_text(source) as lines:
         _skip_header(lines, header)
-        for line_no, line in enumerate(lines, start=2):
-            if line == "\n":
-                continue
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != width:
-                message = f"line {line_no}: expected {width} fields, got {len(fields)}"
-                raise TraceFormatError(message)
-            yield line_no, fields
+        yield from _fields(lines, header.count(",") + 1)
 
 
 def _checked_trace(points: np.ndarray, ids: list[str] | dict[str, int]) -> Trace:
@@ -306,50 +309,37 @@ def write_trace_csv(trace: Trace, destination: str | Path) -> None:
             out.write(rows.tobytes().translate(None, b"\xff"))
 
 
-def _parse_trace_rows(lines: list[str]) -> np.ndarray:
-    """The numeric columns of trace CSV data lines, parsed in C.
-
-    NumPy releases that still parse an integer field such as ``1.5`` via a
-    float only warn, with a DeprecationWarning; that is a ValueError here."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            return np.loadtxt(lines, dtype=_TRACE_COLUMNS, delimiter=",",
-                              usecols=(0, 2, 3, 4, 5), comments=None, ndmin=1)
-        except DeprecationWarning as exc:
-            raise ValueError(str(exc)) from None
-
-
-def _trace_row_error(line: str) -> str | None:
-    """Why ``line`` is not a trace CSV data row, or None if it is one."""
-    fields = line.rstrip("\n").split(",")
-    if len(fields) != len(_FIELDS):
-        return f"expected {len(_FIELDS)} fields, got {len(fields)}"
+def _trace_row(line_no: int, fields: list[str]) -> tuple:
+    """(step, x, y, speed, route_label) of the data row on file line
+    ``line_no``, split into six fields: Python's ``int`` and ``float`` of
+    ASCII text without "_".  The first check to fail raises
+    TraceFormatError: numbers, the step's int64 range, the route label,
+    ASCII without "_", then finite x, y and speed."""
+    step, _, x, y, speed, route = fields
     try:
-        step = int(fields[0])
-        values = float(fields[2]), float(fields[3]), float(fields[4])
-        route_label = int(fields[5])
+        row = int(step), float(x), float(y), float(speed), int(route)
     except ValueError as exc:
-        return f"non-numeric field ({exc})"
-    if not _STEP_MIN <= step <= _STEP_MAX:
-        return f"step {step} out of the int64 range"
-    if route_label not in (0, 1):
-        return "route_label must be 0 or 1"
-    try:  # what Python reads but np.loadtxt does not, such as "1_0"
-        _parse_trace_rows([line])
-    except ValueError as exc:
-        return f"non-numeric field ({exc})"
-    return None if all(map(math.isfinite, values)) else "non-finite value"
+        why = f"non-numeric field ({exc})"
+    else:
+        if not _STEP_MIN <= row[0] <= _STEP_MAX:
+            why = f"step {row[0]} out of the int64 range"
+        elif row[4] not in (0, 1):
+            why = "route_label must be 0 or 1"
+        elif "_" in (text := step + x + y + speed + route) or not text.isascii():
+            bad = next(t for t in (step, x, y, speed, route) if "_" in t or not t.isascii())
+            why = f"non-numeric field ({bad!r} is not ASCII without '_')"
+        elif math.isfinite(row[1]) and math.isfinite(row[2]) and math.isfinite(row[3]):
+            return row
+        else:
+            why = "non-finite value"
+    raise TraceFormatError(f"line {line_no}: {why}")
 
 
-def _block_error(block: list[str], line_no: int) -> TraceFormatError:
-    """The error for the first bad row of a block, whose first line is file
-    line ``line_no``, that failed a whole-block check."""
-    for n, line in enumerate(block, start=line_no):
-        why = line != "\n" and _trace_row_error(line)
-        if why:
-            return TraceFormatError(f"line {n}: {why}")
-    raise AssertionError("a block that failed its checks has no bad row")
+def _parse_block(block: list[str], line_no: int) -> dict:
+    """The numeric columns of a block of trace CSV lines, the first numbered
+    ``line_no``, by :func:`_trace_row`; the first bad row raises."""
+    rows = [_trace_row(n, fields) for n, fields in _fields(block, len(_FIELDS), line_no)]
+    return dict(zip(("step", "x", "y", "speed", "route_label"), zip(*rows)))
 
 
 _ONES = 0x0101010101010101  # one in each byte of a word
@@ -481,11 +471,12 @@ def read_trace_csv(source: str | Path) -> Trace:
     A block's lines, blank ones skipped, are joined and encoded, and one
     array pass over the bytes finds every field; :func:`_vehicle_index` maps
     the ids.  :func:`_parse_canonical_rows` parses the numbers of a block
-    whose numbers are all canonical, as in every file :func:`write_trace_csv`
-    writes, and ``np.loadtxt`` those of any other.  A block that fails a
-    check is scanned again, row by row, to name its first bad line.  Each
-    block is copied into one points array, sized up front by
-    :func:`_row_bound`, and freed; then the checks that span rows run once.
+    whose numbers are all canonical and finite, as in every file
+    :func:`write_trace_csv` writes; :func:`_parse_block` parses any other
+    block row by row with :func:`_trace_row`, the one grammar of a data row,
+    and names its first bad line.  Each block is copied into one points
+    array, sized up front by :func:`_row_bound`, and freed; then the checks
+    that span rows run once.
     """
     points = np.empty(_row_bound(source), dtype=POINT_DTYPE)
     end = 0
@@ -503,25 +494,19 @@ def read_trace_csv(source: str | Path) -> Trace:
             pad = np.frombuffer(raw if raw.endswith(b"\n") else raw + b"\n", np.uint8)
             words = np.ndarray((len(pad) - 7,), "<u8", pad, 0, (1,))  # the 8 bytes at each offset
             seps = np.flatnonzero((pad == ord(",")) | (pad == ord("\n")))  # where each field ends
-            if len(seps) != len(_FIELDS) * len(lines) or (pad[seps[5::6]] != ord("\n")).any():
-                raise _block_error(block, line_no)
             first = np.concatenate(([8], seps[:-1] + 1))  # where each field starts
+            whole = len(seps) == len(_FIELDS) * len(lines) and (pad[seps[5::6]] == ord("\n")).all()
+            rows = whole and _parse_canonical_rows(pad, words, first, seps)
+            if not rows or not all(np.isfinite(rows[f]).all() for f in ("x", "y", "speed")):
+                rows = _parse_block(block, line_no)  # if not whole, a row has another field count
             stop = end + len(lines)
             if stop > len(points):  # the file grew after it was counted
                 points = np.concatenate([points, np.empty(stop - len(points), POINT_DTYPE)])
             points["vehicle"][end:stop] = _vehicle_index(words, first[1::6], seps[1::6], table, ids)
-            try:  # np.loadtxt parses a block the digit kernel declines
-                rows = _parse_canonical_rows(pad, words, first, seps) or _parse_trace_rows(lines)
-            except ValueError:
-                raise _block_error(block, line_no) from None
-            route = rows["route_label"]
-            finite = np.isfinite(rows["x"]) & np.isfinite(rows["y"]) & np.isfinite(rows["speed"])
-            if not (((route == 0) | (route == 1)) & finite).all():
-                raise _block_error(block, line_no)
-            for name in _TRACE_COLUMNS.names:
-                points[name][end:stop] = rows[name]
+            for name, column in rows.items():
+                points[name][end:stop] = column
             end = stop
-            del block, lines, raw, pad, words, seps, first, rows, route, finite  # free the block
+            del block, lines, raw, pad, words, seps, first, rows  # free the block
     if end < len(points):  # the file shrank after it was counted
         points = points[:end].copy()
     return _checked_trace(points, ids)  # the array itself: a view would keep its base alive

@@ -132,6 +132,11 @@ class LabeledExample:
         object.__setattr__(self, "features", tuple(map(float, features)))
 
 
+def _python_number(value: np.generic):
+    """The Python int or float a numpy scalar equals, a longdouble rounded."""
+    return float(value) if isinstance(value, np.floating) else value.item()
+
+
 @dataclass(frozen=True)
 class KernelSpec:
     """Kernel family plus the hyperparameters that family uses.
@@ -180,7 +185,7 @@ class KernelSpec:
             if kind is None:
                 raise ValueError(f"{self.family} kernel takes no {name}")
             if isinstance(value, np.generic):  # the Python number model_to_text writes
-                object.__setattr__(self, name, value := value.item())
+                object.__setattr__(self, name, value := _python_number(value))
             if isinstance(value, bool) or not (isinstance(value, (kind, int))
                                                and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}"
@@ -282,7 +287,7 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("C", "tol", "max_passes"):  # a float32 would meet float max as float32 inf
             if isinstance(value := getattr(self, name), np.generic):
-                object.__setattr__(self, name, value.item())
+                object.__setattr__(self, name, _python_number(value))
         if not (isinstance(self.C, Real) and 0 < self.C <= sys.float_info.max):
             raise ValueError("C must be finite and > 0")
         if not (isinstance(self.tol, Real) and 0 < self.tol <= sys.float_info.max):

@@ -223,9 +223,14 @@ def read_outcome(path: Path):
     return trace.points.tobytes(), trace.vehicle_ids
 
 
+# Field texts that are not plain numbers, or are numbers only some parsers read.
+JUNK_FIELDS = ["99999999999999999999999", "-9223372036854775809", "9223372036854775807", "nan",
+               "inf", "-inf", "1e999", "", "2", "-0", "0x10", "1_0", " 3 ", "1.5", "\u0663"]
+
+
 def kernel_and_fallback(path: Path) -> tuple:
     """``read_outcome(path)``, then the same with the reader's digit kernel
-    declining every block, so that ``np.loadtxt`` parses them all."""
+    declining every block, so that the row parser reads them all."""
     kernel = read_outcome(path)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dataset_io, "_parse_canonical_rows", lambda *args: None)

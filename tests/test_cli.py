@@ -26,6 +26,9 @@ OVERFLOWING_POLY_MODEL = (
 # Support lines of 2 and 3 features, with no scaler to catch it.
 RAGGED_MODEL = "routesvm-model v1 family=linear bias=0.5 supports=2\n1 1 0 1\n1 -1 0 1 2\n"
 
+# A linear model whose one support gives w = (1, 0): the boundary is x = 2.
+VERTICAL_MODEL = "routesvm-model v2 family=linear bias=-2 supports=1\n1 1 1 0\n"
+
 # Linear models with no boundary line: no supports, and a zero weight vector.
 LINELESS_MODELS = {
     "no-supports": "routesvm-model v2 family=linear bias=1 supports=0\n",
@@ -117,7 +120,10 @@ class TestGenerate:
     def test_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text(
+            "# a short scenario\n"
+            "\n"
             "num_vehicles = 15\n"
+            "   # comment only\n"
             "num_steps = 8  # short run\n"
             "rng_seed = 2\n"
             "speed_range = 1.0,2.0\n"
@@ -426,6 +432,7 @@ class TestTrain:
         ("--C=-1", "C must be finite and > 0"),
         ("--tol=0", "tol must be finite and > 0"),
         ("--max-passes=0", "max_passes must be >= 1"),
+        ("--train-size=0", "training data is empty"),
     ])
     def test_bad_train_config_exits_2(self, trace_path, tmp_path, capsys, flag, message):
         out = tmp_path / "m.txt"
@@ -487,9 +494,10 @@ class TestSweep:
             assert main(["train", str(trace_path), "--train-size", "30", "-o", str(model)]) == 0
             flags = [*flags, str(model)]
             capsys.readouterr()
+        else:  # sweep --model refuses --train-size
+            flags = [*flags, "--train-size", "30"]
         out = tmp_path / "out.txt"
-        code = main([command, str(trace_path), "--train-size", "30", "--seed", "-3",
-                     *flags, "-o", str(out)])
+        code = main([command, str(trace_path), "--seed", "-3", *flags, "-o", str(out)])
         assert code == 2
         assert "sample seed must be at least 0, got -3" in capsys.readouterr().err
         assert not out.exists()
@@ -522,6 +530,7 @@ class TestSweep:
     @pytest.mark.parametrize("flags", [
         ["--kernel", "rbf"], ["--kernel", "linear"], ["--degree", "2"], ["--gamma", "0"],
         ["--coef0", "1"], ["--C", "1"], ["--tol", "0.1"], ["--max-passes", "5"],
+        ["--train-size", "5"], ["--train-size", "400"],
     ], ids=lambda flags: flags[0])
     def test_pretrained_model_refuses_a_training_flag(self, trace_path, tmp_path, capsys, flags):
         model_path, out = tmp_path / "model.txt", tmp_path / "report.csv"
@@ -588,6 +597,20 @@ class TestSweep:
         assert code == 3
         assert "alphas must be >= 0" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_unconverged_training_is_reported(self, trace_path, tmp_path, capsys):
+        code = main(["sweep", str(trace_path), "--train-size", "30", "--test-sizes", "10",
+                     "--C", "1000", "--max-passes", "1", "-o", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert "\nwarning: training did not fully converge\n" in capsys.readouterr().out
+
+    def test_vertical_boundary_is_printed(self, trace_path, tmp_path, capsys):
+        model_path = tmp_path / "model.txt"
+        model_path.write_text(VERTICAL_MODEL)
+        code = main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(tmp_path / "r.csv")])
+        assert code == 0
+        assert "\nboundary: vertical at x = 2\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("name", LINELESS_MODELS)
     def test_linear_model_without_a_line_prints_no_boundary(self, trace_path, tmp_path,
@@ -709,6 +732,15 @@ class TestPlot:
         assert capsys.readouterr().err.splitlines() == [
             "error: line 3: 3 features, line 2 has 2"]
         assert not out.exists()
+
+    def test_vertical_boundary_frame_holds_the_data_and_the_line(self, data_path, tmp_path):
+        model_path, out = tmp_path / "vertical.txt", tmp_path / "plot.svg"
+        model_path.write_text(VERTICAL_MODEL)
+        code = main(["plot", "--model", str(model_path), "--data", str(data_path),
+                     "-o", str(out)])
+        assert code == 0
+        text = out.read_text()
+        assert '<line class="boundary"' in text and text.count('class="pt-') == 20
 
     def test_plot_empty_dataset(self, model_path, tmp_path):
         out = tmp_path / "plot.svg"

@@ -4,7 +4,6 @@ import pickle
 import random
 import re
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -29,6 +28,7 @@ from routesvm.svm import LabeledExample
 from routesvm.traffic_sim import ScenarioConfig, Trace, generate_trace, make_trace
 
 from helpers import (
+    JUNK_FIELDS,
     assert_writes_reference_bytes,
     kernel_and_fallback,
     label_table_of,
@@ -300,6 +300,7 @@ class TestTraceCsvBlocks:
     @pytest.mark.parametrize("row, message", [
         ("2,v9,nan,0,1,0", "non-finite value"),
         ("2,v9,1,0,-inf,0", "non-finite value"),
+        ("2,v9,1,-1e+400,1,0", "non-finite value"),  # canonical: the digit kernel reads it
         ("oops,v9,1,0,1,0", r"non-numeric field \(invalid literal for int"),
         ("9223372036854775808,v9,1,0,1,0", "step 9223372036854775808 out of the int64 range"),
         ("2,v9,1,0,1,-1", "route_label must be 0 or 1"),
@@ -320,22 +321,6 @@ class TestTraceCsvBlocks:
         line_no = 2 + lines.index(row + "\n")
         assert line_no == 12  # the third line of the fourth block
         with pytest.raises(TraceFormatError, match=f"^line {line_no}: {message}"):
-            read_trace_csv(path)
-
-    def test_integer_parsed_via_a_float_is_an_error(self, tmp_path, monkeypatch):
-        """Older NumPy releases parse an integer field such as 1.5 via a float,
-        truncate it and only warn; this stand-in for np.loadtxt does the same."""
-        loadtxt = np.loadtxt
-
-        def warning_loadtxt(lines, **kwargs):
-            if any(line.startswith("1.5,") for line in lines):
-                warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
-            return loadtxt([line.replace("1.5,", "1,", 1) for line in lines], **kwargs)
-
-        monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-        path = tmp_path / "float_step.csv"
-        path.write_text(self.HEADER + "".join(self.GOOD[:4]) + "1.5,v9,1,0,1,0\n")
-        with pytest.raises(TraceFormatError, match=r"^line 6: non-numeric field \(invalid literal"):
             read_trace_csv(path)
 
     def test_first_bad_row_of_a_block_is_reported(self, tmp_path):
@@ -373,12 +358,12 @@ class TestTraceCsvBlocks:
 
 
 @pytest.fixture
-def loadtxt_blocks(monkeypatch) -> list:
-    """The line count of each block the trace reader parses with np.loadtxt."""
+def row_parsed_blocks(monkeypatch) -> list:
+    """The data line count of each block the trace reader parses row by row."""
     blocks = []
-    parse = dataset_io._parse_trace_rows
-    monkeypatch.setattr(dataset_io, "_parse_trace_rows",
-                        lambda lines: blocks.append(len(lines)) or parse(lines))
+    parse = dataset_io._parse_block
+    monkeypatch.setattr(dataset_io, "_parse_block", lambda block, line_no: blocks.append(
+        sum(line != "\n" for line in block)) or parse(block, line_no))
     return blocks
 
 
@@ -411,8 +396,8 @@ def random_decimals(rng: random.Random, n: int) -> list[str]:
 
 class TestTraceCsvDigitKernel:
     """read_trace_csv parses a block whose numbers are in the canonical
-    grammar with its digit kernel and any other block with np.loadtxt; the
-    two must give the same trace, or the same error."""
+    grammar with its digit kernel and any other block row by row; the two
+    must give the same trace, or the same error."""
 
     HEADER = "step,vehicle_id,x,y,speed,route_label\n"
 
@@ -453,12 +438,12 @@ class TestTraceCsvDigitKernel:
         ("0,,1,2,3,0\n", True),  # an empty id
     ])
     def test_forms_the_reader_accepts_read_the_same_either_way(
-        self, tmp_path, loadtxt_blocks, rows, kernel
+        self, tmp_path, row_parsed_blocks, rows, kernel
     ):
         path = tmp_path / "trace.csv"
         path.write_bytes((self.HEADER + rows).encode())
         read_trace_csv(path)
-        assert loadtxt_blocks == ([] if kernel else [rows.count("\n")])
+        assert row_parsed_blocks == ([] if kernel else [rows.count("\n")])
         outcome, fallback = kernel_and_fallback(path)
         assert outcome == fallback and not isinstance(outcome, str)
 
@@ -471,7 +456,7 @@ class TestTraceCsvDigitKernel:
         ["v" * 2000, "v" * 1999 + "w", "v1"],
         ["", "v1.5e3", "-1", "0"],
     ])
-    def test_ids_of_any_length_take_the_kernel(self, tmp_path, monkeypatch, loadtxt_blocks,
+    def test_ids_of_any_length_take_the_kernel(self, tmp_path, monkeypatch, row_parsed_blocks,
                                                chunk, ids):
         monkeypatch.setattr(dataset_io, "_CHUNK", chunk)
         trace = trace_from_rows((step, vid, 0.5 * step, -1.25, 3.0 + i, i % 2)
@@ -479,24 +464,24 @@ class TestTraceCsvDigitKernel:
         path = tmp_path / "trace.csv"
         write_trace_csv(trace, path)
         assert read_trace_csv(path) == trace
-        assert loadtxt_blocks == []
+        assert row_parsed_blocks == []
         outcome, fallback = kernel_and_fallback(path)
         assert outcome == fallback == (trace.points.tobytes(), trace.vehicle_ids)
 
-    def test_decimals_read_as_python_reads_them(self, tmp_path, loadtxt_blocks):
+    def test_decimals_read_as_python_reads_them(self, tmp_path, row_parsed_blocks):
         """Bit for bit, signed or not."""
         texts = HARD_DECIMALS + random_decimals(random.Random(5), 2000)
         path = tmp_path / "trace.csv"
         path.write_text(self.HEADER + "".join(
             f"{i},v,{x},-{x},{x},0\n" for i, x in enumerate(texts)))
         points = read_trace_csv(path).points
-        assert loadtxt_blocks == []
+        assert row_parsed_blocks == []
         expected = np.array([float(x) for x in texts])
         for field, sign in (("x", 1), ("y", -1), ("speed", 1)):
             assert points[field].tobytes() == (sign * expected).tobytes()
 
     @pytest.mark.parametrize("jitter", [False, True])
-    def test_a_written_trace_takes_the_kernel(self, small_trace, tmp_path, loadtxt_blocks, jitter):
+    def test_a_written_trace_takes_the_kernel(self, small_trace, tmp_path, row_parsed_blocks, jitter):
         traces = [small_trace, generate_trace(ScenarioConfig(num_vehicles=2000, rng_seed=11))]
         for i, trace in enumerate(traces):
             if jitter:
@@ -505,7 +490,60 @@ class TestTraceCsvDigitKernel:
                 trace = make_trace(points, trace.vehicle_ids)
             write_trace_csv(trace, tmp_path / "trace.csv")
             assert read_trace_csv(tmp_path / "trace.csv") == trace
-        assert loadtxt_blocks == []
+        assert row_parsed_blocks == []
+
+
+# The columns np.loadtxt read from a trace CSV row before the row grammar, a
+# reference for it; route_label is read wide, so a large label does not wrap.
+LOADTXT_COLUMNS = np.dtype([("step", np.int64), ("x", float), ("y", float), ("speed", float),
+                            ("route_label", np.int64)])
+
+
+def loadtxt_row(line: str) -> bytes | None:
+    """The row's bytes as np.loadtxt reads it, or None where that or the
+    route label and finiteness checks after it refuse the row."""
+    try:
+        row = np.loadtxt([line], dtype=LOADTXT_COLUMNS, delimiter=",",
+                         usecols=(0, 2, 3, 4, 5), comments=None)
+    except ValueError:
+        return None
+    finite = all(math.isfinite(row[f]) for f in ("x", "y", "speed"))
+    return row.tobytes() if finite and row["route_label"] in (0, 1) else None
+
+
+def parsed_row(line: str) -> bytes | None:
+    try:
+        row = dataset_io._trace_row(2, line.rstrip("\n").split(","))
+    except TraceFormatError:
+        return None
+    return np.array(row, LOADTXT_COLUMNS).tobytes()
+
+
+def test_the_row_parser_reads_what_np_loadtxt_read():
+    """Every junk field, and every ASCII character but the separators placed
+    before, inside and after 1 and -2.5, in each numeric column: the row
+    parser takes a row exactly where np.loadtxt did, with the same bits,
+    except that it refuses padding of \\x1c-\\x1f, which Python's int and
+    float do not strip and np.loadtxt did."""
+    texts = list(JUNK_FIELDS)
+    for number in ("1", "-2.5"):
+        for c in map(chr, range(128)):
+            if c not in ",\r\n":
+                texts += [number[:i] + c + number[i:] for i in range(len(number) + 1)]
+    padded, compared = 0, 0
+    for column in (0, 2, 3, 4, 5):
+        for text in texts:
+            fields = ["0", "v", "1", "-2.5", "3", "1"]
+            fields[column] = text
+            line = ",".join(fields) + "\n"
+            expected = loadtxt_row(line)
+            if expected is not None and any("\x1c" <= c <= "\x1f" for c in text):
+                assert parsed_row(line) is None, repr(line)
+                padded += 1
+            else:
+                assert parsed_row(line) == expected, repr(line)
+                compared += expected is not None
+    assert padded > 0 and compared > 0
 
 
 def test_read_peak_allocation_is_the_points_and_one_block(tmp_path, monkeypatch):
@@ -646,6 +684,31 @@ def test_non_utf8_file_is_a_format_error(tmp_path, reader, header):
     path.write_bytes(header)
     with pytest.raises(TraceFormatError, match="not UTF-8 text"):
         reader(path)
+
+
+@pytest.mark.parametrize("reader, text, message", [
+    (read_label_csv, "vehicle_id,route_label\nv1,0\n\nv2,0,1\n", "line 4: expected 2 fields, got 3"),
+    (read_label_csv, "vehicle_id,route_label\nv1,zero\n", "line 2: non-numeric route_label"),
+    (read_examples_csv, "x,y,label\n\n1,2\n", "line 3: expected 3 fields, got 2"),
+    (read_examples_csv, "x,y,label\n1,2,1\n1,y,1\n", "line 3: non-numeric field"),
+], ids=["labels-fields", "labels-number", "examples-fields", "examples-number"])
+def test_csv_row_errors_name_their_file_line(tmp_path, reader, text, message):
+    path = tmp_path / "rows.csv"
+    path.write_text(text)
+    with pytest.raises(TraceFormatError, match=f"^{message}$"):
+        reader(path)
+
+
+@pytest.mark.parametrize("attr", ["x", "y", "speed"])
+def test_fcd_non_numeric_value_is_rejected(tmp_path, attr):
+    values = {"x": "1", "y": "2", "speed": "3", attr: "fast"}
+    path = tmp_path / "text.xml"
+    path.write_text('<fcd-export><timestep time="0"><vehicle id="v" '
+                    + " ".join(f'{k}="{v}"' for k, v in values.items())
+                    + "/></timestep></fcd-export>\n")
+    with pytest.raises(TraceFormatError,
+                       match="^vehicle 'v': could not convert string to float: 'fast'$"):
+        read_fcd_xml(path, {"v": 0})
 
 
 @pytest.mark.parametrize("vehicle_id", ["a,b", "a&#10;b", "a&#13;b"])

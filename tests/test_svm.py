@@ -244,6 +244,14 @@ class TestKernels:
          "polynomial kernel needs degree >= 1"),
         ("polynomial", {"degree": np.float64(3.0), "gamma": 1.0, "coef0": 0.0},
          "polynomial kernel needs a finite int degree within float64 range"),
+        ("polynomial", {"degree": np.longdouble(3), "gamma": 1.0, "coef0": 0.0},
+         "polynomial kernel needs a finite int degree within float64 range"),
+        ("rbf", {"gamma": np.longdouble("1e4000")},
+         "rbf kernel needs a finite float gamma within float64 range"),
+        ("sigmoid", {"gamma": 1.0, "coef0": np.longdouble("-inf")},
+         "sigmoid kernel needs a finite float coef0 within float64 range"),
+        ("rbf", {"gamma": np.longdouble("nan")},
+         "rbf kernel needs a finite float gamma within float64 range"),
     ])
     def test_parameters_present_exactly_per_family(self, family, kwargs, message):
         with pytest.raises(ValueError) as exc_info:
@@ -613,6 +621,7 @@ class TestSerialization:
         ("family=rbf bias=0", "bad model header: 'gamma'"),
         ("family=rbf degree=2 gamma=1 bias=0", "unknown header fields ['degree']"),
         ("family=linear bias=0 bias=1", "repeated header field 'bias'"),
+        ("family=rbf gamma bias=0", "malformed header token 'gamma'"),
     ])
     def test_bad_header_messages(self, header, message):
         with pytest.raises(ModelFormatError) as exc_info:
@@ -622,7 +631,8 @@ class TestSerialization:
     @pytest.mark.parametrize("degree, gamma, coef0", [
         (3, 0.5, 0.0), (np.int64(3), np.float32(0.5), np.float64(0.0)),
         (np.uint8(3), np.float16(0.5), np.int32(0)),
-    ], ids=["python", "numpy", "numpy-narrow"])
+        (np.int64(3), np.longdouble(0.5), np.longdouble(0)),
+    ], ids=["python", "numpy", "numpy-narrow", "numpy-wide"])
     def test_header_writes_the_family_parameters_in_table_order(self, degree, gamma, coef0):
         spec = KernelSpec.polynomial(degree=degree, gamma=gamma, coef0=coef0)
         assert {type(v) for v in (spec.degree, spec.gamma, spec.coef0)} <= {int, float}

@@ -40,6 +40,7 @@ class TestConfigValidation:
             ({"num_steps": 0}, "num_steps"),
             ({"lane_y": (0.0, 0.0, -1.0)}, "lane_y"),
             ({"lane_y": (-1.0, -0.5, 0.0)}, "lane_y"),
+            ({"lane_y": (0.0, -1.0)}, "lane_y"),
             ({"speed_range": (0.0, 2.0)}, "speed_range"),
             ({"speed_range": (3.0, 1.0)}, "speed_range"),
             ({"ramp_end": (260.0, -0.5)}, "ramp_end"),

@@ -123,12 +123,22 @@ class TestTrainBasics:
         ({"max_passes": "3"}, "max_passes must be >= 1"),
         ({"C": np.float32("inf")}, "C must be finite and > 0"),
         ({"tol": np.float16("inf")}, "tol must be finite and > 0"),
+        ({"C": np.longdouble("1e4000")}, "C must be finite and > 0"),
+        ({"tol": np.longdouble("nan")}, "tol must be finite and > 0"),
     ])
     def test_out_of_range_config_raises(self, kwargs, message):
         with pytest.raises(ValueError) as exc_info:
             train(TWO_POINTS, KernelSpec.linear(), TrainConfig(**kwargs))
         assert type(exc_info.value) is ValueError
         assert str(exc_info.value) == message
+
+    @pytest.mark.parametrize("value", [np.float32(2), np.float64(2), np.longdouble(2), np.int64(2)],
+                             ids=lambda value: type(value).__name__)
+    def test_numpy_parameters_become_python_numbers(self, value):
+        config = TrainConfig(C=value, tol=value, max_passes=value)
+        kind = int if isinstance(value, np.integer) else float
+        assert {type(v) for v in (config.C, config.tol, config.max_passes)} == {kind}
+        assert config == TrainConfig(C=2, tol=2, max_passes=2)
 
     @pytest.mark.parametrize("kwargs, message", [
         ({"C": 0}, "C must be finite and > 0"),
