@@ -21,6 +21,7 @@ import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
+from itertools import chain
 from numbers import Real
 from pathlib import Path
 
@@ -209,7 +210,6 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``a[:, None]`` and ``b[None]`` give all pairs, as ``a @ b.T``, but built from
     elementwise products, so the floating-point result does not depend on the
     BLAS build; training trajectories stay bit-reproducible across platforms.
-    The rbf squared distance |a - b|^2 is the dot product of a - b with itself.
     """
     dots = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
@@ -220,12 +220,18 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The family's formula on rows ``a`` and ``b``, broadcast against each
     other as ``_pairwise_dots`` takes them, in ``KernelSpec``'s operation
-    order.  rbf sums the squares of a - b, which is finite or +-inf, so its
-    value is never nan, K(x, x) is 1 and K(a, b) is K(b, a) bit for bit.
-    Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    order.  rbf sums (a_k - b_k)^2 one feature at a time, in index order, into
+    one array of the broadcast shape with one scratch array beside it; the
+    (..., d) difference array is never built.  Each term is finite or +inf,
+    so the value is never nan, K(x, x) is 1 and K(a, b) is K(b, a) bit for
+    bit.  Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
     if spec.family == "rbf":  # exp(-gamma * |a - b|^2)
-        diff = a - b
-        dots = _pairwise_dots(diff, diff)
+        dots = np.subtract(a[..., 0], b[..., 0])
+        dots *= dots
+        diff = np.empty_like(dots)
+        for k in range(1, a.shape[-1]):
+            np.subtract(a[..., k], b[..., k], out=diff)
+            dots += np.multiply(diff, diff, out=diff)
         return np.exp(np.multiply(dots, -spec.gamma, out=dots), out=dots)
     dots = _pairwise_dots(a, b)
     if spec.family == "linear":
@@ -531,19 +537,23 @@ class _Smo:
         Each step takes i = argmax F over I_up and, among the t in I_low with
         b_t = F_i - F_t > 0, the j minimizing -b_t^2 / a_t, where
         a_t = K_ii + K_tt - 2 K_it, or TAU when that is not positive (WSS2,
-        Fan, Chen & Lin 2005).  b = F_i - ``f_low`` is -inf outside I_low, and
-        b_t^2 / (-a_t) is -b_t^2 / a_t bit for bit.  The step adds y_i * lam to
-        alpha_i and -y_j * lam to alpha_j, lam = b_j / a_j clipped to the box.
-        A pass is n steps; the objective is recorded after each pass, the last
-        one possibly partial.
+        Fan, Chen & Lin 2005).  The scan clamps b = max(F_i - ``f_low``, 0),
+        so b_t is 0 for nan, for b_t <= 0 and for the -inf outside I_low, and
+        scores b_t^2 / (-a_t), which is -b_t^2 / a_t bit for bit: each
+        candidate scores <= -0.0 and every other t exactly -0.0, so the first
+        minimizer is the masked rule's, unless every candidate's b_t^2
+        underflows; then a guard takes the first t with b_t > 0, as the masked
+        rule does.  The step adds y_i * lam to alpha_i and -y_j * lam to
+        alpha_j, lam = b_j / a_j clipped to the box.  A pass is n steps; the
+        objective is recorded after each pass, the last one possibly partial.
         """
         n, c, tol, labels, limit = self.n, self.c, self.tol, self.labels, max_passes * self.n
         alpha, up, low, f_up, f_low = self.alpha, self.up, self.low, self.f_up, self.f_low
         rows, curvature, (update, scratch) = self.rows, self.curvature, self.work
         up_max, up_item, low_min, low_item = f_up.argmax, f_up.item, f_low.argmin, f_low.item
-        multiply, subtract, divide, putmask, greater, logical_not, inf = (
-            np.multiply, np.subtract, np.divide, np.putmask, np.greater, np.logical_not, np.inf)
-        b, score, rest = np.empty(n), np.empty(n), np.empty(n, dtype=bool)
+        multiply, subtract, divide, fmax, putmask, inf = (
+            np.multiply, np.subtract, np.divide, np.fmax, np.putmask, np.inf)
+        b, score = np.empty(n), np.empty(n)
         objectives, steps = [], 0
         while True:
             i = int(up_max())
@@ -556,10 +566,10 @@ class _Smo:
             if not gap > tol or steps >= limit:  # a nan gap stops too
                 break
             k_i, neg_a = rows(i), curvature(i)
-            multiply(subtract(f_i, f_low, out=b), b, out=score)
-            divide(score, neg_a, out=score)
-            putmask(score, logical_not(greater(b, 0.0, out=rest), out=rest), inf)
-            j = int(score.argmin())
+            fmax(subtract(f_i, f_low, out=b), 0.0, out=b)
+            j = int(divide(multiply(b, b, out=score), neg_a, out=score).argmin())
+            if not b.item(j) > 0.0:  # every candidate's score underflowed to -0.0
+                j = int((b > 0.0).argmax())
             y_i, y_j = labels[i], labels[j]
             old_i, old_j = alpha.item(i), alpha.item(j)
             lam = min(b.item(j) / -neg_a.item(j), c - old_i if y_i > 0 else old_i,
@@ -571,8 +581,7 @@ class _Smo:
             update += multiply(rows(j), y_j * (new_j - old_j), out=scratch)
             f_up -= update
             f_low -= update
-            for t, y_t, new in ((i, y_i, new_i), (j, y_j, new_j)):
-                f_t = up_item(t) if up[t] else low_item(t)
+            for t, y_t, new, f_t in ((i, y_i, new_i, up_item(i)), (j, y_j, new_j, low_item(j))):
                 above, below = new > 0.0, new < c
                 up_t, low_t = up[t], low[t] = (below, above) if y_t > 0 else (above, below)
                 f_up[t], f_low[t] = f_t if up_t else -inf, f_t if low_t else inf
@@ -633,21 +642,27 @@ def train(
     point of a dual that need not be concave, not necessarily its optimum: on
     80 standardized examples at C = 1 one reached 18.0530, scipy's SLSQP 18.0686.
 
+    Labels and features are each read into an array in one pass, after a
+    per-example check that every example has as many features as the first;
+    one that differs raises DimensionMismatchError.
+
     The n x n Gram matrix is never built: the solver computes kernel rows as
     it needs them and keeps the last 64, plus the curvature vectors of the
     last 64 rows taken as i, so memory is O(n) plus 128 vectors of length n.
     """
     if not data:
         raise ValueError("training data is empty")
-    ys = np.array([e.label for e in data], dtype=float)
+    n = len(data)
+    ys = np.fromiter((e.label for e in data), dtype=float, count=n)
     if np.all(ys == ys[0]):
         raise SingleClassError(f"training data needs both classes, got labels {[int(ys[0])]}")
-    try:
-        xs = np.array([e.features for e in data], dtype=float)
-    except ValueError:  # features of different lengths
-        raise DimensionMismatchError("training examples have inconsistent dimensions") from None
-    if not xs.shape[1]:
+    d = len(data[0].features)
+    if any(len(e.features) != d for e in data):
+        raise DimensionMismatchError("training examples have inconsistent dimensions")
+    if not d:
         raise DimensionMismatchError("training examples have no features")
+    xs = np.fromiter(chain.from_iterable(e.features for e in data), dtype=float,
+                     count=n * d).reshape(n, d)
     kernel = kernel.resolved(xs)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         smo = _Smo(*_gram(kernel, xs), ys, cfg)

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
@@ -335,6 +336,18 @@ class TestKernels:
         squares = ((a[:, None, k] - b[None, :, k]) ** 2 for k in range(3))
         expected = np.exp(-1e-6 * sum(squares))  # ((0 + s_0) + s_1) + s_2, feature order
         assert kernel_matrix(spec, a, b).tobytes() == expected.tobytes()
+
+    def test_rbf_builds_no_array_of_differences(self):
+        # The (400, 400, 16) difference array alone would be 16 times the result.
+        rng = np.random.default_rng(4)
+        a, b = rng.normal(size=(400, 16)), rng.normal(size=(400, 16))
+        tracemalloc.start()
+        try:
+            kernel_matrix(KernelSpec.rbf(gamma=0.5), a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 400 * 400 * 8
 
     def test_rbf_is_bitwise_symmetric(self):
         rng = np.random.default_rng(3)

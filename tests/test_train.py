@@ -82,10 +82,15 @@ class TestTrainBasics:
             train([], KernelSpec.linear())
 
     def test_inconsistent_dimensions_error(self):
-        with pytest.raises(DimensionMismatchError) as exc_info:
-            train([LabeledExample((0.0,), 1), LabeledExample((1.0, 1.0), -1)],
-                  KernelSpec.linear())
-        assert str(exc_info.value) == "training examples have inconsistent dimensions"
+        for features in (
+            [(0.0,), (1.0, 1.0)],
+            [(1.0, 1.0), (0.0,)],  # the longer example first
+            [(0.0, 1.0), (2.0,), (3.0, 4.0, 5.0)],  # 6 features in all, as 3 examples of 2 have
+        ):
+            data = [LabeledExample(x, 1 if k % 2 else -1) for k, x in enumerate(features)]
+            with pytest.raises(DimensionMismatchError) as exc_info:
+                train(data, KernelSpec.linear())
+            assert str(exc_info.value) == "training examples have inconsistent dimensions"
 
     @pytest.mark.parametrize("kernel", [KernelSpec.linear(), KernelSpec.rbf(),
                                         KernelSpec.polynomial(), KernelSpec.sigmoid()],
@@ -498,6 +503,27 @@ class TestReferenceLoop:
         summary = assert_matches_reference(standardized_examples(default_trace, 400),
                                            KernelSpec.linear(), TrainConfig(C=100.0))
         assert (summary.passes, summary.converged) == (29, True)
+
+    def test_a_scan_where_every_candidate_score_underflows_matches_the_reference(self):
+        """F within 1e-169 of 0, so every b_t^2 underflows to 0 and each candidate
+        scores -0.0, as the other t do: j must still be the first candidate (t = 2),
+        not t = 0, which is outside I_low."""
+        xs = np.array([[0.0], [1.0], [2.0], [3.0]])
+        ys = np.array([1.0, 1.0, -1.0, -1.0])  # at alpha = 0: I_up = {0, 1}, I_low = {2, 3}
+        f = np.array([0.0, 3e-170, 1e-170, 2e-170])
+        cfg = TrainConfig(tol=1e-200, max_passes=5)
+        full = kernel_matrix(KernelSpec.rbf(gamma=1.0), xs, xs)
+        ref = ReferenceSmo(full.__getitem__, np.diag(full).copy(), ys, cfg)
+        ref.grad = -ys * f
+        smo = svm._Smo(full.__getitem__, np.diag(full).copy(), ys, cfg)
+        smo.f_up, smo.f_low = np.where(smo.up, f, -np.inf), np.where(smo.low, f, np.inf)
+        ref.run(cfg.max_passes)
+        smo.run(cfg.max_passes)
+        assert ref.alpha[0] == 0.0 and ref.alpha[2] > 0.0
+        assert _bits(smo.alpha) == _bits(ref.alpha)
+        assert _bits(smo.b) == _bits(ref.b)
+        f_smo = np.where(smo.up, smo.f_up, smo.f_low)
+        assert (f_smo + 0.0).tobytes() == (-ys * ref.grad + 0.0).tobytes()
 
 
 def assert_matches_reference(data, kernel, cfg):
