@@ -122,11 +122,11 @@ def _build_scenario(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(**values)
 
 
-# Every kernel parameter and its type; each is a train and run-paper flag.
+# Every kernel parameter and its type; each is a train, sweep and run-paper flag.
 _KERNEL_FLAGS = {name: kind for params in KERNEL_PARAMS.values() for name, kind in params.items()}
 
 
-# The solver's flags, each a TrainConfig field, and their types.
+# The solver's flags, each a TrainConfig field, and their types; train and sweep take them.
 _SOLVER_FLAGS = {"C": float, "tol": float, "max_passes": int}
 
 # The flags that only training reads; each parses to None when not given.
@@ -134,17 +134,23 @@ _TRAINING_FLAGS = ("kernel", *_KERNEL_FLAGS, *_SOLVER_FLAGS, "train_size")
 
 
 def _given(args: argparse.Namespace, names) -> dict:
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    """The flags in ``names`` that were given; one the command lacks reads as None."""
+    return {name: value for name in names if (value := getattr(args, name, None)) is not None}
 
 
-def _kernel_from_args(args: argparse.Namespace) -> KernelSpec:
-    """The --kernel family's constructor (linear by default), called with the
-    kernel flags given; a flag that family does not take is a usage error."""
+def _experiment(args: argparse.Namespace) -> tuple[int, KernelSpec, TrainConfig]:
+    """The train size (DEFAULT_TRAIN_SIZE unless given), kernel and TrainConfig
+    that the flags name.  The kernel is the --kernel family's constructor (linear
+    by default) called with the kernel flags given; a flag that family does not
+    take is a usage error.  A command without solver flags gets TrainConfig().
+    Reads no file, so a bad flag is refused before any trace is read or made."""
     family, given = args.kernel or "linear", _given(args, _KERNEL_FLAGS)
     for name in given:
         if name not in KERNEL_PARAMS[family]:
             raise ValueError(f"--{name} does not apply to the {family} kernel")
-    return getattr(KernelSpec, family)(**given)
+    kernel = getattr(KernelSpec, family)(**given)
+    train_size = DEFAULT_TRAIN_SIZE if args.train_size is None else args.train_size
+    return train_size, kernel, TrainConfig(**_given(args, _SOLVER_FLAGS))
 
 
 def parse_test_sizes(raw: str) -> list[int]:
@@ -176,17 +182,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _training_inputs(args: argparse.Namespace):
-    """The trace, train size, kernel and TrainConfig that the train flags
-    name; a bad flag is refused before the trace is read."""
-    kernel, cfg = _kernel_from_args(args), TrainConfig(**_given(args, _SOLVER_FLAGS))
-    train_size = DEFAULT_TRAIN_SIZE if args.train_size is None else args.train_size
-    return read_trace_csv(args.trace), train_size, kernel, cfg
-
-
 def _cmd_train(args: argparse.Namespace) -> int:
-    trace, train_size, kernel, cfg = _training_inputs(args)
-    train_ds, _ = split_examples(trace, train_size, (), args.seed)
+    train_size, kernel, cfg = _experiment(args)
+    train_ds, _ = split_examples(read_trace_csv(args.trace), train_size, (), args.seed)
     model = train_position_model(train_ds, kernel, cfg)
     save_model(model, args.output)
     summary = model.summary
@@ -209,7 +207,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         _, tests = split_examples(trace, 0, test_sizes, args.seed)
         report = sweep_with_model(model, tests, 0)
     else:
-        trace, train_size, kernel, cfg = _training_inputs(args)
+        train_size, kernel, cfg = _experiment(args)
+        trace = read_trace_csv(args.trace)
         report = accuracy_sweep(trace, train_size, test_sizes, kernel, cfg, args.seed)
     report_to_csv(report, args.output)
     print(format_report(report))
@@ -232,17 +231,16 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 def _cmd_run_paper(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     test_sizes = parse_test_sizes(args.test_sizes)
-    kernel = _kernel_from_args(args)
+    train_size, kernel, cfg = _experiment(args)
 
     trace = generate_trace(ScenarioConfig(num_vehicles=args.vehicles, rng_seed=args.seed))
-    train_ds, tests = split_examples(trace, args.train_size, test_sizes, args.seed)
+    train_ds, tests = split_examples(trace, train_size, test_sizes, args.seed)
+    model = train_position_model(train_ds, kernel, cfg)
+    report = sweep_with_model(model, tests, train_size)
+
     out_dir.mkdir(parents=True, exist_ok=True)
     write_trace_csv(trace, out_dir / "trace.csv")
-
-    model = train_position_model(train_ds, kernel, TrainConfig())
     save_model(model, out_dir / "model.txt")
-
-    report = sweep_with_model(model, tests, args.train_size)
     report_to_csv(report, out_dir / "report.csv")
 
     figures = {"train": train_ds}
@@ -262,15 +260,12 @@ def _cmd_run_paper(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_kernel_flags(parser: argparse.ArgumentParser) -> None:
+def _add_experiment_flags(parser: argparse.ArgumentParser, solver: bool = True) -> None:
+    """The flags that _experiment reads, and --seed; ``solver`` adds the solver's."""
     parser.add_argument("--kernel", choices=KERNEL_FAMILIES, help="default linear")
     for name, kind in _KERNEL_FLAGS.items():
         parser.add_argument(f"--{name}", type=kind)
-
-
-def _add_train_flags(parser: argparse.ArgumentParser) -> None:
-    _add_kernel_flags(parser)
-    for name, kind in _SOLVER_FLAGS.items():
+    for name, kind in _SOLVER_FLAGS.items() if solver else ():
         parser.add_argument(f"--{name.replace('_', '-')}", type=kind,
                             help=f"TrainConfig.{name}, default {getattr(TrainConfig, name)}")
     parser.add_argument("--train-size", type=int, help=f"default {DEFAULT_TRAIN_SIZE}")
@@ -295,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train an SVM on examples sampled from a trace")
     p.add_argument("trace")
-    _add_train_flags(p)
+    _add_experiment_flags(p)
     p.add_argument("-o", "--output", required=True, help="model output path")
     p.set_defaults(func=_cmd_train)
 
@@ -303,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("trace")
     p.add_argument("--model", default=None,
                    help="evaluate this serialized model instead of training")
-    _add_train_flags(p)
+    _add_experiment_flags(p)
     p.add_argument("--test-sizes", default=DEFAULT_TEST_SIZES,
                    help="'10', '10,20,30', or 'start:stop:step'")
     p.add_argument("-o", "--output", required=True, help="report CSV path")
@@ -320,11 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="one-line reproduction: generate, train, sweep, plot with the defaults",
     )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--vehicles", type=int, default=ScenarioConfig.num_vehicles)
-    p.add_argument("--train-size", type=int, default=DEFAULT_TRAIN_SIZE)
     p.add_argument("--test-sizes", default=DEFAULT_TEST_SIZES)
-    _add_kernel_flags(p)
+    _add_experiment_flags(p, solver=False)
     p.set_defaults(func=_cmd_run_paper)
 
     return parser

@@ -261,20 +261,32 @@ class TestScenarioFlags:
         assert "config" in capsys.readouterr().err
 
 
+# A kernel flag, with a value, that the family does not take.
+INAPPLICABLE_KERNEL_FLAGS = [
+    ("linear", "gamma", "0.5"),
+    ("linear", "coef0", "1"),
+    ("linear", "degree", "2"),
+    ("rbf", "coef0", "1"),
+    ("rbf", "degree", "2"),
+    ("sigmoid", "degree", "2"),
+]
+
+
 class TestKernelFlags:
-    @pytest.mark.parametrize("family, flag, value", [
-        ("linear", "gamma", "0.5"),
-        ("linear", "coef0", "1"),
-        ("linear", "degree", "2"),
-        ("rbf", "coef0", "1"),
-        ("rbf", "degree", "2"),
-        ("sigmoid", "degree", "2"),
+    # The train cases keep their ids; the sweep and run-paper ones add the command.
+    @pytest.mark.parametrize("command, family, flag, value", [
+        pytest.param(command, *case,
+                     id="-".join(case) + ("" if command == "train" else f"-{command}"))
+        for command in ("train", "sweep", "run-paper") for case in INAPPLICABLE_KERNEL_FLAGS
     ])
-    def test_flag_that_does_not_apply_exits_2(self, trace_path, tmp_path, capsys, family,
-                                              flag, value):
-        out = tmp_path / "m.txt"
-        code = main(["train", str(trace_path), "--train-size", "30", "--kernel", family,
-                     f"--{flag}", value, "-o", str(out)])
+    def test_flag_that_does_not_apply_exits_2(self, trace_path, tmp_path, capsys, command,
+                                              family, flag, value):
+        out = tmp_path / "out"
+        where = [str(trace_path), "-o", str(out)]
+        if command == "run-paper":
+            where = ["--out-dir", str(out)]
+        code = main([command, *where, "--train-size", "30", "--kernel", family,
+                     f"--{flag}", value])
         assert code == 2
         assert f"--{flag}" in capsys.readouterr().err
         assert not out.exists()
@@ -878,6 +890,37 @@ class TestRunPaper:
         assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "80", sizes]) == 2
         assert "test sizes must be at least 1" in capsys.readouterr().err
         assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    @pytest.mark.parametrize("flags, code, message", [
+        (["--train-size", "0"], 2, "training data is empty"),
+        (["--train-size", "1"], 3, "training data needs both classes"),
+        (["--train-size", "20", "--kernel", "polynomial", "--degree", str(10**20)], 2,
+         "the kernel overflows"),
+    ], ids=["empty", "single-class", "overflowing-kernel"])
+    def test_training_failure_writes_nothing(self, tmp_path, capsys, flags, code, message):
+        out_dir = tmp_path / "run"
+        assert main_without_warnings(["run-paper", "--out-dir", str(out_dir), "--vehicles", "30",
+                                      "--test-sizes", "5", *flags]) == code
+        err = capsys.readouterr().err
+        assert message in err
+        assert err.count("\n") == 1  # the error line alone
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flag", [["--C", "1"], ["--tol", "1e-3"], ["--max-passes", "5"]])
+    def test_solver_flags_are_refused(self, tmp_path, capsys, flag):
+        out_dir = tmp_path / "run"
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "30", *flag]) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+    def test_default_train_size_matches_train(self, tmp_path, capsys):
+        out_dir = tmp_path / "run"
+        assert main(["run-paper", "--out-dir", str(out_dir), "--vehicles", "410",
+                     "--test-sizes", "10"]) == 0
+        assert f"{cli.DEFAULT_TRAIN_SIZE} training examples" in capsys.readouterr().out
+        model = tmp_path / "model.txt"
+        assert main(["train", str(out_dir / "trace.csv"), "-o", str(model)]) == 0
+        assert model.read_bytes() == (out_dir / "model.txt").read_bytes()
 
 
 class TestUsage:
