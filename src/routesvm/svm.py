@@ -209,7 +209,9 @@ def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     ``a[:, None]`` and ``b[None]`` give all pairs, as ``a @ b.T``, but built from
     elementwise products, so the floating-point result does not depend on the
-    BLAS build; training trajectories stay bit-reproducible across platforms.
+    BLAS build or the CPU.  Linear and polynomial models train bit for bit
+    alike on every CPU; rbf and sigmoid ones follow numpy's SIMD ``exp`` and
+    ``tanh``, which numpy picks by the CPU at import.
     """
     dots = a[..., 0] * b[..., 0]
     for k in range(1, a.shape[-1]):
@@ -224,7 +226,10 @@ def _kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     one array of the broadcast shape with one scratch array beside it; the
     (..., d) difference array is never built.  Each term is finite or +inf,
     so the value is never nan, K(x, x) is 1 and K(a, b) is K(b, a) bit for
-    bit.  Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+    bit.  polynomial raises to ``degree`` by squarings and multiplications,
+    high bit first: exact IEEE products, not numpy's SIMD ``power``, and a
+    power past float64 is inf as with ``pow``.  Call it under
+    ``np.errstate(over="ignore", invalid="ignore")``."""
     if spec.family == "rbf":  # exp(-gamma * |a - b|^2)
         dots = np.subtract(a[..., 0], b[..., 0])
         dots *= dots
@@ -239,7 +244,11 @@ def _kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     np.add(np.multiply(dots, spec.gamma, out=dots), spec.coef0, out=dots)
     if spec.family == "sigmoid":
         return np.tanh(dots, out=dots)
-    dots **= spec.degree
+    base = dots.copy()
+    for bit in bin(spec.degree)[3:]:  # the bits after the leading 1, high to low
+        np.multiply(dots, dots, out=dots)
+        if bit == "1":
+            np.multiply(dots, base, out=dots)
     return dots
 
 
@@ -480,23 +489,23 @@ class _Smo:
 
     A pair step moves alpha_i and alpha_j only, so the run keeps as state
     what the step changes, as LIBSVM does (Chang & Lin 2011, section 4): the
-    ``up`` and ``low`` masks (set at i and j) and F as two views, ``f_up``
-    (F on I_up, -inf elsewhere) and ``f_low`` (F on I_low, +inf elsewhere),
-    both moved in place by two scaled kernel rows.  Every t is in I_up or
-    I_low, so F and G derive from them.  ``rows`` keeps the ``_ROW_CACHE``
-    most recently used kernel rows (LIBSVM's kernel cache) and ``curvature``
-    as many negated curvature vectors (see ``run``), made only for the rows
-    taken as i: at most 128 vectors of length n, none of them ever written.
+    ``up`` and ``low`` masks (y > 0 and y < 0 at alpha = 0, then set at i and
+    j) and F as two views, ``f_up`` (F on I_up, -inf elsewhere) and ``f_low``
+    (F on I_low, +inf elsewhere), both moved in place by two scaled kernel
+    rows.  Every t is in I_up or I_low, so F and G derive from them.  ``rows``
+    keeps the ``_ROW_CACHE`` most recently used kernel rows (LIBSVM's kernel
+    cache) and ``curvature`` as many negated curvature vectors (see ``run``),
+    made only for the rows taken as i: at most 128 vectors of length n, none
+    of them ever written.
     """
 
     def __init__(self, row: Callable[[int], np.ndarray], diag: np.ndarray, y: np.ndarray,
                  cfg: TrainConfig):
-        self.y, self.labels, self.c, self.tol, self.n = y, y.tolist(), float(cfg.C), cfg.tol, len(y)
+        self.y, self.c, self.tol, self.n = y, float(cfg.C), cfg.tol, len(y)
         self.alpha = np.zeros(self.n)
-        self.up, self.low = self.movable()
+        self.up, self.low = y > 0, y < 0
         self.f_up, self.f_low = np.where(self.up, y, -np.inf), np.where(self.low, y, np.inf)
         self.b = 0.0
-        self.work = np.empty((2, self.n))  # the step's update vector and a scratch row
         self.rows = rows = lru_cache(maxsize=_ROW_CACHE)(row)
         sums, mask = np.empty(self.n), np.empty(self.n, dtype=bool)
 
@@ -515,21 +524,9 @@ class _Smo:
         additions from -1, so F derived back from G has one zero sign per class."""
         return -self.y * np.where(self.up, self.f_up, self.f_low) + 0.0
 
-    def movable(self) -> tuple[np.ndarray, np.ndarray]:
-        """Masks of I_up and I_low."""
-        above, below = self.alpha > 0.0, self.alpha < self.c
-        pos = self.y > 0
-        return np.where(pos, below, above), np.where(pos, above, below)
-
     def objective(self) -> float:
         """sum(alpha) - 1/2 alpha'Q alpha, read off G in O(n)."""
         return float(0.5 * np.sum(self.alpha * (1.0 - self.grad)))
-
-    def top(self) -> tuple[int, float, float]:
-        """i = argmax F over I_up, F_i and the gap m - M."""
-        i = int(self.f_up.argmax())
-        f_i = self.f_up.item(i)
-        return i, f_i, f_i - self.f_low.item(int(self.f_low.argmin()))
 
     def run(self, max_passes: int) -> TrainSummary:
         """Pair steps until m - M <= tol or max_passes * n steps.
@@ -547,9 +544,9 @@ class _Smo:
         alpha_j, lam = b_j / a_j clipped to the box.  A pass is n steps; the
         objective is recorded after each pass, the last one possibly partial.
         """
-        n, c, tol, labels, limit = self.n, self.c, self.tol, self.labels, max_passes * self.n
+        n, c, tol, labels, limit = self.n, self.c, self.tol, self.y.tolist(), max_passes * self.n
         alpha, up, low, f_up, f_low = self.alpha, self.up, self.low, self.f_up, self.f_low
-        rows, curvature, (update, scratch) = self.rows, self.curvature, self.work
+        rows, curvature, (update, scratch) = self.rows, self.curvature, np.empty((2, n))
         up_max, up_item, low_min, low_item = f_up.argmax, f_up.item, f_low.argmin, f_low.item
         multiply, subtract, divide, fmax, putmask, inf = (
             np.multiply, np.subtract, np.divide, np.fmax, np.putmask, np.inf)
@@ -562,7 +559,9 @@ class _Smo:
             if gap != gap:  # an infinite update can make a sentinel inf - inf: re-set them
                 putmask(f_up, ~up, -inf)
                 putmask(f_low, ~low, inf)
-                i, f_i, gap = self.top()
+                i = int(up_max())
+                f_i = up_item(i)
+                gap = f_i - low_item(int(low_min()))
             if not gap > tol or steps >= limit:  # a nan gap stops too
                 break
             k_i, neg_a = rows(i), curvature(i)

@@ -261,3 +261,18 @@ def write_fcd_xml(trace: Trace, destination: str | Path, time_step: float = 0.5)
 
 def label_table_of(trace: Trace) -> dict[str, int]:
     return {vid: label for _, vid, *_, label in rows_of(trace)}
+
+
+def enabled_simd_targets() -> list[str] | None:
+    """The SIMD dispatch targets above numpy's baseline that numpy uses in this
+    process, in its own order; None when numpy exposes no runtime CPU info.
+    Each is a name ``NPY_DISABLE_CPU_FEATURES`` takes."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    features = getattr(umath, "__cpu_features__", None)
+    dispatch = getattr(umath, "__cpu_dispatch__", None)
+    if features is None or dispatch is None:
+        return None
+    return [target for target in dispatch if features.get(target)]

@@ -1,8 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import routesvm
+from helpers import enabled_simd_targets
 from routesvm import cli
 from routesvm.cli import main, parse_test_sizes
 from routesvm.dataset_io import write_trace_csv
@@ -50,6 +56,20 @@ def overflowing_trace_path(tmp_path):
     path = tmp_path / "overflowing.csv"
     write_trace_csv(trace, path)
     return path
+
+
+# run-paper --seed 7 into argv[1]/<family> for each family in argv[2:], then a
+# last stdout line of the SIMD targets numpy dispatched to.
+RUN_PAPER_SCRIPT = """
+import sys
+from helpers import enabled_simd_targets
+from routesvm.cli import main
+for family in sys.argv[2:]:
+    out_dir = f"{sys.argv[1]}/{family}"
+    if main(["run-paper", "--seed", "7", "--kernel", family, "--out-dir", out_dir]):
+        sys.exit(f"run-paper --kernel {family} failed")
+print(" ".join(enabled_simd_targets()))
+"""
 
 
 def main_without_warnings(argv: list[str]) -> int:
@@ -473,8 +493,8 @@ class TestTrain:
         ("linear", "100", "cce689068a546df2ff8f952fbba25cc90507933a29ad5a489df5a436ff3a8d29"),
         ("rbf", "1", "bcde986d79b1706db4c1678bb32c7a22e3e9453c6f0d98996949e335f2eaf974"),
         ("rbf", "100", "bb41c54ce68f1169f2889669552b9dde03a5237cda8047a95bceff4bd3adc6d5"),
-        ("polynomial", "1", "fe868e6700d274440e9c9c98e7ce16dde8971e22246fbc3b0a8a027ed3c9e3d3"),
-        ("polynomial", "100", "8c4a100dd0d34477cc4b87c19ab83fc4b27ceb64dcb7c3fc93950ab7505f6517"),
+        ("polynomial", "1", "bc451b611b29fc50df1fa2d74d5c2d0bdfcadfb3e3265d8f4581368d017b1d68"),
+        ("polynomial", "100", "a9a73b50c9a67f1fb9f8e99f54d69dc0f3205341a30a67274cd8c82aac3e25fa"),
         ("sigmoid", "1", "287a18bbb048c8c3c7292f99179e6037ca2f10a8708448d2b865c209d78a0b92"),
         ("sigmoid", "100", "f1688acd78703dd85b5075b9c5a32f47529067787170a8121da90aa8757013f4"),
     ])
@@ -921,6 +941,35 @@ class TestRunPaper:
         model = tmp_path / "model.txt"
         assert main(["train", str(out_dir / "trace.csv"), "-o", str(model)]) == 0
         assert model.read_bytes() == (out_dir / "model.txt").read_bytes()
+
+    def test_linear_and_polynomial_outputs_are_the_same_bytes_at_numpy_baseline_simd(
+            self, tmp_path):
+        """run-paper in two processes: numpy's SIMD dispatch as it is, and with
+        every enabled target above numpy's baseline disabled.  The trace, model
+        and report match byte for byte.  rbf and sigmoid are left out: their
+        bits follow numpy's SIMD exp and tanh."""
+        targets = enabled_simd_targets()
+        if targets is None:
+            pytest.skip("numpy exposes no runtime CPU info")
+        if not targets:
+            pytest.skip("numpy uses no SIMD target above its baseline here")
+        path = [str(Path(routesvm.__file__).parents[1]), str(Path(__file__).parent),
+                os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        disabled = f"{env.get('NPY_DISABLE_CPU_FEATURES', '')} {' '.join(targets)}".strip()
+        dispatched = {}
+        for level, level_env in (("default", env),
+                                 ("baseline", {**env, "NPY_DISABLE_CPU_FEATURES": disabled})):
+            run = subprocess.run([sys.executable, "-c", RUN_PAPER_SCRIPT, str(tmp_path / level),
+                                  "linear", "polynomial"],
+                                 env=level_env, capture_output=True, text=True, check=True,
+                                 timeout=300)
+            dispatched[level] = run.stdout.splitlines()[-1]
+        assert dispatched == {"default": " ".join(targets), "baseline": ""}
+        for family in ("linear", "polynomial"):
+            for name in ("trace.csv", "model.txt", "report.csv"):
+                default, baseline = (tmp_path / level / family / name for level in dispatched)
+                assert default.read_bytes() == baseline.read_bytes(), f"{family}/{name}"
 
 
 class TestUsage:

@@ -548,8 +548,10 @@ def assert_matches_reference(data, kernel, cfg):
 
     with np.errstate(over="ignore", invalid="ignore"):
         smo = svm._Smo(*svm._gram(model.kernel, xs), ys, cfg)
+        up, low = ReferenceSmo.movable(smo)  # at alpha = 0, by the reference's rule
+        assert np.array_equal(smo.up, up) and np.array_equal(smo.low, low)
         smo.run(cfg.max_passes)
-    up, low = smo.movable()
+    up, low = ReferenceSmo.movable(smo)
     assert np.array_equal(smo.up, up) and np.array_equal(smo.low, low)
     assert smo.grad.tobytes() == ref.grad.tobytes()
     # F is kept by subtraction, so an exact zero may carry either sign.
