@@ -205,7 +205,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError(f"--{flag} does not apply with --model")
         trace, model = read_trace_csv(args.trace), load_model(args.model)
         _, tests = split_examples(trace, 0, test_sizes, args.seed)
-        report = sweep_with_model(model, tests, 0)
+        report = sweep_with_model(model, tests, None)
     else:
         train_size, kernel, cfg = _experiment(args)
         trace = read_trace_csv(args.trace)

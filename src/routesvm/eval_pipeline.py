@@ -17,6 +17,7 @@ import numpy as np
 
 from .dataset_io import Dataset, InsufficientVehiclesError, derive_seed, sample_examples
 from .svm import (
+    NORM_FLOOR,
     KernelSpec,
     LabeledExample,
     Standardizer,
@@ -44,9 +45,6 @@ __all__ = [
     "format_boundary",
     "format_report",
 ]
-
-W_FLOOR = 1e-12
-
 
 class EmptyTestError(ValueError):
     pass
@@ -82,7 +80,7 @@ class EvaluationReport:
     rows: tuple[SweepRow, ...]
     mean_accuracy: float | None  # None when the sweep had zero rows
     boundary: BoundaryLine | VerticalBoundary | None
-    train_size: int
+    train_size: int | None  # None for a model file, which does not record it
     convergence_flag: bool
 
 
@@ -102,9 +100,9 @@ def boundary_report(model: SvmModel) -> BoundaryLine | VerticalBoundary | None:
         return None
     w, b = extract_hyperplane(model)
     w_x, w_y = float(w[0]), float(w[1])
-    if abs(w_y) > W_FLOOR:
+    if abs(w_y) > NORM_FLOOR:
         return BoundaryLine(slope=-w_x / w_y, intercept=-b / w_y)
-    if abs(w_x) > W_FLOOR:
+    if abs(w_x) > NORM_FLOOR:
         return VerticalBoundary(x=-b / w_x)
     return None
 
@@ -155,7 +153,7 @@ def split_examples(
 
 
 def sweep_with_model(
-    model: SvmModel, tests: tuple[Dataset, ...], train_size: int
+    model: SvmModel, tests: tuple[Dataset, ...], train_size: int | None
 ) -> EvaluationReport:
     """Evaluate an existing model on each test set, one row per set."""
     rows = tuple(SweepRow(len(test.labels), evaluate(model, test)[0]) for test in tests)
@@ -205,8 +203,8 @@ def format_boundary(boundary: BoundaryLine | VerticalBoundary | None) -> str | N
 
 def format_report(report: EvaluationReport) -> str:
     """Human-readable accuracy table (per-size rows plus the mean)."""
-    header_right = f"{report.train_size} training examples"
-    rows = [("Testing examples", header_right)]
+    trained = "model file" if report.train_size is None else f"{report.train_size} training examples"
+    rows = [("Testing examples", trained)]
     for r in report.rows:
         rows.append((str(r.test_size), f"{100.0 * r.accuracy:.2f}%"))
     if report.mean_accuracy is not None:

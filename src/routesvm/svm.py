@@ -203,40 +203,33 @@ class KernelSpec:
         return self
 
 
-def _pairwise_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products over the last axis of ``a`` and ``b``, broadcast against
-    each other, accumulated one feature at a time in index order.
-
-    ``a[:, None]`` and ``b[None]`` give all pairs, as ``a @ b.T``, but built from
-    elementwise products, so the floating-point result does not depend on the
-    BLAS build or the CPU.  Linear and polynomial models train bit for bit
-    alike on every CPU; rbf and sigmoid ones follow numpy's SIMD ``exp`` and
-    ``tanh``, which numpy picks by the CPU at import.
+def _pairwise_dots(a: np.ndarray, b: np.ndarray, term=np.multiply) -> np.ndarray:
+    """Sums of ``term(a, b)`` over the last axis of ``a`` and ``b``, broadcast
+    against each other, accumulated one index at a time in index order: the
+    package's one summation rule.  ``a[:, None]`` and ``b[None]`` give all
+    pairs' dot products, as ``a @ b.T``; ``m.T`` and a vector ``c`` give
+    ``c @ m``.  Built from elementwise terms, the floating-point result does
+    not depend on the BLAS build or the CPU.  Linear and polynomial models
+    train bit for bit alike on every CPU; rbf and sigmoid ones follow numpy's
+    SIMD ``exp`` and ``tanh``, which numpy picks by the CPU at import.
     """
-    dots = a[..., 0] * b[..., 0]
+    dots = term(a[..., 0], b[..., 0])
     for k in range(1, a.shape[-1]):
-        dots += a[..., k] * b[..., k]
+        dots += term(a[..., k], b[..., k])
     return dots
 
 
 def _kernel(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The family's formula on rows ``a`` and ``b``, broadcast against each
     other as ``_pairwise_dots`` takes them, in ``KernelSpec``'s operation
-    order.  rbf sums (a_k - b_k)^2 one feature at a time, in index order, into
-    one array of the broadcast shape with one scratch array beside it; the
-    (..., d) difference array is never built.  Each term is finite or +inf,
-    so the value is never nan, K(x, x) is 1 and K(a, b) is K(b, a) bit for
-    bit.  polynomial raises to ``degree`` by squarings and multiplications,
-    high bit first: exact IEEE products, not numpy's SIMD ``power``, and a
-    power past float64 is inf as with ``pow``.  Call it under
-    ``np.errstate(over="ignore", invalid="ignore")``."""
+    order.  rbf sums (a_k - b_k)^2 there, squared in place, and never builds
+    the (..., d) difference array.  Each term is finite or +inf, so the value
+    is never nan, K(x, x) is 1 and K(a, b) is K(b, a) bit for bit.  polynomial
+    raises to ``degree`` by squarings and multiplications, high bit first:
+    exact IEEE products, not numpy's SIMD ``power``, and a power past float64
+    is inf as with ``pow``.  Call it under ``np.errstate(over="ignore", invalid="ignore")``."""
     if spec.family == "rbf":  # exp(-gamma * |a - b|^2)
-        dots = np.subtract(a[..., 0], b[..., 0])
-        dots *= dots
-        diff = np.empty_like(dots)
-        for k in range(1, a.shape[-1]):
-            np.subtract(a[..., k], b[..., k], out=diff)
-            dots += np.multiply(diff, diff, out=diff)
+        dots = _pairwise_dots(a, b, lambda u, v: np.square(diff := u - v, out=diff))
         return np.exp(np.multiply(dots, -spec.gamma, out=dots), out=dots)
     dots = _pairwise_dots(a, b)
     if spec.family == "linear":
@@ -389,8 +382,10 @@ class SvmModel:
 
 
 def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
-    """Decision function over a stack of row vectors or one vector (fixed
-    summation order).  A kernel that overflows on the data raises DataError."""
+    """Decision function over a stack of row vectors or one vector, summed
+    over the supports in index order by ``_pairwise_dots``: the same bits
+    whatever the BLAS build or CPU.  A kernel that overflows on the data
+    raises DataError."""
     xs = np.asarray(xs, dtype=float)
     xs = _rows(xs[None, :] if xs.ndim == 1 else xs)
     if not model.support_examples:
@@ -402,7 +397,8 @@ def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         if model.scaler is not None:
             xs = model.scaler.transform(xs)
-        values = model._coefs @ kernel_matrix(model.kernel, model._support_matrix, xs) + model.bias
+        k = kernel_matrix(model.kernel, model._support_matrix, xs)
+        values = _pairwise_dots(k.T, model._coefs) + model.bias
     if not np.isfinite(values).all():
         raise DataError("decision values are not finite: the kernel overflows on the data")
     return values
@@ -429,7 +425,7 @@ def weight_norm(model: SvmModel) -> float:
     if not model.support_examples:
         return 0.0
     k = kernel_matrix(model.kernel, model._support_matrix, model._support_matrix)
-    sq = float(model._coefs @ k @ model._coefs)
+    sq = float(_pairwise_dots(_pairwise_dots(k.T, model._coefs), model._coefs))
     return math.sqrt(max(sq, 0.0))
 
 
@@ -451,7 +447,7 @@ def extract_hyperplane(model: SvmModel) -> tuple[np.ndarray, float]:
         )
     if not model.support_examples:
         raise ValueError("model has no support examples")
-    w = model._coefs @ model._support_matrix
+    w = _pairwise_dots(model._support_matrix.T, model._coefs)
     if model.scaler is None:
         return w, model.bias
     mean, scale = np.array(model.scaler.mean), np.array(model.scaler.scale)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import gc
+import os
 import pickle
 import random
 import tracemalloc
@@ -13,6 +14,7 @@ from xml.sax.saxutils import quoteattr
 import numpy as np
 import pytest
 
+import routesvm
 from routesvm import dataset_io
 from routesvm.dataset_io import Dataset, TraceFormatError, read_trace_csv, write_trace_csv
 from routesvm.svm import KernelSpec, LabeledExample, SvmModel
@@ -276,3 +278,22 @@ def enabled_simd_targets() -> list[str] | None:
     if features is None or dispatch is None:
         return None
     return [target for target in dispatch if features.get(target)]
+
+
+def subprocess_env(**variables: str) -> dict[str, str]:
+    """This process's environment plus ``variables``, with the routesvm package
+    and these helpers on PYTHONPATH: for a Python subprocess."""
+    path = [str(Path(routesvm.__file__).parents[1]), str(Path(__file__).parent),
+            os.environ.get("PYTHONPATH")]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path)), **variables}
+
+
+def baseline_dispatch_env() -> dict[str, str] | None:
+    """``subprocess_env`` with every SIMD target in ``enabled_simd_targets``
+    added to ``NPY_DISABLE_CPU_FEATURES``, so that numpy runs its baseline
+    loops; None when numpy exposes no runtime CPU info."""
+    targets = enabled_simd_targets()
+    if targets is None:
+        return None
+    disabled = f"{os.environ.get('NPY_DISABLE_CPU_FEATURES', '')} {' '.join(targets)}".strip()
+    return subprocess_env(NPY_DISABLE_CPU_FEATURES=disabled)

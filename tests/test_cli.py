@@ -1,14 +1,11 @@
 import hashlib
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import pytest
 
-import routesvm
-from helpers import enabled_simd_targets
+from helpers import baseline_dispatch_env, enabled_simd_targets, subprocess_env
 from routesvm import cli
 from routesvm.cli import main, parse_test_sizes
 from routesvm.dataset_io import write_trace_csv
@@ -491,19 +488,29 @@ class TestTrain:
     @pytest.mark.parametrize("family, c_value, digest", [
         ("linear", "1", "b0243a19800a06daffcab6a784d29d8480ebdfed7f8376005e6ae7de33936885"),
         ("linear", "100", "cce689068a546df2ff8f952fbba25cc90507933a29ad5a489df5a436ff3a8d29"),
-        ("rbf", "1", "bcde986d79b1706db4c1678bb32c7a22e3e9453c6f0d98996949e335f2eaf974"),
-        ("rbf", "100", "bb41c54ce68f1169f2889669552b9dde03a5237cda8047a95bceff4bd3adc6d5"),
+        ("rbf", "1", "47aa462ca800466922538a30c204289237486709d60ef65ed74fe9bc94b1527e"),
+        ("rbf", "100", "ab6cd2556d369ce3e1682d83d36b3ecc7e19173fc3a682facdb92ab6fea56efc"),
         ("polynomial", "1", "bc451b611b29fc50df1fa2d74d5c2d0bdfcadfb3e3265d8f4581368d017b1d68"),
         ("polynomial", "100", "a9a73b50c9a67f1fb9f8e99f54d69dc0f3205341a30a67274cd8c82aac3e25fa"),
-        ("sigmoid", "1", "287a18bbb048c8c3c7292f99179e6037ca2f10a8708448d2b865c209d78a0b92"),
-        ("sigmoid", "100", "f1688acd78703dd85b5075b9c5a32f47529067787170a8121da90aa8757013f4"),
+        ("sigmoid", "1", "e59c685e5f7b772f5d61e428124ab43e83a864925d892a4598a87b16d1d0ea22"),
+        ("sigmoid", "100", "4cb720baf4389616501e516b4887274bd0cde3ac9002823f0469156402a4a623"),
     ])
     def test_model_bytes_on_the_run_paper_trace_are_pinned(self, default_trace, tmp_path,
                                                            family, c_value, digest):
+        """rbf and sigmoid models follow numpy's SIMD exp and tanh, so they are
+        trained in a subprocess at numpy's baseline dispatch, where exp and
+        tanh are the C library's; linear and polynomial bits do not depend on
+        the dispatch."""
         trace, model = tmp_path / "trace.csv", tmp_path / "model.txt"
         write_trace_csv(default_trace, trace)
-        assert main(["train", str(trace), "--kernel", family, "--C", c_value,
-                     "-o", str(model)]) == 0
+        argv = ["train", str(trace), "--kernel", family, "--C", c_value, "-o", str(model)]
+        if family in ("linear", "polynomial"):
+            assert main(argv) == 0
+        elif (env := baseline_dispatch_env()) is None:
+            pytest.skip("numpy exposes no runtime CPU info")
+        else:
+            subprocess.run([sys.executable, "-m", "routesvm.cli", *argv], env=env,
+                           capture_output=True, check=True, timeout=300)
         assert hashlib.sha256(model.read_bytes()).hexdigest() == digest
 
     def test_deterministic_model_file(self, trace_path, tmp_path):
@@ -587,6 +594,19 @@ class TestSweep:
                        " model's training vehicles\n")
         assert "warning" not in out
         assert out.endswith(f"wrote report to {tmp_path / 'report.csv'}\n")
+
+    def test_pretrained_model_report_names_no_training_size(self, trace_path, tmp_path,
+                                                            capsys):
+        """A model file does not record how many examples trained it."""
+        model_path = tmp_path / "model.txt"
+        assert main(["train", str(trace_path), "--train-size", "30",
+                     "-o", str(model_path)]) == 0
+        capsys.readouterr()
+        assert main(["sweep", str(trace_path), "--model", str(model_path),
+                     "--test-sizes", "10", "-o", str(tmp_path / "report.csv")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "Testing examples  model file"
+        assert "training examples" not in "\n".join(lines)
 
     def test_non_utf8_model_exits_3(self, trace_path, tmp_path, capsys):
         model_path = tmp_path / "model.txt"
@@ -953,13 +973,9 @@ class TestRunPaper:
             pytest.skip("numpy exposes no runtime CPU info")
         if not targets:
             pytest.skip("numpy uses no SIMD target above its baseline here")
-        path = [str(Path(routesvm.__file__).parents[1]), str(Path(__file__).parent),
-                os.environ.get("PYTHONPATH")]
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-        disabled = f"{env.get('NPY_DISABLE_CPU_FEATURES', '')} {' '.join(targets)}".strip()
         dispatched = {}
-        for level, level_env in (("default", env),
-                                 ("baseline", {**env, "NPY_DISABLE_CPU_FEATURES": disabled})):
+        for level, level_env in (("default", subprocess_env()),
+                                 ("baseline", baseline_dispatch_env())):
             run = subprocess.run([sys.executable, "-c", RUN_PAPER_SCRIPT, str(tmp_path / level),
                                   "linear", "polynomial"],
                                  env=level_env, capture_output=True, text=True, check=True,

@@ -1,10 +1,14 @@
 import math
+import operator
 import pickle
 import random
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import FrozenInstanceError, replace
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -36,8 +40,28 @@ from routesvm.svm import (
     weight_norm,
 )
 
-from helpers import random_linear_model
+from helpers import random_linear_model, random_overlapping_examples, subprocess_env
 
+
+# Prints one sha256 per kernel family of the decision values on the run-paper
+# seed-7 training and test sets, then of ||w|| and, for linear, of (w, b).
+NUMBERS_SCRIPT = """
+import hashlib
+import numpy as np
+from routesvm.eval_pipeline import split_examples, train_position_model
+from routesvm.svm import KernelSpec, decision_values, extract_hyperplane, weight_norm
+from routesvm.traffic_sim import ScenarioConfig, generate_trace
+trace = generate_trace(ScenarioConfig(num_vehicles=600, rng_seed=7))
+train_ds, tests = split_examples(trace, 400, range(10, 101, 10), 7)
+for spec in (KernelSpec.linear(), KernelSpec.polynomial()):
+    model = train_position_model(train_ds, spec)
+    numbers = [decision_values(model, ds.features) for ds in (train_ds, *tests)]
+    numbers.append(np.float64(weight_norm(model)))
+    if spec.family == "linear":
+        w, b = extract_hyperplane(model)
+        numbers += [w, np.float64(b)]
+    print(spec.family, hashlib.sha256(b"".join(n.tobytes() for n in numbers)).hexdigest())
+"""
 
 # A bad support line at file line 4, after a blank line 3.
 BAD_LINE_AFTER_BLANK = "routesvm-model v2 family=linear bias=0 supports=2\n1.0 1 0 0\n\n1.0 x 0 0\n"
@@ -478,6 +502,54 @@ class TestMargins:
             for alpha, e in zip(model.alphas, model.support_examples):
                 w += alpha * e.label * np.asarray(e.features)
             assert weight_norm(model) == pytest.approx(float(np.linalg.norm(w)), rel=1e-12)
+
+
+def in_index_order(terms) -> float:
+    """((t0 + t1) + t2) + ... in Python floats."""
+    return reduce(operator.add, terms)
+
+
+class TestSummationOrder:
+    """Decision values, ||w|| and w add the supports' terms in index order,
+    the rule kernel values follow, and not in an order a BLAS build picks."""
+
+    @pytest.mark.parametrize("spec", [
+        KernelSpec.linear(), KernelSpec.rbf(gamma=0.5),
+        KernelSpec.polynomial(degree=3, gamma=0.5, coef0=1.0),
+    ], ids=lambda spec: spec.family)
+    def test_sums_run_over_the_supports_in_index_order(self, spec):
+        examples = random_overlapping_examples(random.Random(5), 80)
+        model = train(examples, spec)
+        assert len(model.support_examples) > 8  # past a BLAS kernel's unrolled block
+        xs = np.array([e.features for e in examples])
+        supports = np.array([e.features for e in model.support_examples])
+        coefs = [alpha * e.label for alpha, e in zip(model.alphas, model.support_examples)]
+
+        def weighted_sums(columns):  # sum_i coefs[i] * column[i], per column
+            return [in_index_order(map(operator.mul, coefs, column)) for column in columns]
+
+        k = kernel_matrix(spec, supports, xs)
+        assert decision_values(model, xs).tolist() == [
+            value + model.bias for value in weighted_sums(k.T.tolist())]
+        v = weighted_sums(kernel_matrix(spec, supports, supports).T.tolist())
+        assert weight_norm(model) == math.sqrt(max(in_index_order(map(operator.mul, v, coefs)), 0))
+        if spec.family == "linear":
+            assert extract_hyperplane(model)[0].tolist() == weighted_sums(supports.T.tolist())
+
+    def test_the_blas_kernel_does_not_move_the_numbers(self):
+        """Linear and polynomial models trained and scored on the run-paper
+        seed-7 draw under two OpenBLAS kernels, picked by OPENBLAS_CORETYPE,
+        give the same decision values, ||w|| and w."""
+        runs = [subprocess.run([sys.executable, "-c", NUMBERS_SCRIPT],
+                               env=subprocess_env(OPENBLAS_VERBOSE="2", OPENBLAS_CORETYPE=core),
+                               capture_output=True, text=True, check=True, timeout=300)
+                for core in ("Nehalem", "Prescott")]
+        if not all("Core:" in run.stdout + run.stderr for run in runs):
+            pytest.skip("numpy's BLAS is not an OpenBLAS that takes OPENBLAS_CORETYPE")
+        digests = [[line for line in run.stdout.splitlines() if not line.startswith("Core:")]
+                   for run in runs]
+        assert len(digests[0]) == 2
+        assert digests[0] == digests[1]
 
 
 class TestStandardizer:
