@@ -7,12 +7,12 @@ from .svm import (
     SvmModel,
     TrainConfig,
     classify,
-    decision_value,
     extract_hyperplane,
     functional_margin,
     geometric_margin,
     kernel_eval,
     load_model,
+    predict,
     save_model,
     train,
 )

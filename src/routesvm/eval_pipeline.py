@@ -24,7 +24,7 @@ from .svm import (
     SvmModel,
     TrainConfig,
     extract_hyperplane,
-    decision_values,
+    predict,
     train,
 )
 from .traffic_sim import Trace
@@ -88,8 +88,7 @@ def evaluate(model: SvmModel, test: Dataset) -> tuple[int, float]:
     """Count correct classifications; returns (correct, accuracy)."""
     if not len(test.labels):
         raise EmptyTestError("test dataset is empty")
-    predicted = np.where(decision_values(model, test.features) >= 0.0, 1, -1)
-    correct = int(np.sum(predicted == test.labels))
+    correct = int(np.sum(predict(model, test.features) == test.labels))
     return correct, correct / len(test.labels)
 
 

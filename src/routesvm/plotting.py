@@ -8,11 +8,9 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .dataset_io import Dataset
 from .eval_pipeline import BoundaryLine, VerticalBoundary, boundary_report
-from .svm import DataError, SvmModel, classify, decision_values
+from .svm import DataError, SvmModel, classify, predict
 
 __all__ = ["render_svg"]
 
@@ -131,8 +129,6 @@ def render_svg(model: SvmModel, dataset: Dataset) -> str:
     if boundary is not None:
         for sign in (1.0, -1.0):
             region = _clip_halfplane(corners, _boundary_edge(boundary, sign))
-            if len(region) < 3:
-                continue
             cx = sum(p[0] for p in region) / len(region)
             cy = sum(p[1] for p in region) / len(region)
             cls = "region-pos" if classify(model, (cx, cy)) == 1 else "region-neg"
@@ -150,9 +146,8 @@ def render_svg(model: SvmModel, dataset: Dataset) -> str:
         )
 
     r = _POINT_RADIUS
-    predicted = np.where(decision_values(model, dataset.features) >= 0.0, 1, -1)
-    for (x, y), label, hit in zip(dataset.features.tolist(), dataset.labels.tolist(),
-                                  (predicted == dataset.labels).tolist()):
+    hits = predict(model, dataset.features) == dataset.labels
+    for (x, y), label, hit in zip(dataset.features.tolist(), dataset.labels.tolist(), hits.tolist()):
         px, py = canvas.px(x), canvas.py(y)
         if label == 1:
             parts.append(f'<circle class="pt-pos" cx="{px:.2f}" cy="{py:.2f}" r="{r:.2f}"/>')

@@ -20,7 +20,7 @@ import math
 import sys
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import chain
 from numbers import Real
 from pathlib import Path
@@ -42,8 +42,8 @@ __all__ = [
     "Standardizer",
     "kernel_eval",
     "kernel_matrix",
-    "decision_value",
     "decision_values",
+    "predict",
     "classify",
     "functional_margin",
     "geometric_margin",
@@ -300,8 +300,8 @@ class TrainConfig:
             raise ValueError("C must be finite and > 0")
         if not (isinstance(self.tol, Real) and 0 < self.tol <= sys.float_info.max):
             raise ValueError("tol must be finite and > 0")
-        if not (isinstance(self.max_passes, Real) and self.max_passes >= 1):
-            raise ValueError("max_passes must be >= 1")
+        if not (isinstance(self.max_passes, Real) and 1 <= self.max_passes <= sys.float_info.max):
+            raise ValueError("max_passes must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -363,17 +363,6 @@ class SvmModel:
     summary: TrainSummary | None = field(default=None, compare=False)
     scaler: Standardizer | None = None
 
-    @cached_property
-    def _support_matrix(self) -> np.ndarray:
-        """Support features as rows; read only when there are supports."""
-        return np.array([e.features for e in self.support_examples], dtype=float)
-
-    @cached_property
-    def _coefs(self) -> np.ndarray:
-        """alpha_i * y_i per support example."""
-        labels = np.array([e.label for e in self.support_examples], dtype=float)
-        return np.asarray(self.alphas, dtype=float) * labels
-
     def scaled(self, c: float) -> "SvmModel":
         """Copy with all dual coefficients and the bias multiplied by c."""
         return replace(
@@ -381,42 +370,49 @@ class SvmModel:
         )
 
 
+def _supports(model: SvmModel) -> tuple[np.ndarray, np.ndarray]:
+    """The support features as rows and alpha_i * y_i per support, built on
+    each call; callers check first that the model has supports."""
+    rows = np.array([e.features for e in model.support_examples], dtype=float)
+    labels = np.array([e.label for e in model.support_examples], dtype=float)
+    return rows, np.asarray(model.alphas, dtype=float) * labels
+
+
 def decision_values(model: SvmModel, xs: np.ndarray) -> np.ndarray:
     """Decision function over a stack of row vectors or one vector, summed
     over the supports in index order by ``_pairwise_dots``: the same bits
     whatever the BLAS build or CPU.  A kernel that overflows on the data
     raises DataError."""
-    xs = np.asarray(xs, dtype=float)
-    xs = _rows(xs[None, :] if xs.ndim == 1 else xs)
+    xs = _rows(np.atleast_2d(np.asarray(xs, dtype=float)))
     if not model.support_examples:
         return np.full(xs.shape[0], model.bias)
-    if xs.shape[1] != model._support_matrix.shape[1]:
-        raise DimensionMismatchError(
-            f"model has {model._support_matrix.shape[1]} features, data has {xs.shape[1]}"
-        )
+    rows, coefs = _supports(model)
+    if xs.shape[1] != rows.shape[1]:
+        raise DimensionMismatchError(f"model has {rows.shape[1]} features, data has {xs.shape[1]}")
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         if model.scaler is not None:
             xs = model.scaler.transform(xs)
-        k = kernel_matrix(model.kernel, model._support_matrix, xs)
-        values = _pairwise_dots(k.T, model._coefs) + model.bias
+        k = kernel_matrix(model.kernel, rows, xs)
+        values = _pairwise_dots(k.T, coefs) + model.bias
     if not np.isfinite(values).all():
         raise DataError("decision values are not finite: the kernel overflows on the data")
     return values
 
 
-def decision_value(model: SvmModel, x) -> float:
-    """f(x) = sum_i alpha_i y_i K(s_i, x) + bias."""
-    return float(decision_values(model, np.asarray(x, dtype=float))[0])
+def predict(model: SvmModel, xs: np.ndarray) -> np.ndarray:
+    """The class of each row, or of one vector: +1 where the decision value
+    is >= 0, else -1 (an exact zero maps to +1).  The one sign rule."""
+    return np.where(decision_values(model, xs) >= 0.0, 1, -1)
 
 
 def classify(model: SvmModel, x) -> int:
-    """+1 if the decision value is >= 0 else -1 (exact zero maps to +1)."""
-    return 1 if decision_value(model, x) >= 0.0 else -1
+    """The class of one vector, as :func:`predict` gives it."""
+    return int(predict(model, x)[0])
 
 
 def functional_margin(model: SvmModel, e: LabeledExample) -> float:
     """label * f(features): positive iff the example is classified correctly."""
-    return e.label * decision_value(model, e.features)
+    return e.label * float(decision_values(model, e.features)[0])
 
 
 def weight_norm(model: SvmModel) -> float:
@@ -424,8 +420,9 @@ def weight_norm(model: SvmModel) -> float:
     space: sqrt(c' K c) with c = alpha*y."""
     if not model.support_examples:
         return 0.0
-    k = kernel_matrix(model.kernel, model._support_matrix, model._support_matrix)
-    sq = float(_pairwise_dots(_pairwise_dots(k.T, model._coefs), model._coefs))
+    rows, coefs = _supports(model)
+    k = kernel_matrix(model.kernel, rows, rows)
+    sq = float(_pairwise_dots(_pairwise_dots(k.T, coefs), coefs))
     return math.sqrt(max(sq, 0.0))
 
 
@@ -447,7 +444,8 @@ def extract_hyperplane(model: SvmModel) -> tuple[np.ndarray, float]:
         )
     if not model.support_examples:
         raise ValueError("model has no support examples")
-    w = _pairwise_dots(model._support_matrix.T, model._coefs)
+    rows, coefs = _supports(model)
+    w = _pairwise_dots(rows.T, coefs)
     if model.scaler is None:
         return w, model.bias
     mean, scale = np.array(model.scaler.mean), np.array(model.scaler.scale)

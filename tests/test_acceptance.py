@@ -23,12 +23,12 @@ from routesvm.svm import (
     SvmModel,
     TrainConfig,
     classify,
-    decision_values,
     functional_margin,
     geometric_margin,
     kernel_eval,
     model_from_text,
     model_to_text,
+    predict,
     train,
 )
 
@@ -140,10 +140,10 @@ def test_criterion_4_margin_identities():
         worst_identity = max(
             worst_identity, abs(geometric_margin(model, point) - fm / norm)
         )
-        base_signs = decision_values(model, grid) >= 0.0
+        base_classes = predict(model, grid)
         for c in (0.5, 3.0, 100.0):
             scaled = model.scaled(c)
-            flips += int(np.sum((decision_values(scaled, grid) >= 0.0) != base_signs))
+            flips += int(np.sum(predict(scaled, grid) != base_classes))
             worst_gm_shift = max(
                 worst_gm_shift,
                 abs(geometric_margin(scaled, point) - geometric_margin(model, point)),

@@ -460,7 +460,7 @@ class TestTrain:
     @pytest.mark.parametrize("flag, message", [
         ("--C=-1", "C must be finite and > 0"),
         ("--tol=0", "tol must be finite and > 0"),
-        ("--max-passes=0", "max_passes must be >= 1"),
+        ("--max-passes=0", "max_passes must be finite and >= 1"),
         ("--train-size=0", "training data is empty"),
     ])
     def test_bad_train_config_exits_2(self, trace_path, tmp_path, capsys, flag, message):

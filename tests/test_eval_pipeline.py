@@ -28,6 +28,7 @@ from routesvm.svm import (
     decision_values,
     extract_hyperplane,
     load_model,
+    predict,
     save_model,
     train,
 )
@@ -73,6 +74,16 @@ class TestEvaluate:
         examples.extend(LabeledExample((0.0, 1.0), -1) for _ in range(6))
         correct, accuracy = evaluate(model, dataset_of(examples))
         assert (correct, accuracy) == (94, 0.94)
+
+    @pytest.mark.parametrize("family", ["linear", "rbf", "polynomial", "sigmoid"])
+    def test_predict_agrees_with_classify_and_evaluate_on_the_run_paper_draw(self, default_trace,
+                                                                            family):
+        train_ds, tests = split_examples(default_trace, 400, range(10, 101, 10), 7)
+        model = train_position_model(train_ds, getattr(KernelSpec, family)())
+        for test in (train_ds, *tests):
+            predicted = predict(model, test.features)
+            assert predicted.tolist() == [classify(model, x) for x in test.features]
+            assert evaluate(model, test)[0] == int(np.sum(predicted == test.labels))
 
     def test_empty_test_error(self):
         with pytest.raises(EmptyTestError):

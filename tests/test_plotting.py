@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from routesvm.plotting import render_svg
@@ -51,11 +53,21 @@ class TestRenderSvg:
         assert svg.count('class="miss"') == 6
 
     def test_empty_dataset_regions_and_boundary_only(self):
-        svg = render_svg(sign_of_y_model(), dataset_of([]))
-        assert svg.count("<polygon") == 2
-        assert '<line class="boundary"' in svg
-        assert 'class="pt-pos"' not in svg
-        assert 'class="pt-neg"' not in svg
+        # The frame always holds the boundary, so each half-plane clip of it is
+        # a polygon of three or more corners, with no data or one point alike.
+        steep = SvmModel(KernelSpec.linear(), (LabeledExample((1e6, 1.0), 1),), (1.0,), 0.0)
+        vertical = SvmModel(KernelSpec.linear(), (LabeledExample((1.0, 0.0), 1),), (1.0,), -2.0)
+        for model in (sign_of_y_model(), steep, vertical):
+            svg = render_svg(model, dataset_of([]))
+            assert '<line class="boundary"' in svg
+            assert 'class="pt-pos"' not in svg
+            assert 'class="pt-neg"' not in svg
+            with_point = render_svg(model, dataset_of([LabeledExample((2.0, 5.0), 1)]))
+            for figure in (svg, with_point):
+                regions = re.findall(r'<polygon class="(region-\w+)" points="([^"]*)"', figure)
+                assert figure.count("<polygon") == 2
+                assert sorted(cls for cls, _ in regions) == ["region-neg", "region-pos"]
+                assert all(len(points.split()) >= 3 for _, points in regions)
 
     def test_byte_determinism(self):
         model = sign_of_y_model()

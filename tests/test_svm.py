@@ -27,7 +27,6 @@ from routesvm.svm import (
     UnsupportedKernelError,
     ZeroNormError,
     classify,
-    decision_value,
     decision_values,
     extract_hyperplane,
     functional_margin,
@@ -36,6 +35,7 @@ from routesvm.svm import (
     kernel_matrix,
     model_from_text,
     model_to_text,
+    predict,
     train,
     weight_norm,
 )
@@ -395,11 +395,11 @@ class TestDecisionAndClassify:
     def test_empty_model_returns_bias(self):
         model = bias_only_model(0.0)
         for x in ((0, 0), (4, -7), (1e6, 1e6)):
-            assert decision_value(model, x) == 0.0
+            assert decision_values(model, x).tolist() == [0.0]
 
     def test_single_support_unit_dot(self):
         model = single_support_model()
-        assert decision_value(model, (0.0, 1.0)) == 1.0
+        assert decision_values(model, (0.0, 1.0)).tolist() == [1.0]
 
     def test_classify_positive_negative_and_tie(self):
         assert classify(bias_only_model(2.3), (0, 0)) == 1
@@ -409,7 +409,7 @@ class TestDecisionAndClassify:
     @pytest.mark.parametrize("model", [single_support_model(), bias_only_model(0.5)],
                              ids=["supports", "bias-only"])
     def test_only_a_vector_or_a_2d_stack_of_rows_is_taken(self, model):
-        assert decision_values(model, [0.0, 1.0]).tolist() == [decision_value(model, (0.0, 1.0))]
+        assert decision_values(model, [0.0, 1.0]).tolist() == decision_values(model, [[0.0, 1.0]]).tolist()
         with pytest.raises(ValueError) as exc_info:
             decision_values(model, np.zeros((2, 2, 2)))
         assert str(exc_info.value) == "expected a 2-D stack of rows, got shape (2, 2, 2)"
@@ -435,12 +435,23 @@ class TestDecisionAndClassify:
             with pytest.raises(DataError, match="decision values are not finite"):
                 decision_values(model, np.ones((3, 2)))
 
+    def test_scoring_leaves_the_model_and_its_pickle_as_they_were(self):
+        model = replace(train(random_overlapping_examples(random.Random(3), 40), KernelSpec.linear()),
+                        scaler=Standardizer((0.5, -0.5), (2.0, 3.0)))
+        before = pickle.dumps(model)
+        decision_values(model, np.zeros((4, 2)))
+        predict(model, np.ones((3, 2)))
+        classify(model, (1.0, 2.0))
+        weight_norm(model)
+        extract_hyperplane(model)
+        assert pickle.dumps(model) == before
+
     def test_classify_consistent_with_decision_on_grid(self):
         rng = random.Random(11)
         model = random_linear_model(rng)
         for gx in np.linspace(-4, 4, 21):
             for gy in np.linspace(-4, 4, 21):
-                sign = 1 if decision_value(model, (gx, gy)) >= 0 else -1
+                sign = 1 if decision_values(model, (gx, gy))[0] >= 0 else -1
                 assert classify(model, (gx, gy)) == sign
 
 

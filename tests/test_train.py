@@ -23,7 +23,6 @@ from routesvm.svm import (
     Standardizer,
     TrainConfig,
     classify,
-    decision_value,
     decision_values,
     extract_hyperplane,
     geometric_margin,
@@ -56,7 +55,7 @@ class TestTrainBasics:
         assert w[1] > 0
         assert len(model.support_examples) == 2
         assert model.alphas[0] == pytest.approx(model.alphas[1], rel=1e-9)
-        assert decision_value(model, (0.0, 0.0)) == pytest.approx(0.0, abs=1e-6)
+        assert decision_values(model, (0.0, 0.0))[0] == pytest.approx(0.0, abs=1e-6)
 
     def test_xor_rbf_separates(self):
         model = train(XOR, KernelSpec.rbf(gamma=1.0), TrainConfig(C=100.0))
@@ -121,11 +120,12 @@ class TestTrainBasics:
     @pytest.mark.parametrize("kwargs, message", [
         ({"C": 10**400}, "C must be finite and > 0"),
         ({"tol": 10**400}, "tol must be finite and > 0"),
-        ({"max_passes": float("nan")}, "max_passes must be >= 1"),
+        ({"max_passes": float("nan")}, "max_passes must be finite and >= 1"),
+        ({"max_passes": float("inf")}, "max_passes must be finite and >= 1"),
         ({"C": "1"}, "C must be finite and > 0"),
         ({"C": None}, "C must be finite and > 0"),
         ({"tol": "1e-3"}, "tol must be finite and > 0"),
-        ({"max_passes": "3"}, "max_passes must be >= 1"),
+        ({"max_passes": "3"}, "max_passes must be finite and >= 1"),
         ({"C": np.float32("inf")}, "C must be finite and > 0"),
         ({"tol": np.float16("inf")}, "tol must be finite and > 0"),
         ({"C": np.longdouble("1e4000")}, "C must be finite and > 0"),
@@ -148,7 +148,7 @@ class TestTrainBasics:
     @pytest.mark.parametrize("kwargs, message", [
         ({"C": 0}, "C must be finite and > 0"),
         ({"tol": -1e-3}, "tol must be finite and > 0"),
-        ({"max_passes": 0}, "max_passes must be >= 1"),
+        ({"max_passes": 0}, "max_passes must be finite and >= 1"),
     ])
     def test_replace_checks_the_new_config(self, kwargs, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
@@ -234,7 +234,7 @@ class TestTrainedModelInvariants:
             assert abs(total) <= cfg.tol
 
             for e in data:
-                margin = e.label * decision_value(model, e.features)
+                margin = e.label * decision_values(model, e.features)[0]
                 alpha = alphas.get(e, 0.0)
                 if alpha <= 1e-10:
                     assert margin >= 1.0 - cfg.tol
