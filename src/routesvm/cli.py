@@ -110,6 +110,8 @@ def load_scenario_file(path: str | Path) -> dict:
         if "=" not in stripped:
             raise ConfigError("config", f"line {line_no}: expected key=value, got {line!r}")
         key, raw = (s.strip() for s in stripped.split("=", 1))
+        if key in values:
+            raise ConfigError("config", f"line {line_no}: repeated key {key!r}")
         values[key] = _scenario_value(key, raw, f"line {line_no}: ")
     return values
 

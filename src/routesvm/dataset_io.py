@@ -16,15 +16,15 @@ Examples CSV   header ``x,y,label`` with labels already in {+1, -1}.
 Both trace readers check each row where they parse it, so an error names
 the first bad row in file order: x, y and speed must be finite, a step must
 fit in a signed 64-bit integer, and an FCD vehicle id holds no comma, CR or
-LF, which a trace CSV could not hold.  A trace CSV number is what Python's
-``int`` or ``float`` reads from ASCII text without "_" (``1_0`` is not a
-number), parsed a block of lines at a time, by an exact array digit kernel
-where the block is canonical, else row by row.
+LF, which a trace CSV could not hold.  A number in a trace, label or
+examples CSV is what Python's ``int`` or ``float`` reads from ASCII text
+without "_" (``1_0`` is not a number), and a float is finite: the three
+share one row reader.  A trace CSV is parsed a block of lines at a time, by
+an exact array digit kernel where the block is canonical, else row by row.
 The rows fill one ``POINT_DTYPE`` array, handed to
 :func:`~routesvm.traffic_sim.make_trace`, and the checks that span rows run
 once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
-label.  The label and examples CSVs share one row reader.  Every file is
-UTF-8.  Violations raise :class:`TraceFormatError`.
+label.  Every file is UTF-8.  Violations raise :class:`TraceFormatError`.
 
 Route labels become classes in :func:`sample_examples` alone, as
 ``1 - 2 * route_label``: route 0 -> +1, route 1 -> -1.
@@ -41,7 +41,7 @@ import xml.etree.ElementTree as ElementTree
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, islice
+from itertools import compress, count, islice
 from pathlib import Path
 
 import numpy as np
@@ -145,25 +145,39 @@ def _skip_header(lines, header: str) -> None:
         raise TraceFormatError(message if first else "empty file")
 
 
-def _fields(lines, width: int, line_no: int = 2):
-    """(line number, fields) of each non-blank line of ``lines``, the first
-    numbered ``line_no``; a line with another field count than ``width``
-    is an error."""
+def _fields(lines, kinds: tuple[type, ...], line_no: int = 2):
+    """(line number, values) of each non-blank line of ``lines``, the first
+    numbered ``line_no``: its comma-separated fields, each read as its kind
+    in ``kinds``, ``str`` as is, ``int`` and ``float`` as Python reads ASCII
+    text without "_".  The first bad line raises TraceFormatError: another
+    field count, a field that is not its number, then a non-finite float."""
+    numeric, floats = [kind is not str for kind in kinds], [kind is float for kind in kinds]
     for n, line in enumerate(lines, start=line_no):
         if line == "\n":
             continue
         fields = line.rstrip("\n").split(",")
-        if len(fields) != width:
-            raise TraceFormatError(f"line {n}: expected {width} fields, got {len(fields)}")
-        yield n, fields
+        if len(fields) != len(kinds):
+            raise TraceFormatError(f"line {n}: expected {len(kinds)} fields, got {len(fields)}")
+        try:
+            values = [kind(text) for kind, text in zip(kinds, fields)]
+        except ValueError as exc:
+            raise TraceFormatError(f"line {n}: non-numeric field ({exc})") from None
+        if "_" in line or not line.isascii():  # a str field, such as an id, may hold either
+            for text in compress(fields, numeric):
+                if "_" in text or not text.isascii():
+                    raise TraceFormatError(
+                        f"line {n}: non-numeric field ({text!r} is not ASCII without '_')")
+        if not all(map(math.isfinite, compress(values, floats))):
+            raise TraceFormatError(f"line {n}: non-finite value")
+        yield n, values
 
 
-def _csv_rows(source: str | Path, header: str):
-    """(line number, fields) of each non-blank line after ``header``; a file
-    with another first line, or a row with another field count, is an error."""
+def _csv_rows(source: str | Path, header: str, kinds: tuple[type, ...]):
+    """(line number, values) of each non-blank line after ``header``, read
+    by :func:`_fields`; a file with another first line is an error."""
     with _utf8_text(source) as lines:
         _skip_header(lines, header)
-        yield from _fields(lines, header.count(",") + 1)
+        yield from _fields(lines, kinds)
 
 
 def _checked_trace(points: np.ndarray, ids: list[str] | dict[str, int]) -> Trace:
@@ -309,37 +323,18 @@ def write_trace_csv(trace: Trace, destination: str | Path) -> None:
             out.write(rows.tobytes().translate(None, b"\xff"))
 
 
-def _trace_row(line_no: int, fields: list[str]) -> tuple:
-    """(step, x, y, speed, route_label) of the data row on file line
-    ``line_no``, split into six fields: Python's ``int`` and ``float`` of
-    ASCII text without "_".  The first check to fail raises
-    TraceFormatError: numbers, the step's int64 range, the route label,
-    ASCII without "_", then finite x, y and speed."""
-    step, _, x, y, speed, route = fields
-    try:
-        row = int(step), float(x), float(y), float(speed), int(route)
-    except ValueError as exc:
-        why = f"non-numeric field ({exc})"
-    else:
-        if not _STEP_MIN <= row[0] <= _STEP_MAX:
-            why = f"step {row[0]} out of the int64 range"
-        elif row[4] not in (0, 1):
-            why = "route_label must be 0 or 1"
-        elif "_" in (text := step + x + y + speed + route) or not text.isascii():
-            bad = next(t for t in (step, x, y, speed, route) if "_" in t or not t.isascii())
-            why = f"non-numeric field ({bad!r} is not ASCII without '_')"
-        elif math.isfinite(row[1]) and math.isfinite(row[2]) and math.isfinite(row[3]):
-            return row
-        else:
-            why = "non-finite value"
-    raise TraceFormatError(f"line {line_no}: {why}")
-
-
 def _parse_block(block: list[str], line_no: int) -> dict:
     """The numeric columns of a block of trace CSV lines, the first numbered
-    ``line_no``, by :func:`_trace_row`; the first bad row raises."""
-    rows = [_trace_row(n, fields) for n, fields in _fields(block, len(_FIELDS), line_no)]
-    return dict(zip(("step", "x", "y", "speed", "route_label"), zip(*rows)))
+    ``line_no``, read by :func:`_fields`; the first bad row raises, and so
+    does a step outside int64 or a route label other than 0 or 1."""
+    rows = []
+    for n, row in _fields(block, (int, str, float, float, float, int), line_no):
+        if not _STEP_MIN <= row[0] <= _STEP_MAX:
+            raise TraceFormatError(f"line {n}: step {row[0]} out of the int64 range")
+        if row[5] not in (0, 1):
+            raise TraceFormatError(f"line {n}: route_label must be 0 or 1")
+        rows.append(row)
+    return {name: column for name, column in zip(_FIELDS, zip(*rows)) if name != "vehicle"}
 
 
 _ONES = 0x0101010101010101  # one in each byte of a word
@@ -473,8 +468,8 @@ def read_trace_csv(source: str | Path) -> Trace:
     the ids.  :func:`_parse_canonical_rows` parses the numbers of a block
     whose numbers are all canonical and finite, as in every file
     :func:`write_trace_csv` writes; :func:`_parse_block` parses any other
-    block row by row with :func:`_trace_row`, the one grammar of a data row,
-    and names its first bad line.  Each block is copied into one points
+    block row by row with :func:`_fields`, the one grammar of a CSV row, and
+    names its first bad line.  Each block is copied into one points
     array, sized up front by :func:`_row_bound`, and freed; then the checks
     that span rows run once.
     """
@@ -579,11 +574,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
 def read_label_csv(source: str | Path) -> LabelTable:
     """Load the ``vehicle_id,route_label`` sidecar; ids must be unique."""
     table: LabelTable = {}
-    for line_no, (vehicle_id, raw) in _csv_rows(source, LABEL_HEADER):
-        try:
-            route_label = int(raw)
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: non-numeric route_label") from exc
+    for line_no, (vehicle_id, route_label) in _csv_rows(source, LABEL_HEADER, (str, int)):
         if route_label not in (0, 1):
             raise TraceFormatError(f"line {line_no}: route_label must be 0 or 1")
         if vehicle_id in table:
@@ -617,17 +608,10 @@ def write_examples_csv(dataset: Dataset, destination: str | Path) -> None:
 
 def read_examples_csv(source: str | Path) -> Dataset:
     rows = []
-    for line_no, fields in _csv_rows(source, EXAMPLES_HEADER):
-        try:
-            x, y = float(fields[0]), float(fields[1])
-            label = int(fields[2])
-        except ValueError as exc:
-            raise TraceFormatError(f"line {line_no}: non-numeric field") from exc
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise TraceFormatError(f"line {line_no}: non-finite value")
-        if label not in (1, -1):
+    for line_no, row in _csv_rows(source, EXAMPLES_HEADER, (float, float, int)):
+        if row[2] not in (1, -1):
             raise TraceFormatError(f"line {line_no}: label must be +1 or -1")
-        rows.append((x, y, label))
+        rows.append(row)
     table = np.array(rows, dtype=float).reshape(-1, 3)
     return Dataset(table[:, :2], table[:, 2])
 

@@ -19,7 +19,6 @@ from .dataset_io import Dataset, InsufficientVehiclesError, derive_seed, sample_
 from .svm import (
     NORM_FLOOR,
     KernelSpec,
-    LabeledExample,
     Standardizer,
     SvmModel,
     TrainConfig,
@@ -121,8 +120,7 @@ def train_position_model(
     if not len(data.labels):
         raise ValueError("training data is empty")
     scaler = Standardizer().fit(data.features)
-    rows = scaler.transform(data.features).tolist()
-    scaled = list(map(LabeledExample, rows, data.labels.tolist()))
+    scaled = Dataset(scaler.transform(data.features), data.labels).examples
     return replace(train(scaled, kernel, cfg), scaler=scaler)
 
 

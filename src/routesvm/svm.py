@@ -296,11 +296,13 @@ class TrainConfig:
         for name in ("C", "tol", "max_passes"):  # a float32 would meet float max as float32 inf
             if isinstance(value := getattr(self, name), np.generic):
                 object.__setattr__(self, name, _python_number(value))
-        if not (isinstance(self.C, Real) and 0 < self.C <= sys.float_info.max):
+        C, tol, passes = (None if isinstance(v, bool) else v  # a bool is a Real; None fails below
+                          for v in (self.C, self.tol, self.max_passes))
+        if not (isinstance(C, Real) and 0 < C <= sys.float_info.max):
             raise ValueError("C must be finite and > 0")
-        if not (isinstance(self.tol, Real) and 0 < self.tol <= sys.float_info.max):
+        if not (isinstance(tol, Real) and 0 < tol <= sys.float_info.max):
             raise ValueError("tol must be finite and > 0")
-        if not (isinstance(self.max_passes, Real) and 1 <= self.max_passes <= sys.float_info.max):
+        if not (isinstance(passes, Real) and 1 <= passes <= sys.float_info.max):
             raise ValueError("max_passes must be finite and >= 1")
 
 

@@ -160,6 +160,14 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "-o", str(tmp_path / "t.csv")]) == 2
         assert "config: line 2: expected key=value, got 'num_steps 8'" in capsys.readouterr().err
 
+    def test_config_repeated_key_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("num_vehicles = 600\nnum_steps = 8\nnum_vehicles = 30\n")
+        out = tmp_path / "t.csv"
+        assert main(["generate", "--config", str(cfg), "-o", str(out)]) == 2
+        assert "config: line 3: repeated key 'num_vehicles'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_flags_override_config_file(self, tmp_path):
         cfg = tmp_path / "scenario.cfg"
         cfg.write_text("num_vehicles = 15\nnum_steps = 8\n")
@@ -185,6 +193,12 @@ SCENARIO_IDS = [case[1] for case in SCENARIO_FLAGS]
 BASE_CONFIG = "num_vehicles = 90\nnum_steps = 5\n"  # 90 vehicles reach past the junction
 
 
+def base_config_with(field: str, value: str) -> str:
+    """BASE_CONFIG with ``field = value`` in place of its own line for ``field``."""
+    lines = [line for line in BASE_CONFIG.splitlines(True) if line.split(" = ")[0] != field]
+    return "".join(lines) + f"{field} = {value}\n"
+
+
 class TestScenarioFlags:
     def generate(self, tmp_path, name, flags=(), config=None):
         out = tmp_path / f"{name}.csv"
@@ -199,8 +213,8 @@ class TestScenarioFlags:
     def test_flag_matches_config_key_and_overrides_it(self, tmp_path, flag, field, value,
                                                       file_value):
         from_flag = self.generate(tmp_path, "flag", [f"{flag}={value}"], BASE_CONFIG)
-        from_file = self.generate(tmp_path, "file", config=BASE_CONFIG + f"{field} = {value}\n")
-        other = BASE_CONFIG + f"{field} = {file_value}\n"
+        from_file = self.generate(tmp_path, "file", config=base_config_with(field, value))
+        other = base_config_with(field, file_value)
         assert from_file == from_flag
         assert self.generate(tmp_path, "both", [f"{flag}={value}"], other) == from_flag
         assert self.generate(tmp_path, "other", config=other) != from_flag

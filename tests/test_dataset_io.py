@@ -513,10 +513,10 @@ def loadtxt_row(line: str) -> bytes | None:
 
 def parsed_row(line: str) -> bytes | None:
     try:
-        row = dataset_io._trace_row(2, line.rstrip("\n").split(","))
+        columns = dataset_io._parse_block([line], 2)
     except TraceFormatError:
         return None
-    return np.array(row, LOADTXT_COLUMNS).tobytes()
+    return np.array(tuple(column[0] for column in columns.values()), LOADTXT_COLUMNS).tobytes()
 
 
 def test_the_row_parser_reads_what_np_loadtxt_read():
@@ -688,15 +688,53 @@ def test_non_utf8_file_is_a_format_error(tmp_path, reader, header):
 
 @pytest.mark.parametrize("reader, text, message", [
     (read_label_csv, "vehicle_id,route_label\nv1,0\n\nv2,0,1\n", "line 4: expected 2 fields, got 3"),
-    (read_label_csv, "vehicle_id,route_label\nv1,zero\n", "line 2: non-numeric route_label"),
+    (read_label_csv, "vehicle_id,route_label\nv1,zero\n",
+     r"line 2: non-numeric field \(invalid literal for int\(\) with base 10: 'zero'\)"),
     (read_examples_csv, "x,y,label\n\n1,2\n", "line 3: expected 3 fields, got 2"),
-    (read_examples_csv, "x,y,label\n1,2,1\n1,y,1\n", "line 3: non-numeric field"),
+    (read_examples_csv, "x,y,label\n1,2,1\n1,y,1\n",
+     r"line 3: non-numeric field \(could not convert string to float: 'y'\)"),
 ], ids=["labels-fields", "labels-number", "examples-fields", "examples-number"])
 def test_csv_row_errors_name_their_file_line(tmp_path, reader, text, message):
     path = tmp_path / "rows.csv"
     path.write_text(text)
     with pytest.raises(TraceFormatError, match=f"^{message}$"):
         reader(path)
+
+
+# Each CSV reader, its header and the kind of each of its fields.
+CSV_KINDS = {
+    "trace": (read_trace_csv, dataset_io.TRACE_HEADER, (int, str, float, float, float, int)),
+    "labels": (read_label_csv, dataset_io.LABEL_HEADER, (str, int)),
+    "examples": (read_examples_csv, dataset_io.EXAMPLES_HEADER, (float, float, int)),
+}
+
+
+@pytest.mark.parametrize("reader", CSV_KINDS)
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "\u0663.5", "+1", " 1", "1e0"])
+def test_every_csv_reads_a_number_as_the_trace_does(tmp_path, row_parsed_blocks, reader, text):
+    """A numeric field of a row-parsed trace block, a label CSV or an examples
+    CSV is what Python's int or float reads from ASCII text without "_"; an
+    id may hold "_"."""
+    read, header, kinds = CSV_KINDS[reader]
+    path = tmp_path / "rows.csv"
+
+    def read_row(fields):
+        path.write_text(f"{header}\n{','.join(fields)}\n")
+        return read(path)
+
+    ones = ["v_1" if kind is str else "1" for kind in kinds]
+    expected = read_row(ones)
+    refused = rf"^line 2: non-numeric field \({re.escape(repr(text))} is not ASCII without '_'\)$"
+    for i, kind in enumerate(kinds):
+        if kind is str or kind is int and text in ("\u0663.5", "1e0"):
+            continue  # int() refuses them
+        fields = [*ones[:i], text, *ones[i + 1:]]
+        if text.isascii() and "_" not in text:
+            assert read_row(fields) == expected, i
+        else:
+            with pytest.raises(TraceFormatError, match=refused):
+                read_row(fields)
+    assert bool(row_parsed_blocks) == (reader == "trace")  # the digit kernel declines each
 
 
 @pytest.mark.parametrize("attr", ["x", "y", "speed"])

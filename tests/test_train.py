@@ -130,6 +130,11 @@ class TestTrainBasics:
         ({"tol": np.float16("inf")}, "tol must be finite and > 0"),
         ({"C": np.longdouble("1e4000")}, "C must be finite and > 0"),
         ({"tol": np.longdouble("nan")}, "tol must be finite and > 0"),
+        ({"C": True}, "C must be finite and > 0"),
+        ({"C": np.True_}, "C must be finite and > 0"),
+        ({"tol": True}, "tol must be finite and > 0"),
+        ({"max_passes": True}, "max_passes must be finite and >= 1"),
+        ({"max_passes": np.True_}, "max_passes must be finite and >= 1"),
     ])
     def test_out_of_range_config_raises(self, kwargs, message):
         with pytest.raises(ValueError) as exc_info:
