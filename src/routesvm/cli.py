@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,8 @@ from .svm import (
     DataError,
     KernelSpec,
     TrainConfig,
+    _number,
+    _utf8_text,
     load_model,
     save_model,
 )
@@ -79,9 +82,10 @@ _SCENARIO_DEFAULTS = {f.name: f.default for f in fields(ScenarioConfig)}
 
 
 def _scenario_value(field: str, raw: str, where: str = ""):
-    """A ScenarioConfig field's value, typed from its default: an int, a float,
-    or a tuple of as many comma-separated values as the default holds, each
-    typed like the default's.  ``where`` prefixes the error message."""
+    """A ScenarioConfig field's value, typed from its default by
+    :func:`~routesvm.svm._number`: an int, a float, or a tuple of as many
+    comma-separated values as the default holds, each typed like the
+    default's.  ``where`` prefixes the error message."""
     if field not in _SCENARIO_DEFAULTS:
         raise ConfigError(field, f"{where}unknown field")
     default = _SCENARIO_DEFAULTS[field]
@@ -90,7 +94,7 @@ def _scenario_value(field: str, raw: str, where: str = ""):
         message = f"{where}expected {len(shape)} comma-separated numbers, got {raw!r}"
         raise ConfigError(field, message)
     try:
-        values = tuple(type(d)(p) for d, p in zip(shape, parts))
+        values = tuple(_number(p, type(d)) for d, p in zip(shape, parts))
     except ValueError:
         raise ConfigError(field, f"{where}non-numeric value {raw!r}") from None
     return values if isinstance(default, tuple) else values[0]
@@ -98,10 +102,8 @@ def _scenario_value(field: str, raw: str, where: str = ""):
 
 def load_scenario_file(path: str | Path) -> dict:
     """Parse the key=value scenario format ('#' comments, blank lines ok)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        raise ConfigError("config", f"not UTF-8 text ({exc})") from None
+    with _utf8_text(path, partial(ConfigError, "config")) as file:
+        text = file.read()
     values: dict = {}
     for line_no, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()

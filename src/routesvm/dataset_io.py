@@ -17,14 +17,16 @@ Both trace readers check each row where they parse it, so an error names
 the first bad row in file order: x, y and speed must be finite, a step must
 fit in a signed 64-bit integer, and an FCD vehicle id holds no comma, CR or
 LF, which a trace CSV could not hold.  A number in a trace, label or
-examples CSV is what Python's ``int`` or ``float`` reads from ASCII text
-without "_" (``1_0`` is not a number), and a float is finite: the three
-share one row reader.  A trace CSV is parsed a block of lines at a time, by
+examples CSV, or an FCD attribute, is read by :func:`~routesvm.svm._number`,
+as Python's ``int`` or ``float`` reads it from ASCII text without "_"
+(``1_0`` is not a number), and a float is finite; the three CSVs share one
+row reader.  A trace CSV is parsed a block of lines at a time, by
 an exact array digit kernel where the block is canonical, else row by row.
 The rows fill one ``POINT_DTYPE`` array, handed to
 :func:`~routesvm.traffic_sim.make_trace`, and the checks that span rows run
 once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
-label.  Every file is UTF-8.  Violations raise :class:`TraceFormatError`.
+label.  Every file is UTF-8, opened by :func:`~routesvm.svm._utf8_text`.
+Violations raise :class:`TraceFormatError`.
 
 Route labels become classes in :func:`sample_examples` alone, as
 ``1 - 2 * route_label``: route 0 -> +1, route 1 -> -1.
@@ -38,7 +40,6 @@ import operator
 import random
 import re
 import xml.etree.ElementTree as ElementTree
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress, count, islice
@@ -46,7 +47,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .svm import DataError, LabeledExample
+from .svm import DataError, LabeledExample, _number, _utf8_text
 from .traffic_sim import POINT_DTYPE, Trace, make_trace, uniform_draws
 
 __all__ = [
@@ -126,16 +127,6 @@ class Dataset:
         return tuple(map(LabeledExample, self.features.tolist(), self.labels.tolist()))
 
 
-@contextmanager
-def _utf8_text(source: str | Path, newline: str | None = None):
-    """``source`` opened as text; bytes that are not UTF-8 raise TraceFormatError."""
-    try:
-        with open(source, encoding="utf-8", newline=newline) as text:
-            yield text
-    except UnicodeDecodeError as exc:
-        raise TraceFormatError(f"not UTF-8 text ({exc})") from None
-
-
 def _skip_header(lines, header: str) -> None:
     """Read the first line of ``lines``; anything but ``header`` is an error."""
     first = lines.readline()
@@ -148,10 +139,10 @@ def _skip_header(lines, header: str) -> None:
 def _fields(lines, kinds: tuple[type, ...], line_no: int = 2):
     """(line number, values) of each non-blank line of ``lines``, the first
     numbered ``line_no``: its comma-separated fields, each read as its kind
-    in ``kinds``, ``str`` as is, ``int`` and ``float`` as Python reads ASCII
-    text without "_".  The first bad line raises TraceFormatError: another
-    field count, a field that is not its number, then a non-finite float."""
-    numeric, floats = [kind is not str for kind in kinds], [kind is float for kind in kinds]
+    in ``kinds``, ``str`` as is and a number by :func:`~routesvm.svm._number`.
+    The first bad line raises TraceFormatError: another field count, then a
+    field that is not its number, then a non-finite float."""
+    floats = [kind is float for kind in kinds]
     for n, line in enumerate(lines, start=line_no):
         if line == "\n":
             continue
@@ -159,14 +150,9 @@ def _fields(lines, kinds: tuple[type, ...], line_no: int = 2):
         if len(fields) != len(kinds):
             raise TraceFormatError(f"line {n}: expected {len(kinds)} fields, got {len(fields)}")
         try:
-            values = [kind(text) for kind, text in zip(kinds, fields)]
+            values = [t if kind is str else _number(t, kind) for kind, t in zip(kinds, fields)]
         except ValueError as exc:
             raise TraceFormatError(f"line {n}: non-numeric field ({exc})") from None
-        if "_" in line or not line.isascii():  # a str field, such as an id, may hold either
-            for text in compress(fields, numeric):
-                if "_" in text or not text.isascii():
-                    raise TraceFormatError(
-                        f"line {n}: non-numeric field ({text!r} is not ASCII without '_')")
         if not all(map(math.isfinite, compress(values, floats))):
             raise TraceFormatError(f"line {n}: non-finite value")
         yield n, values
@@ -175,7 +161,7 @@ def _fields(lines, kinds: tuple[type, ...], line_no: int = 2):
 def _csv_rows(source: str | Path, header: str, kinds: tuple[type, ...]):
     """(line number, values) of each non-blank line after ``header``, read
     by :func:`_fields`; a file with another first line is an error."""
-    with _utf8_text(source) as lines:
+    with _utf8_text(source, TraceFormatError) as lines:
         _skip_header(lines, header)
         yield from _fields(lines, kinds)
 
@@ -476,7 +462,7 @@ def read_trace_csv(source: str | Path) -> Trace:
     points = np.empty(_row_bound(source), dtype=POINT_DTYPE)
     end = 0
     ids, table = [], {}  # the vehicle ids by index; see _vehicle_index
-    with _utf8_text(source) as text:
+    with _utf8_text(source, TraceFormatError) as text:
         _skip_header(text, TRACE_HEADER)
         for line_no in count(2, _CHUNK):  # the file line of the block's first line
             block = list(islice(text, _CHUNK))
@@ -527,7 +513,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
     warning with the skip count is logged.  A vehicle listed twice in one
     timestep raises :class:`TraceFormatError`.
     """
-    with _utf8_text(source, newline="") as file:
+    with _utf8_text(source, TraceFormatError, newline="") as file:
         text = file.read()
     try:
         root = ElementTree.fromstring(text)
@@ -556,7 +542,7 @@ def read_fcd_xml(source: str | Path, labels: LabelTable) -> Trace:
                 skipped += 1
                 continue
             try:
-                x, y, speed = map(float, values[1:])
+                x, y, speed = (_number(value, float) for value in values[1:])
             except ValueError as exc:
                 raise TraceFormatError(f"vehicle {vehicle_id!r}: {exc}") from exc
             if vehicle_id not in ids and any(c in vehicle_id for c in ",\r\n"):

@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import chain
@@ -104,6 +105,15 @@ def _f17(v: float) -> str:
     return str(v) if isinstance(v, int) else format(float(v), ".17g")
 
 
+def _number(text: str, kind: type[int] | type[float]) -> int | float:
+    """``text`` read as ``kind`` (int or float) as Python reads ASCII text without
+    "_"; other text raises ValueError.  Every reader's one number rule."""
+    value = kind(text)
+    if "_" in text or not text.isascii():
+        raise ValueError(f"{text!r} is not ASCII without '_'")
+    return value
+
+
 @dataclass(frozen=True, slots=True)
 class LabeledExample:
     """A feature vector with class label +1 or -1.
@@ -133,9 +143,11 @@ class LabeledExample:
         object.__setattr__(self, "features", tuple(map(float, features)))
 
 
-def _python_number(value: np.generic):
-    """The Python int or float a numpy scalar equals, a longdouble rounded."""
-    return float(value) if isinstance(value, np.floating) else value.item()
+def _python_number(value):
+    """The Python int or float a numpy scalar equals, a longdouble rounded; else ``value``."""
+    if isinstance(value, np.generic):
+        return float(value) if isinstance(value, np.floating) else value.item()
+    return value
 
 
 @dataclass(frozen=True)
@@ -185,8 +197,7 @@ class KernelSpec:
                 continue  # a parameter the family does not take, or a gamma train fills in
             if kind is None:
                 raise ValueError(f"{self.family} kernel takes no {name}")
-            if isinstance(value, np.generic):  # the Python number model_to_text writes
-                object.__setattr__(self, name, value := _python_number(value))
+            object.__setattr__(self, name, value := _python_number(value))  # what the model saves
             if isinstance(value, bool) or not (isinstance(value, (kind, int))
                                                and abs(value) <= sys.float_info.max):
                 raise ValueError(f"{self.family} kernel needs a finite {kind.__name__} {name}"
@@ -294,8 +305,7 @@ class TrainConfig:
 
     def __post_init__(self):
         for name in ("C", "tol", "max_passes"):  # a float32 would meet float max as float32 inf
-            if isinstance(value := getattr(self, name), np.generic):
-                object.__setattr__(self, name, _python_number(value))
+            object.__setattr__(self, name, _python_number(getattr(self, name)))
         C, tol, passes = (None if isinstance(v, bool) else v  # a bool is a Real; None fails below
                           for v in (self.C, self.tol, self.max_passes))
         if not (isinstance(C, Real) and 0 < C <= sys.float_info.max):
@@ -727,15 +737,15 @@ def model_from_text(text: str) -> SvmModel:
         fields[key] = value
     try:
         family = fields.pop("family")
-        params = {name: kind(fields.pop(name))
+        params = {name: _number(fields.pop(name), kind)
                   for name, kind in KERNEL_PARAMS.get(family, {}).items()}
-        bias = float(fields.pop("bias"))
-        count = int(fields.pop("supports"))
+        bias = _number(fields.pop("bias"), float)
+        count = _number(fields.pop("supports"), int)
         scaler = None
         if header[1] != "v1" and ("mean" in fields or "scale" in fields):
             scaler = Standardizer(
-                mean=tuple(float(v) for v in fields.pop("mean").split(",")),
-                scale=tuple(float(v) for v in fields.pop("scale").split(",")),
+                mean=tuple(_number(v, float) for v in fields.pop("mean").split(",")),
+                scale=tuple(_number(v, float) for v in fields.pop("scale").split(",")),
             )
     except (KeyError, ValueError) as exc:
         raise ModelFormatError(f"bad model header: {exc}") from exc
@@ -756,9 +766,9 @@ def model_from_text(text: str) -> SvmModel:
         if len(tokens) < 3:
             raise ModelFormatError(f"line {line_no}: too few fields")
         try:
-            alphas.append(float(tokens[0]))
-            label = int(tokens[1])
-            features = tuple(float(t) for t in tokens[2:])
+            alphas.append(_number(tokens[0], float))
+            label = _number(tokens[1], int)
+            features = tuple(_number(t, float) for t in tokens[2:])
             examples.append(LabeledExample(features=features, label=label))
         except ValueError as exc:
             raise ModelFormatError(f"line {line_no}: {exc}") from exc
@@ -785,9 +795,17 @@ def save_model(model: SvmModel, path: str | Path) -> None:
     Path(path).write_text(model_to_text(model), encoding="utf-8", newline="\n")
 
 
-def load_model(path: str | Path) -> SvmModel:
+@contextmanager
+def _utf8_text(source: str | Path, error: Callable[[str], Exception], newline: str | None = None):
+    """``source`` opened as text, the one way every reader opens an input file;
+    bytes that are not UTF-8 raise ``error(message)``."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        with open(source, encoding="utf-8", newline=newline) as text:
+            yield text
     except UnicodeDecodeError as exc:
-        raise ModelFormatError(f"not UTF-8 text ({exc})") from None
-    return model_from_text(text)
+        raise error(f"not UTF-8 text ({exc})") from None
+
+
+def load_model(path: str | Path) -> SvmModel:
+    with _utf8_text(path, ModelFormatError) as text:
+        return model_from_text(text.read())

@@ -28,9 +28,12 @@ import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
+from numbers import Real
 
 import numpy as np
 from numpy.typing import ArrayLike
+
+from .svm import _python_number
 
 __all__ = [
     "ConfigError",
@@ -67,7 +70,9 @@ class ScenarioConfig:
     off-ramp levels out.  Vehicle ``i`` spawns at ``x = spawn_spacing * i`` so
     the fleet occupies a distinct stretch of road on both sides of the
     junction.  Building one, ``replace`` included, raises :class:`ConfigError`
-    naming the first field that is invalid.
+    naming the first field that is invalid.  Each field is typed like its
+    default, an integer, a real or a tuple of as many, never a bool, within
+    float64 range; a numpy scalar is kept as the Python number it equals.
     """
 
     num_vehicles: int = 600
@@ -83,17 +88,21 @@ class ScenarioConfig:
 
     def __post_init__(self):
         for f in fields(self):
-            if not all(abs(v) <= sys.float_info.max for v in np.ravel(getattr(self, f.name))):
+            value, many = getattr(self, f.name), isinstance(f.default, tuple)
+            kind, size = int if type(f.default) is int else Real, len(f.default) if many else 1
+            values = value if many and isinstance(value, tuple) else (value,)
+            values = tuple(map(_python_number, values))
+            if len(values) != size or any(isinstance(v, bool) or not isinstance(v, kind)
+                                          for v in values):
+                need = f"{size} numbers" if many else "an integer" if kind is int else "a number"
+                raise ConfigError(f.name, f"must be {need}")
+            if not all(abs(v) <= sys.float_info.max for v in values):
                 raise ConfigError(f.name, "must be finite")
-        for name in ("num_vehicles", "num_steps", "rng_seed"):
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, (int, np.integer)):
-                raise ConfigError(name, "must be an integer")
+            object.__setattr__(self, f.name, values if many else values[0])
         if self.num_vehicles < 1:
             raise ConfigError("num_vehicles", "must be >= 1")
         if self.num_steps < 1:
             raise ConfigError("num_steps", "must be >= 1")
-        if len(self.lane_y) != LANE_COUNT:
-            raise ConfigError("lane_y", f"must list {LANE_COUNT} lane ordinates")
         if not all(a > b for a, b in zip(self.lane_y, self.lane_y[1:])):
             raise ConfigError("lane_y", "must be strictly decreasing")
         lo, hi = self.speed_range
@@ -228,7 +237,7 @@ def generate_trace(config: ScenarioConfig) -> Trace:
     Raises :class:`ConfigError` for a config whose positions overflow float64
     (field ``positions``).
     """
-    rng = random.Random(int(config.rng_seed))  # a numpy integer is not a seed type
+    rng = random.Random(config.rng_seed)
     n, steps = config.num_vehicles, config.num_steps
     u = uniform_draws(rng, n * (3 + steps)).reshape(n, -1)
     ids = [f"v{i:04d}" for i in range(n)]

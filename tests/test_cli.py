@@ -8,8 +8,8 @@ import pytest
 from helpers import baseline_dispatch_env, enabled_simd_targets, subprocess_env
 from routesvm import cli
 from routesvm.cli import main, parse_test_sizes
-from routesvm.dataset_io import write_trace_csv
-from routesvm.svm import load_model
+from routesvm.dataset_io import TraceFormatError, read_fcd_xml, write_trace_csv
+from routesvm.svm import ModelFormatError, load_model
 from routesvm.traffic_sim import ScenarioConfig, generate_trace
 
 
@@ -290,6 +290,69 @@ class TestScenarioFlags:
         config.write_bytes(b"num_vehicles = 8\nlane_noise = \xff\n")
         assert main(["generate", "--config", str(config), "-o", str(tmp_path / "t.csv")]) == 2
         assert "config" in capsys.readouterr().err
+
+
+def generated(flags, path) -> bytes:
+    """The trace ``generate`` writes to ``path`` with ``flags``; an exit code
+    other than 0 raises SystemExit with it."""
+    code = main(["generate", "--vehicles=2", "--steps=2", *flags, "-o", str(path)])
+    if code:
+        raise SystemExit(code)
+    return path.read_bytes()
+
+
+def read_scenario_file(path, text):
+    config = path.with_suffix(".cfg")
+    config.write_text(f"num_steps = 3\nlane_noise = {text}\n")
+    return generated(["--config", str(config)], path)
+
+
+def read_fcd_x(path, text):
+    path.write_text(f'<fcd-export><timestep time="0"><vehicle id="v" x="{text}" y="0"'
+                    ' speed="1"/></timestep></fcd-export>\n')
+    return read_fcd_xml(path, {"v": 0}).points["x"].tolist()
+
+
+def read_model_bias(path, text):
+    path.write_text(f"routesvm-model v2 family=linear bias={text} supports=0\n")
+    return load_model(path).bias
+
+
+def read_model_feature(path, text):
+    path.write_text(f"routesvm-model v2 family=linear bias=0 supports=1\n1 1 {text} 0\n")
+    return load_model(path).support_examples
+
+
+# Each reader of a float outside the CSVs, given the float's text: what it
+# reads, and the error or exit code that refuses text which is not a number.
+NUMBER_READERS = {
+    "model-header": (read_model_bias, ModelFormatError),
+    "model-support": (read_model_feature, ModelFormatError),
+    "scenario-file": (read_scenario_file, SystemExit),
+    "generate-flag": (lambda path, text: generated([f"--lane-noise={text}"], path), SystemExit),
+    "fcd": (read_fcd_x, TraceFormatError),
+}
+
+
+@pytest.mark.parametrize("reader", NUMBER_READERS)
+@pytest.mark.parametrize("text", ["1_0", "\u0661", "\u0663.5", "+1", "1e0"])
+def test_every_reader_reads_a_number_as_the_csvs_do(tmp_path, capsys, reader, text):
+    """The model file, a scenario file or flag and an FCD attribute read a
+    number as the trace, label and examples CSVs do: what Python's float
+    reads from ASCII text without "_"."""
+    read, error = NUMBER_READERS[reader]
+    path = tmp_path / "input"
+    if text.isascii() and "_" not in text:
+        assert read(path, text) == read(path, "1")
+        return
+    with pytest.raises(error) as exc_info:
+        read(path, text)
+    if error is SystemExit:
+        assert exc_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: lane_noise: ") and f"non-numeric value {text!r}" in err
+    else:
+        assert str(exc_info.value).endswith(f"{text!r} is not ASCII without '_'")
 
 
 # A kernel flag, with a value, that the family does not take.

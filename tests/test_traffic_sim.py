@@ -56,6 +56,15 @@ class TestConfigValidation:
             ({"num_steps": np.float64(3.0)}, "num_steps"),
             ({"rng_seed": 1.5}, "rng_seed"),
             ({"rng_seed": True}, "rng_seed"),
+            ({"lane_noise": True}, "lane_noise"),
+            ({"lane_noise": np.True_}, "lane_noise"),
+            ({"lane_noise": "0.1"}, "lane_noise"),
+            ({"junction_x": None}, "junction_x"),
+            ({"lane_y": (True, False, -1.0)}, "lane_y"),
+            ({"lane_y": [0.0, -0.5, -1.0]}, "lane_y"),
+            ({"lane_noise": np.float32("inf")}, "lane_noise"),
+            ({"spawn_spacing": np.float16("inf")}, "spawn_spacing"),
+            ({"junction_x": np.float32("inf")}, "junction_x"),
         ],
     )
     def test_invalid_config_names_field(self, kwargs, field):
@@ -74,6 +83,16 @@ class TestConfigValidation:
         config = config_with(num_vehicles=np.int64(10), num_steps=np.int32(20),
                              rng_seed=np.uint64(7))
         assert generate_trace(config) == generate_trace(config_with())
+
+    def test_numpy_floats_are_the_python_floats_they_equal(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow warning: each is read as a Python float
+            config = config_with(lane_noise=np.float32(0.1), junction_x=np.float16(200),
+                                 lane_y=(np.float32(0), -0.5, np.longdouble(-1)))
+        assert {type(v) for v in (config.lane_noise, config.junction_x, *config.lane_y)} == {float}
+        python = config_with(lane_noise=float(np.float32(0.1)), junction_x=200.0)
+        assert config == python
+        assert generate_trace(config) == generate_trace(python)
 
     def test_default_config_is_valid(self):
         assert ScenarioConfig() == replace(ScenarioConfig())
