@@ -157,18 +157,32 @@ def _experiment(args: argparse.Namespace) -> tuple[int, KernelSpec, TrainConfig]
     return train_size, kernel, TrainConfig(**_given(args, _SOLVER_FLAGS))
 
 
+def integer(text: str) -> int:
+    """An integer flag's value, read by :func:`~routesvm.svm._number`."""
+    return _number(text, int)
+
+
+def real(text: str) -> float:
+    """A real flag's value, read by :func:`~routesvm.svm._number`."""
+    return _number(text, float)
+
+
+_FLAG_TYPES = {int: integer, float: real}  # argparse names the function when it refuses a value
+
+
 def parse_test_sizes(raw: str) -> list[int]:
-    """Accept '10', '10,20,30', or 'start:stop:step' (stop inclusive)."""
+    """Accept '10', '10,20,30', or 'start:stop:step' (stop inclusive), each
+    size an :func:`integer`."""
     try:
         if ":" in raw:
-            parts = [int(p) for p in raw.split(":")]
+            parts = [integer(p) for p in raw.split(":")]
             if len(parts) != 3:
                 raise ValueError("range needs start:stop:step")
             start, stop, step = parts
             if step <= 0 or stop < start:
                 raise ValueError("range needs stop >= start and step > 0")
             return list(range(start, stop + 1, step))
-        return [int(p) for p in raw.split(",")]
+        return [integer(p) for p in raw.split(",")]
     except ValueError as exc:
         raise ValueError(f"bad --test-sizes value {raw!r}: {exc}") from exc
 
@@ -268,12 +282,12 @@ def _add_experiment_flags(parser: argparse.ArgumentParser, solver: bool = True) 
     """The flags that _experiment reads, and --seed; ``solver`` adds the solver's."""
     parser.add_argument("--kernel", choices=KERNEL_FAMILIES, help="default linear")
     for name, kind in _KERNEL_FLAGS.items():
-        parser.add_argument(f"--{name}", type=kind)
+        parser.add_argument(f"--{name}", type=_FLAG_TYPES[kind])
     for name, kind in _SOLVER_FLAGS.items() if solver else ():
-        parser.add_argument(f"--{name.replace('_', '-')}", type=kind,
+        parser.add_argument(f"--{name.replace('_', '-')}", type=_FLAG_TYPES[kind],
                             help=f"TrainConfig.{name}, default {getattr(TrainConfig, name)}")
-    parser.add_argument("--train-size", type=int, help=f"default {DEFAULT_TRAIN_SIZE}")
-    parser.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    parser.add_argument("--train-size", type=integer, help=f"default {DEFAULT_TRAIN_SIZE}")
+    parser.add_argument("--seed", type=integer, default=DEFAULT_SEED)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -319,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one-line reproduction: generate, train, sweep, plot with the defaults",
     )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--vehicles", type=int, default=ScenarioConfig.num_vehicles)
+    p.add_argument("--vehicles", type=integer, default=ScenarioConfig.num_vehicles)
     p.add_argument("--test-sizes", default=DEFAULT_TEST_SIZES)
     _add_experiment_flags(p, solver=False)
     p.set_defaults(func=_cmd_run_paper)

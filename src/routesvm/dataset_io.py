@@ -21,7 +21,8 @@ examples CSV, or an FCD attribute, is read by :func:`~routesvm.svm._number`,
 as Python's ``int`` or ``float`` reads it from ASCII text without "_"
 (``1_0`` is not a number), and a float is finite; the three CSVs share one
 row reader.  A trace CSV is parsed a block of lines at a time, by
-an exact array digit kernel where the block is canonical, else row by row.
+an exact array digit kernel where the block is canonical, else row by row;
+the kernel parses a vehicle's repeated ``speed,route`` text once.
 The rows fill one ``POINT_DTYPE`` array, handed to
 :func:`~routesvm.traffic_sim.make_trace`, and the checks that span rows run
 once: a (step, vehicle_id) pair occurs once and a vehicle keeps one route
@@ -391,10 +392,25 @@ def _parse_floats(pad, words, s: np.ndarray, t: np.ndarray, found: list) -> np.n
     return np.where(neg, -q, q)
 
 
-def _parse_canonical_rows(pad, words, first: np.ndarray, last: np.ndarray) -> dict | None:
+# A vehicle's stored speed,route tail, as :func:`_tail_words`, and its speed; k2 0 is none.
+_TAIL = np.dtype([("k0", np.uint64), ("k1", np.uint64), ("k2", np.uint64), ("speed", float)])
+_FILL = np.array([(1 << 8 * k) - 1 for k in range(8)], np.uint64)  # 0xFF in the k low bytes
+
+
+def _tail_words(words, s: np.ndarray, end: np.ndarray) -> tuple:
+    """The last 3 words of each 17- to 24-byte row tail [s, end), the bytes before
+    it read as 0xFF, never in UTF-8; a speed starts 7 or more bytes into its row."""
+    return words[end - 24] | _FILL[24 - (end - s)], words[end - 16], words[end - 8]
+
+
+def _parse_canonical_rows(pad, words, first: np.ndarray, last: np.ndarray, vehicle: np.ndarray,
+                          tails: np.ndarray) -> dict | None:
     """The numeric columns of a block with fields [first, last), or None unless
     each is canonical: 1 to 18 step digits, route_label 0 or 1, and floats as
-    :func:`_parse_floats` reads them, a column at a time: 8 bytes a row."""
+    :func:`_parse_floats` reads them, a column at a time: 8 bytes a row.  A row
+    whose ``speed,route`` tail has the bytes that its vehicle's first row with a
+    17- to 24-byte tail stored in ``tails`` takes its speed: equal bytes parse
+    to equal bits."""
     first, last = first.reshape(-1, 6), last.reshape(-1, 6)
     step, ok, _ = _digits(words, first[:, 0], last[:, 0])
     route, size = pad[first[:, 5]] - ord("0"), last[:, 0] - first[:, 0]
@@ -402,10 +418,33 @@ def _parse_canonical_rows(pad, words, first: np.ndarray, last: np.ndarray) -> di
         return None
     rows = {"step": step.astype(np.int64), "route_label": route}
     found = [np.append(np.flatnonzero(pad == byte), len(pad)) for byte in b"e."]
-    for field, name in enumerate(("x", "y", "speed"), start=2):
+    for field, name in enumerate(("x", "y"), start=2):
         rows[name] = _parse_floats(pad, words, first[:, field], last[:, field], found)
         if rows[name] is None:
             return None
+    s, t, end = first[:, 4], last[:, 4], last[:, 5] + 1
+    stored, k2 = tails["k2"][vehicle], words[end - 8]
+    if not ((stored == 0) | (stored == k2)).any():  # no row stores or takes a speed
+        rows["speed"] = _parse_floats(pad, words, s, t, found)
+        return None if rows["speed"] is None else rows
+    fits = (end - s >= 17) & (end - s <= 24)
+    new = np.flatnonzero(fits & (stored == 0))
+    new = new[np.unique(vehicle[new], return_index=True)[1]]  # each new vehicle's first such row
+    for name, word in zip(("k0", "k1", "k2"), _tail_words(words, s[new], end[new])):
+        tails[name][vehicle[new]] = word
+    hit = fits & (tails["k2"][vehicle] == k2)
+    hit[new] = False
+    i = np.flatnonzero(hit)
+    k0, k1, _ = _tail_words(words, s[i], end[i])
+    hit[i] = (tails["k0"][vehicle[i]] == k0) & (tails["k1"][vehicle[i]] == k1)
+    rows["speed"] = speed = np.empty(len(s))
+    parsed = _parse_floats(pad, words, s[~hit], t[~hit], found)
+    if parsed is None:
+        tails[vehicle[new]] = 0
+        return None
+    speed[~hit] = parsed
+    tails["speed"][vehicle[new]] = speed[new]
+    speed[hit] = tails["speed"][vehicle[hit]]
     return rows
 
 
@@ -453,7 +492,8 @@ def read_trace_csv(source: str | Path) -> Trace:
     array pass over the bytes finds every field; :func:`_vehicle_index` maps
     the ids.  :func:`_parse_canonical_rows` parses the numbers of a block
     whose numbers are all canonical and finite, as in every file
-    :func:`write_trace_csv` writes; :func:`_parse_block` parses any other
+    :func:`write_trace_csv` writes, a vehicle's repeated ``speed,route`` tail
+    once per file; :func:`_parse_block` parses any other
     block row by row with :func:`_fields`, the one grammar of a CSV row, and
     names its first bad line.  Each block is copied into one points
     array, sized up front by :func:`_row_bound`, and freed; then the checks
@@ -462,6 +502,7 @@ def read_trace_csv(source: str | Path) -> Trace:
     points = np.empty(_row_bound(source), dtype=POINT_DTYPE)
     end = 0
     ids, table = [], {}  # the vehicle ids by index; see _vehicle_index
+    tails = np.zeros(0, _TAIL)  # by vehicle index; see _parse_canonical_rows
     with _utf8_text(source, TraceFormatError) as text:
         _skip_header(text, TRACE_HEADER)
         for line_no in count(2, _CHUNK):  # the file line of the block's first line
@@ -477,17 +518,20 @@ def read_trace_csv(source: str | Path) -> Trace:
             seps = np.flatnonzero((pad == ord(",")) | (pad == ord("\n")))  # where each field ends
             first = np.concatenate(([8], seps[:-1] + 1))  # where each field starts
             whole = len(seps) == len(_FIELDS) * len(lines) and (pad[seps[5::6]] == ord("\n")).all()
-            rows = whole and _parse_canonical_rows(pad, words, first, seps)
+            vehicle = _vehicle_index(words, first[1::6], seps[1::6], table, ids) if whole else None
+            if len(ids) > len(tails):
+                tails = np.concatenate([tails, np.zeros(2 * len(ids) - len(tails), _TAIL)])
+            rows = whole and _parse_canonical_rows(pad, words, first, seps, vehicle, tails)
             if not rows or not all(np.isfinite(rows[f]).all() for f in ("x", "y", "speed")):
-                rows = _parse_block(block, line_no)  # if not whole, a row has another field count
+                rows = _parse_block(block, line_no)  # if not whole, a row's field count raises
             stop = end + len(lines)
             if stop > len(points):  # the file grew after it was counted
                 points = np.concatenate([points, np.empty(stop - len(points), POINT_DTYPE)])
-            points["vehicle"][end:stop] = _vehicle_index(words, first[1::6], seps[1::6], table, ids)
+            points["vehicle"][end:stop] = vehicle
             for name, column in rows.items():
                 points[name][end:stop] = column
             end = stop
-            del block, lines, raw, pad, words, seps, first, rows  # free the block
+            del block, lines, raw, pad, words, seps, first, vehicle, rows  # free the block
     if end < len(points):  # the file shrank after it was counted
         points = points[:end].copy()
     return _checked_trace(points, ids)  # the array itself: a view would keep its base alive

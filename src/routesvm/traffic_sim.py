@@ -72,7 +72,8 @@ class ScenarioConfig:
     junction.  Building one, ``replace`` included, raises :class:`ConfigError`
     naming the first field that is invalid.  Each field is typed like its
     default, an integer, a real or a tuple of as many, never a bool, within
-    float64 range; a numpy scalar is kept as the Python number it equals.
+    float64 range; an integer field keeps the Python int a numpy integer
+    equals, and a real field holds the Python float its value rounds to.
     """
 
     num_vehicles: int = 600
@@ -98,6 +99,7 @@ class ScenarioConfig:
                 raise ConfigError(f.name, f"must be {need}")
             if not all(abs(v) <= sys.float_info.max for v in values):
                 raise ConfigError(f.name, "must be finite")
+            values = values if kind is int else tuple(map(float, values))
             object.__setattr__(self, f.name, values if many else values[0])
         if self.num_vehicles < 1:
             raise ConfigError("num_vehicles", "must be >= 1")

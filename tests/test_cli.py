@@ -355,6 +355,28 @@ def test_every_reader_reads_a_number_as_the_csvs_do(tmp_path, capsys, reader, te
         assert str(exc_info.value).endswith(f"{text!r} is not ASCII without '_'")
 
 
+# A flag argparse types, or a --test-sizes part, given text that Python's int()
+# or float() reads but the number rule refuses; "TRACE" stands for a trace path.
+REFUSED_FLAG_NUMBERS = [
+    ["run-paper", "--vehicles", "6_00"],
+    ["run-paper", "--seed", "\u0667"],
+    ["train", "TRACE", "--train-size", "4_00"],
+    ["sweep", "TRACE", "--C", "1_0"],
+    ["sweep", "TRACE", "--kernel", "rbf", "--gamma", "\u0660.5"],
+    ["sweep", "TRACE", "--test-sizes", "1_0"],
+]
+
+
+@pytest.mark.parametrize("argv", REFUSED_FLAG_NUMBERS, ids=" ".join)
+def test_a_typed_flag_reads_a_number_as_generate_does(trace_path, tmp_path, capsys, argv):
+    """As ``generate --vehicles 6_00`` does, each exits 2, naming the text, and writes nothing."""
+    out = tmp_path / "out"
+    output = ["--out-dir", str(out)] if argv[0] == "run-paper" else ["-o", str(out)]
+    assert main([str(trace_path) if a == "TRACE" else a for a in argv] + output) == 2
+    assert repr(argv[-1]) in capsys.readouterr().err
+    assert not out.exists()
+
+
 # A kernel flag, with a value, that the family does not take.
 INAPPLICABLE_KERNEL_FLAGS = [
     ("linear", "gamma", "0.5"),

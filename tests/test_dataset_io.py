@@ -62,6 +62,25 @@ EDGE_FLOATS = [
 ]
 
 
+# Vehicle 5's 30 speeds or route labels in a trace whose speed,route tail
+# changes within a vehicle.  Generated speeds have 17- to 24-byte tails, which
+# the reader compares, as do the last two cases; 2.0 and 0 have shorter ones.
+TAIL_CHANGES = [
+    ("speed", [2.0] * 10 + [2.25] * 20),  # a speed change inside one 8192-row batch
+    ("speed", [0.0, -0.0] * 15),  # equal as floats, not as text
+    ("route_label", [0] * 15 + [1] * 15),
+    ("speed", [0.1] * 10 + [0.30000000000000004] * 20),
+    ("speed", [0.12345678901234568, -0.12345678901234568] * 15),  # tails one "-" apart
+    ("speed", [1.1, 2.1] * 15),  # tails apart in their first byte alone
+]
+
+
+def with_vehicle_5(trace: Trace, field: str, values: list) -> Trace:
+    points = trace.points.copy()
+    points[field][points["vehicle"] == 5] = values
+    return make_trace(points, trace.vehicle_ids)
+
+
 class TestTraceCsv:
     def test_empty_trace_writes_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
@@ -126,18 +145,28 @@ class TestTraceCsv:
         assert_writes_reference_bytes(trace, tmp_path)
 
     @pytest.mark.parametrize("batch", [7, 8192])
-    @pytest.mark.parametrize("field, values", [
-        ("speed", [2.0] * 10 + [2.25] * 20),  # a speed change inside one 8192-row batch
-        ("speed", [0.0, -0.0] * 15),  # equal as floats, not as text
-        ("route_label", [0] * 15 + [1] * 15),
-    ])
+    @pytest.mark.parametrize("field, values", TAIL_CHANGES)
     def test_a_vehicle_whose_tail_changes_matches_the_per_row_reference(
         self, small_trace, tmp_path, monkeypatch, batch, field, values
     ):
         monkeypatch.setattr(dataset_io, "_WRITE_BATCH", batch)
-        points = small_trace.points.copy()
-        points[field][points["vehicle"] == 5] = values
-        assert_writes_reference_bytes(make_trace(points, small_trace.vehicle_ids), tmp_path)
+        assert_writes_reference_bytes(with_vehicle_5(small_trace, field, values), tmp_path)
+
+    @pytest.mark.parametrize("chunk", [7, 8192])
+    @pytest.mark.parametrize("field, values", TAIL_CHANGES)
+    def test_a_vehicle_whose_tail_changes_reads_the_same_either_way(
+        self, small_trace, tmp_path, monkeypatch, chunk, field, values
+    ):
+        """7-line blocks put the change in a later block than the vehicle's first row."""
+        monkeypatch.setattr(dataset_io, "_CHUNK", chunk)
+        trace = with_vehicle_5(small_trace, field, values)
+        write_trace_csv(trace, tmp_path / "trace.csv")
+        outcome, fallback = kernel_and_fallback(tmp_path / "trace.csv")
+        assert outcome == fallback
+        if field == "route_label":
+            assert outcome == f"vehicle {trace.vehicle_ids[5]!r}: route_label changes between rows"
+        else:
+            assert outcome == (trace.points.tobytes(), trace.vehicle_ids)
 
     def test_a_generated_trace_formats_speed_once_per_vehicle(
         self, small_trace, tmp_path, monkeypatch
@@ -147,6 +176,17 @@ class TestTraceCsv:
         monkeypatch.setattr(dataset_io, "_float_text", lambda v: formatted.append(len(v)) or float_text(v))
         write_trace_csv(small_trace, tmp_path / "trace.csv")
         assert sum(formatted) == 2 * len(small_trace.points) + len(small_trace.vehicle_ids)
+
+    def test_a_written_trace_parses_speed_once_per_vehicle(
+        self, small_trace, tmp_path, monkeypatch
+    ):
+        parsed = []
+        parse_floats = dataset_io._parse_floats
+        monkeypatch.setattr(dataset_io, "_parse_floats",
+                            lambda *args: parsed.append(len(args[2])) or parse_floats(*args))
+        write_trace_csv(small_trace, tmp_path / "trace.csv")
+        assert read_trace_csv(tmp_path / "trace.csv") == small_trace
+        assert sum(parsed) == 2 * len(small_trace.points) + len(small_trace.vehicle_ids)
 
     def test_header_only_reads_empty(self, tmp_path):
         path = tmp_path / "h.csv"
@@ -446,6 +486,19 @@ class TestTraceCsvDigitKernel:
         assert row_parsed_blocks == ([] if kernel else [rows.count("\n")])
         outcome, fallback = kernel_and_fallback(path)
         assert outcome == fallback and not isinstance(outcome, str)
+
+    def test_a_block_the_kernel_declines_stores_no_tail(self, tmp_path, monkeypatch,
+                                                         row_parsed_blocks):
+        """Vehicle a's first row is in a 3-line block the kernel declines for
+        another row's speed, "+1"; a's next row, with the same tail, is parsed."""
+        monkeypatch.setattr(dataset_io, "_CHUNK", 3)
+        tail = "0.10000000000000001,0\n"
+        path = tmp_path / "trace.csv"
+        path.write_text(self.HEADER + f"0,a,1,2,{tail}0,b,1,2,+1,0\n0,c,1,2,1,0\n1,a,1,2,{tail}")
+        assert read_trace_csv(path).points["speed"].tolist() == [0.1, 1, 1, 0.1]
+        assert row_parsed_blocks == [3]
+        outcome, fallback = kernel_and_fallback(path)
+        assert outcome == fallback
 
     @pytest.mark.parametrize("chunk", [2, 8192])
     @pytest.mark.parametrize("ids", [

@@ -94,6 +94,16 @@ class TestConfigValidation:
         assert config == python
         assert generate_trace(config) == generate_trace(python)
 
+    def test_an_int_past_the_int64_range_is_a_real_fields_float(self):
+        config = ScenarioConfig(num_vehicles=3, num_steps=2, spawn_spacing=10**300)
+        assert generate_trace(config) == generate_trace(replace(config, spawn_spacing=1e300))
+        assert type(config.spawn_spacing) is float
+
+    def test_an_int_real_field_gives_its_floats_trace_bytes(self, tmp_path):
+        for name, spacing in (("int", 3), ("float", 3.0)):
+            write_trace_csv(generate_trace(config_with(spawn_spacing=spacing)), tmp_path / name)
+        assert (tmp_path / "int").read_bytes() == (tmp_path / "float").read_bytes()
+
     def test_default_config_is_valid(self):
         assert ScenarioConfig() == replace(ScenarioConfig())
 
